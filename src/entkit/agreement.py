@@ -1,9 +1,10 @@
 """Chance-corrected agreement between two annotators.
 
-Core quantities over an aligned item list: observed agreement p_o (fraction
-of items with identical labels), expected agreement p_e (probability of a
-chance match given each annotator's label distribution), and kappa
-(p_o - p_e) / (1 - p_e). Multi-label tasks are scored per label as binary
+Core quantities over the contingency counts of aligned (annotator-1 label,
+annotator-2 label) decisions: observed agreement p_o (fraction of items with
+identical labels), expected agreement p_e (probability of a chance match
+given each annotator's label distribution), and kappa (p_o - p_e) /
+(1 - p_e). Multi-label tasks are scored per label as binary
 assigned/not-assigned decisions and combined by a support-weighted mean,
 where a label's support is its assignment count across both annotators.
 
@@ -13,14 +14,14 @@ expanding entity-level relations to mention pairs, coreference by shared
 mention pairs, and links by shared mentions. Items seen by only one annotator
 enter as disagreements against an explicit absent marker, except in the
 "conditioned" mode which restricts classification to jointly detected items.
+Each adapter counts its contingency table directly; no item list is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .corpus import Document, span_index
 
@@ -29,12 +30,16 @@ ABSENT = "<absent>"
 
 @dataclass(frozen=True)
 class AnnotationPair:
-    """Aligned (annotator-1 label, annotator-2 label) decisions over N > 0 items."""
+    """Contingency counts of (annotator-1 label, annotator-2 label) decisions
+    over N > 0 items. Built from the items themselves or from a mapping of
+    label pair to count."""
 
-    items: tuple[tuple[Hashable, Hashable], ...]
+    counts: Counter
 
-    def __post_init__(self):
-        if not self.items:
+    def __init__(self, items: Iterable[tuple[Hashable, Hashable]]
+                 | Mapping[tuple[Hashable, Hashable], int]):
+        object.__setattr__(self, "counts", Counter(items))
+        if len(self) <= 0:
             raise ValueError("annotation pair needs at least one item")
 
     @classmethod
@@ -42,23 +47,26 @@ class AnnotationPair:
                        ) -> "AnnotationPair":
         if len(a) != len(b):
             raise ValueError(f"annotators labeled {len(a)} vs {len(b)} items")
-        return cls(tuple(zip(a, b)))
+        return cls(zip(a, b))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return sum(self.counts.values())
 
 
 def observed_agreement(p: AnnotationPair) -> float:
     """Fraction of items with identical labels."""
-    return sum(1 for a, b in p.items if a == b) / len(p)
+    return sum(c for (a, b), c in p.counts.items() if a == b) / len(p)
 
 
 def expected_agreement(p: AnnotationPair) -> float:
     """Chance agreement: sum over labels of the product of both annotators'
     usage fractions."""
     n = len(p)
-    counts_a = Counter(a for a, _ in p.items)
-    counts_b = Counter(b for _, b in p.items)
+    counts_a: Counter = Counter()
+    counts_b: Counter = Counter()
+    for (a, b), c in p.counts.items():
+        counts_a[a] += c
+        counts_b[b] += c
     return sum(counts_a[l] * counts_b.get(l, 0) for l in counts_a) / (n * n)
 
 
@@ -88,8 +96,8 @@ def multilabel_kappa(pairs: Mapping[str, AnnotationPair]) -> float:
     weighted = 0.0
     for label in sorted(pairs):
         pair = pairs[label]
-        support = sum(1 for a, _ in pair.items if a) \
-            + sum(1 for _, b in pair.items if b)
+        support = sum(c * (bool(a) + bool(b))
+                      for (a, b), c in pair.counts.items())
         if support == 0:
             continue
         weighted += support * cohen_kappa(pair)
@@ -132,42 +140,8 @@ def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     no tags; conditioned=True restricts classification to spans both
     annotators detected.
     """
-    detect = []
-    per_label_items: dict[str, list[tuple[bool, bool]]] = {}
-    n_class_items = 0
-    for da, db in _pair_docs(docs_a, docs_b):
-        tags_a, tags_b = _mention_tags(da), _mention_tags(db)
-        universe = sorted(set(tags_a) | set(tags_b))
-        for span in universe:
-            in_a, in_b = span in tags_a, span in tags_b
-            detect.append(("mention" if in_a else ABSENT,
-                           "mention" if in_b else ABSENT))
-            if conditioned and not (in_a and in_b):
-                continue
-            n_class_items += 1
-            la = tags_a.get(span, frozenset())
-            lb = tags_b.get(span, frozenset())
-            for label in la | lb:
-                per_label_items.setdefault(label, []).append(
-                    (label in la, label in lb))
-    detection_pair = AnnotationPair(tuple(detect))
-    label_pairs = _pad_label_pairs(per_label_items, n_class_items)
-    return {
-        "detection": _kappa_summary(detection_pair),
-        "classification": multilabel_kappa(label_pairs) if label_pairs else None,
-        "per_label": {l: cohen_kappa(p) for l, p in sorted(label_pairs.items())},
-    }
-
-
-def _pad_label_pairs(per_label_items: dict[str, list[tuple[bool, bool]]],
-                     n_items: int) -> dict[str, AnnotationPair]:
-    """Extend each label's binary decisions with joint negatives so every
-    label is scored over the full classification-item universe."""
-    out = {}
-    for label, items in per_label_items.items():
-        padded = items + [(False, False)] * (n_items - len(items))
-        out[label] = AnnotationPair(tuple(padded))
-    return out
+    return _labelled_agreement(docs_a, docs_b, _mention_tags, "mention",
+                               conditioned)
 
 
 def _mention_pair_types(d: Document) -> dict[tuple, frozenset[str]]:
@@ -190,47 +164,78 @@ def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     Entity-level relations are expanded to all cross mention pairs so the two
     annotators' (possibly different) clusterings line up on shared spans.
     """
-    detect = []
-    per_label_items: dict[str, list[tuple[bool, bool]]] = {}
+    return _labelled_agreement(docs_a, docs_b, _mention_pair_types,
+                               "relation", conditioned)
+
+
+def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
+                        labels_of: Callable[[Document], Mapping],
+                        marker: str, conditioned: bool) -> dict:
+    """Detection kappa over the keys either annotator gave labels to, and
+    per-label binary kappas over the classification items.
+
+    Each label's table counts the items where both, only annotator a or only
+    annotator b assigned it; every other classification item is a joint
+    negative.
+    """
+    detect: Counter = Counter()
+    tables: defaultdict[str, Counter] = defaultdict(Counter)
     n_class_items = 0
     for da, db in _pair_docs(docs_a, docs_b):
-        rel_a, rel_b = _mention_pair_types(da), _mention_pair_types(db)
-        for key in sorted(set(rel_a) | set(rel_b)):
-            in_a, in_b = key in rel_a, key in rel_b
-            detect.append(("related" if in_a else ABSENT,
-                           "related" if in_b else ABSENT))
+        labels_a, labels_b = labels_of(da), labels_of(db)
+        for key in labels_a.keys() | labels_b.keys():
+            in_a, in_b = key in labels_a, key in labels_b
+            detect[(marker if in_a else ABSENT,
+                    marker if in_b else ABSENT)] += 1
             if conditioned and not (in_a and in_b):
                 continue
             n_class_items += 1
-            la = rel_a.get(key, frozenset())
-            lb = rel_b.get(key, frozenset())
+            la = labels_a.get(key, frozenset())
+            lb = labels_b.get(key, frozenset())
             for label in la | lb:
-                per_label_items.setdefault(label, []).append(
-                    (label in la, label in lb))
+                tables[label][(label in la, label in lb)] += 1
     if not detect:
-        raise ValueError("neither annotator produced any relation")
-    detection_pair = AnnotationPair(tuple(detect))
-    label_pairs = _pad_label_pairs(per_label_items, n_class_items)
+        raise ValueError(f"neither annotator produced any {marker}")
+    label_pairs = {}
+    for label, table in tables.items():
+        table[(False, False)] = n_class_items - sum(table.values())
+        label_pairs[label] = AnnotationPair(table)
     return {
-        "detection": _kappa_summary(detection_pair),
+        "detection": _kappa_summary(AnnotationPair(detect)),
         "classification": multilabel_kappa(label_pairs) if label_pairs else None,
         "per_label": {l: cohen_kappa(p) for l, p in sorted(label_pairs.items())},
     }
 
 
+def _pairs_within(cluster_sizes: Iterable[int]) -> int:
+    return sum(n * (n - 1) // 2 for n in cluster_sizes)
+
+
 def coref_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
                     ) -> dict:
-    """Binary same-cluster agreement over pairs of jointly detected spans."""
-    items = []
+    """Binary same-cluster agreement over pairs of jointly detected spans.
+
+    The pair counts follow from cluster sizes restricted to the shared spans:
+    pairs inside one (cluster a, cluster b) cell are same-cluster for both
+    annotators, pairs inside one cluster of a only for a, and so on.
+    """
+    counts: Counter = Counter()
     for da, db in _pair_docs(docs_a, docs_b):
         idx_a = {(m.begin, m.end): cid for m, cid in span_index(da).items()}
         idx_b = {(m.begin, m.end): cid for m, cid in span_index(db).items()}
-        shared = sorted(set(idx_a) & set(idx_b))
-        for s1, s2 in combinations(shared, 2):
-            items.append((idx_a[s1] == idx_a[s2], idx_b[s1] == idx_b[s2]))
-    if not items:
+        shared = idx_a.keys() & idx_b.keys()
+        both = _pairs_within(
+            Counter((idx_a[s], idx_b[s]) for s in shared).values())
+        same_a = _pairs_within(Counter(idx_a[s] for s in shared).values())
+        same_b = _pairs_within(Counter(idx_b[s] for s in shared).values())
+        counts[(True, True)] += both
+        counts[(True, False)] += same_a - both
+        counts[(False, True)] += same_b - both
+        counts[(False, False)] += (_pairs_within([len(shared)])
+                                   - same_a - same_b + both)
+    if not sum(counts.values()):
         raise ValueError("no shared mention pairs to compare")
-    return _kappa_summary(AnnotationPair(tuple(items)))
+    return _kappa_summary(AnnotationPair(counts))
 
 
 def linking_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
@@ -243,17 +248,17 @@ def linking_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
             return link
         return "<nil>" if link is None else ABSENT
 
-    items = []
+    counts: Counter = Counter()
     for da, db in _pair_docs(docs_a, docs_b):
         links_a = {(m.begin, m.end): link_label(c.link)
                    for c in da.clusters for m in c.mentions}
         links_b = {(m.begin, m.end): link_label(c.link)
                    for c in db.clusters for m in c.mentions}
-        for span in sorted(set(links_a) & set(links_b)):
-            items.append((links_a[span], links_b[span]))
-    if not items:
+        counts.update((links_a[span], links_b[span])
+                      for span in links_a.keys() & links_b.keys())
+    if not counts:
         raise ValueError("no shared mentions to compare links on")
-    return _kappa_summary(AnnotationPair(tuple(items)))
+    return _kappa_summary(AnnotationPair(counts))
 
 
 def _kappa_summary(pair: AnnotationPair) -> dict:

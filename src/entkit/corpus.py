@@ -177,16 +177,6 @@ class ValidationReport:
 # Vocabularies
 
 
-def load_vocabulary(path: str | Path) -> frozenset[str]:
-    """Read a plain-text vocabulary, one entry per line, '#' comments allowed."""
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    return frozenset(entries)
-
-
 def _resource_text(name: str) -> str:
     return (importlib_resources.files("entkit") / "resources" / name).read_text(
         encoding="utf-8")

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import (Document, EntityCluster, Mention, MentionMultiClusterError,
-                     RelationTriple)
+from .corpus import Mention, MentionMultiClusterError
 
 
 @dataclass(frozen=True)
@@ -147,17 +146,3 @@ def decode_output_to_json(out: DecodeOutput) -> dict:
                   for (h, t), types in sorted(out.d_rel.items())],
         "discarded_relations": out.discarded_relations,
     }
-
-
-def as_document(out: DecodeOutput, template: Document) -> Document:
-    """Express a decode result in the corpus schema, borrowing the token
-    space and sentence boundaries of ``template``."""
-    clusters = tuple(
-        EntityCluster(cid, spans, out.d_ent.get(cid, frozenset()))
-        for cid, spans in sorted(out.clusters.items()))
-    relations = tuple(
-        RelationTriple(h, rel_type, t)
-        for (h, t), types in sorted(out.d_rel.items())
-        for rel_type in sorted(types))
-    return Document(template.id, template.tokens, template.sentences,
-                    clusters, relations, template.split)

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Document
+from .corpus import Document, _resource_text
 
 _ATOM_RE = re.compile(r"^\s*([A-Za-z0-9_\-]+)\s*\(\s*([^()]*?)\s*\)\s*$")
 
@@ -151,9 +150,7 @@ def _parse_ruleset(text: str) -> list[Rule]:
 
 def builtin_ruleset() -> list[Rule]:
     """The shipped relation-consistency rule set (41 rules, ids C.1-C.41)."""
-    text = (importlib_resources.files("entkit") / "resources"
-            / "consistency_rules.txt").read_text(encoding="utf-8")
-    return _parse_ruleset(text)
+    return _parse_ruleset(_resource_text("consistency_rules.txt"))
 
 
 # --------------------------------------------------------------------------

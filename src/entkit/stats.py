@@ -17,11 +17,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document, Mention
+from .corpus import Document, Mention, _resource_text
 
 
 # --------------------------------------------------------------------------
@@ -40,31 +39,19 @@ class DistanceRecord:
 class DistanceProfile:
     records: list[DistanceRecord] = field(default_factory=list)
 
-    def _cdf(self, values: list[int], threshold: int) -> float:
-        if not self.records:
-            return 1.0
-        return sum(1 for v in values if v <= threshold) / len(self.records)
-
-    def cdf_min_tokens(self, d: int) -> float:
-        return self._cdf([r.min_token_gap for r in self.records], d)
-
-    def cdf_max_tokens(self, d: int) -> float:
-        return self._cdf([r.max_token_gap for r in self.records], d)
-
-    def cdf_min_sentences(self, d: int) -> float:
-        return self._cdf([r.min_sentence_dist for r in self.records], d)
-
-    def cdf_max_sentences(self, d: int) -> float:
-        return self._cdf([r.max_sentence_dist for r in self.records], d)
-
     def coverage_table(self) -> list[tuple[int, float, float, float, float]]:
         """Rows (threshold, cdf_min_tokens, cdf_max_tokens, cdf_min_sent,
-        cdf_max_sent) for thresholds 0..max observed value."""
+        cdf_max_sent) for thresholds 0..max observed value; each cdf is the
+        fraction of records whose value is at most the threshold."""
         if not self.records:
             return []
-        top = max(max(r.max_token_gap, r.max_sentence_dist) for r in self.records)
-        return [(d, self.cdf_min_tokens(d), self.cdf_max_tokens(d),
-                 self.cdf_min_sentences(d), self.cdf_max_sentences(d))
+        n = len(self.records)
+        columns = [sorted(r.min_token_gap for r in self.records),
+                   sorted(r.max_token_gap for r in self.records),
+                   sorted(r.min_sentence_dist for r in self.records),
+                   sorted(r.max_sentence_dist for r in self.records)]
+        top = max(columns[1][-1], columns[3][-1])
+        return [(d, *(bisect_right(column, d) / n for column in columns))
                 for d in range(top + 1)]
 
 
@@ -111,8 +98,7 @@ def load_type_hierarchy(path: str | Path | None = None) -> dict[str, str | None]
     """Parse the indented hierarchy resource into a tag -> parent map
     (top-level tags map to None). Two spaces per level."""
     if path is None:
-        text = (importlib_resources.files("entkit") / "resources"
-                / "type_hierarchy.txt").read_text(encoding="utf-8")
+        text = _resource_text("type_hierarchy.txt")
     else:
         text = Path(path).read_text(encoding="utf-8")
     parents: dict[str, str | None] = {}
@@ -147,16 +133,6 @@ class TypeHistogram:
     rollup: dict[str, tuple[int, int]]
     total_clusters: int
     total_mentions: int
-
-    def percentages(self, rolled: bool = True) -> dict[str, tuple[float, float]]:
-        source = self.rollup if rolled else self.direct
-        out = {}
-        for tag, (clusters, mentions) in source.items():
-            out[tag] = (
-                clusters / self.total_clusters if self.total_clusters else 0.0,
-                mentions / self.total_mentions if self.total_mentions else 0.0,
-            )
-        return out
 
 
 def entity_type_histogram(docs: Iterable[Document],

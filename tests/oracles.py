@@ -208,3 +208,121 @@ def naive_closure(binary, unary, rules):
                     binary.add(fact)
                     changed = True
     return binary
+
+
+# --------------------------------------------------------------------------
+# Agreement over explicit item lists
+
+
+def brute_force_kappa(items):
+    """Kappa summary of an explicit list of (label a, label b) items."""
+    n = len(items)
+    p_o = sum(1 for a, b in items if a == b) / n
+    labels = {a for a, _ in items} | {b for _, b in items}
+    p_e = sum(sum(1 for a, _ in items if a == label)
+              * sum(1 for _, b in items if b == label)
+              for label in labels) / (n * n)
+    # p_e = 1 forces one shared label on every item, hence p_o = 1
+    kappa = 1.0 if p_e == 1.0 else (p_o - p_e) / (1.0 - p_e)
+    return {"n_items": n, "p_o": p_o, "p_e": p_e, "kappa": kappa}
+
+
+def _span(m):
+    return (m.begin, m.end)
+
+
+def span_tags(doc):
+    return {_span(m): c.tags for c in doc.clusters for m in c.mentions}
+
+
+def span_pair_types(doc):
+    by_id = {c.id: c for c in doc.clusters}
+    out = {}
+    for r in doc.relations:
+        for hm in by_id[r.head].mentions:
+            for tm in by_id[r.tail].mentions:
+                out.setdefault((_span(hm), _span(tm)), set()).add(r.type)
+    return out
+
+
+def brute_force_labelled_agreement(docs_a, docs_b, labels_of, conditioned):
+    """Detection and multi-label classification kappa with every label's
+    decisions written out over the whole classification-item list, joint
+    negatives included. Returns None when neither annotator marked an item."""
+    by_id_b = {d.id: d for d in docs_b}
+    detect, class_items = [], []
+    for da in sorted(docs_a, key=lambda d: d.id):
+        la, lb = labels_of(da), labels_of(by_id_b[da.id])
+        for key in sorted(set(la) | set(lb)):
+            detect.append((key in la, key in lb))
+            if conditioned and not (key in la and key in lb):
+                continue
+            class_items.append((set(la.get(key, ())), set(lb.get(key, ()))))
+    if not detect:
+        return None
+    labels = sorted(set().union(*(a | b for a, b in class_items)))
+    per_label = {label: [(label in a, label in b) for a, b in class_items]
+                 for label in labels}
+    weighted, total = 0.0, 0
+    for label in labels:
+        support = sum(a + b for a, b in per_label[label])
+        weighted += support * brute_force_kappa(per_label[label])["kappa"]
+        total += support
+    return {
+        "detection": brute_force_kappa(detect),
+        "classification": weighted / total if labels else None,
+        "per_label": {label: brute_force_kappa(per_label[label])["kappa"]
+                      for label in labels},
+    }
+
+
+def brute_force_coref_agreement(docs_a, docs_b):
+    """Same-cluster decisions for every pair of spans both annotators marked;
+    None when there is no such pair."""
+    by_id_b = {d.id: d for d in docs_b}
+    items = []
+    for da in sorted(docs_a, key=lambda d: d.id):
+        cid_a = {_span(m): c.id for c in da.clusters for m in c.mentions}
+        cid_b = {_span(m): c.id for c in by_id_b[da.id].clusters
+                 for m in c.mentions}
+        shared = sorted(set(cid_a) & set(cid_b))
+        for s1, s2 in itertools.combinations(shared, 2):
+            items.append((cid_a[s1] == cid_a[s2], cid_b[s1] == cid_b[s2]))
+    return brute_force_kappa(items) if items else None
+
+
+def brute_force_linking_agreement(docs_a, docs_b):
+    """Link labels of every span both annotators marked; None when none."""
+
+    def label(link):
+        if isinstance(link, str):
+            return link
+        return "<nil>" if link is None else "<absent>"
+
+    by_id_b = {d.id: d for d in docs_b}
+    items = []
+    for da in sorted(docs_a, key=lambda d: d.id):
+        la = {_span(m): label(c.link) for c in da.clusters for m in c.mentions}
+        lb = {_span(m): label(c.link) for c in by_id_b[da.id].clusters
+              for m in c.mentions}
+        items.extend((la[s], lb[s]) for s in sorted(set(la) & set(lb)))
+    return brute_force_kappa(items) if items else None
+
+
+# --------------------------------------------------------------------------
+# Relation distance coverage by per-threshold counting
+
+
+def naive_coverage_table(records):
+    """Rows (threshold, four cdfs) counting, for every threshold, the records
+    whose min/max token gap and min/max sentence distance are within it."""
+    if not records:
+        return []
+    n = len(records)
+    top = max(max(r.max_token_gap, r.max_sentence_dist) for r in records)
+    return [(d,
+             sum(1 for r in records if r.min_token_gap <= d) / n,
+             sum(1 for r in records if r.max_token_gap <= d) / n,
+             sum(1 for r in records if r.min_sentence_dist <= d) / n,
+             sum(1 for r in records if r.max_sentence_dist <= d) / n)
+            for d in range(top + 1)]

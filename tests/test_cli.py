@@ -202,3 +202,17 @@ def test_convert_subcommand(tmp_path, capsys):
     assert doc["tokens"] == ["Anna", "visited", "Berlin", "."]
     assert doc["relations"] == [{"head": "c0", "type": "citizen_of",
                                  "tail": "c1"}]
+
+
+def test_kappa_entity_without_mentions_is_input_error(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(json.dumps({
+        "id": "d", "split": "test", "tokens": ["a"], "sentences": [[0, 1]],
+        "clusters": [], "relations": []}) + "\n")
+    code = run(["kappa", "--a", str(empty), "--b", str(empty),
+                "--task", "entity"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: neither annotator produced any mention"]

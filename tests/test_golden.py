@@ -1,0 +1,44 @@
+"""Byte-for-byte CLI outputs on a small annotator pair.
+
+`tests/fixtures/annotator_a.jsonl` and `annotator_b.jsonl` cover split and
+merged clusters, spans only one annotator marked, multi-label tags and
+relations, NIL and unannotated links, multi-sentence relation distances and
+a document with no mentions. The files under `tests/fixtures/golden/` hold
+the stdout (and the `--plot-data` TSV) that these commands must reproduce
+exactly.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from entkit.cli import run
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
+A = str(FIXTURES / "annotator_a.jsonl")
+B = str(FIXTURES / "annotator_b.jsonl")
+
+
+@pytest.mark.parametrize("task,conditioned", [
+    ("entity", False), ("entity", True), ("relation", False),
+    ("relation", True), ("coref", False), ("linking", False)])
+def test_kappa_matches_golden(task, conditioned, capsys):
+    argv = ["kappa", "--a", A, "--b", B, "--task", task]
+    name = f"kappa_{task}"
+    if conditioned:
+        argv.append("--conditioned")
+        name += "_conditioned"
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_stats_matches_golden(side, tmp_path, capsys):
+    tsv = tmp_path / "coverage.tsv"
+    assert run(["stats", str(FIXTURES / f"annotator_{side}.jsonl"),
+                "--plot-data", str(tsv)]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"stats_{side}.json").read_bytes()
+    assert tsv.read_bytes() == (GOLDEN / f"stats_{side}.tsv").read_bytes()
