@@ -35,11 +35,6 @@ def _load(path: str) -> list[Document]:
     return load_corpus(path, fmt)
 
 
-def _prf_json(report: metrics.PRFReport) -> dict:
-    return {"precision": report.precision, "recall": report.recall,
-            "f1": report.f1}
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -112,10 +107,10 @@ def _score_task(pairs, task: str, levels: list[str], per_label: bool) -> dict:
     views = [metrics.build_eval_view(g, p, task) for g, p in pairs]
     out: dict = {}
     for level in levels:
-        out[level] = _prf_json(metrics.score_level(views, level))
+        out[level] = metrics.score_level(views, level).to_json()
         if per_label:
             out.setdefault("per_label", {})[level] = {
-                label: _prf_json(r)
+                label: r.to_json()
                 for label, r in metrics.per_label_prf(views, level).items()}
     return out
 

@@ -19,10 +19,13 @@ standard reference scorer on degenerate partitions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .corpus import Document
 from .metrics import PRFReport
@@ -49,25 +52,22 @@ def make_partition(clusters: Iterable[Iterable[Hashable]]) -> Partition:
 def partition_from_document(d: Document, namespace: str | None = None) -> Partition:
     """Cluster the document's mention spans; `namespace` prefixes every
     mention so partitions of different documents can be unioned."""
-    clusters = []
-    for c in d.clusters:
-        if namespace is None:
-            clusters.append([(m.begin, m.end) for m in c.mentions])
-        else:
-            clusters.append([(namespace, m.begin, m.end) for m in c.mentions])
-    return make_partition(clusters)
+    prefix = () if namespace is None else (namespace,)
+    return make_partition([prefix + (m.begin, m.end) for m in c.mentions]
+                          for c in d.clusters)
 
 
 def corpus_partition(docs: Sequence[Document]) -> Partition:
     """Disjoint union of per-document partitions, mention keys scoped by doc id."""
-    merged: list[Cluster] = []
-    for d in docs:
-        merged.extend(partition_from_document(d, namespace=d.id))
-    return tuple(merged)
+    return tuple(c for d in docs for c in partition_from_document(d, namespace=d.id))
 
 
-def _mention_map(partition: Partition) -> dict:
-    return {m: c for c in partition for m in c}
+def _overlaps(gold: Partition, pred: Partition) -> Counter:
+    """(gold index, pred index) -> |K n R| for every pair of clusters that
+    share a mention; pairs that share none are absent."""
+    owner = {m: j for j, r in enumerate(pred) for m in r}
+    return Counter((i, owner[m]) for i, k in enumerate(gold) for m in k
+                   if m in owner)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -77,67 +77,67 @@ def _safe_div(num: float, den: float) -> float:
 def muc(gold: Partition, pred: Partition) -> PRFReport:
     """Link-based score: recall numerator per gold cluster is
     |cluster| - (partitions of it induced by pred, counting each missing
-    mention as its own part); precision swaps the roles."""
-
-    def side(a: Partition, b_map: dict) -> tuple[int, int]:
-        num = den = 0
-        for cluster in a:
-            parts = {b_map[m] for m in cluster if m in b_map}
-            missing = sum(1 for m in cluster if m not in b_map)
-            num += len(cluster) - len(parts) - missing
-            den += len(cluster) - 1
-        return num, den
-
-    r_num, r_den = side(gold, _mention_map(pred))
-    p_num, p_den = side(pred, _mention_map(gold))
-    return PRFReport.from_pr(_safe_div(p_num, p_den), _safe_div(r_num, r_den))
+    mention as its own part); precision swaps the roles. Summed over
+    clusters, both numerators are the overlap total minus the number of
+    overlapping cluster pairs."""
+    cells = _overlaps(gold, pred)
+    num = sum(cells.values()) - len(cells)
+    p_den = sum(len(r) for r in pred) - len(pred)
+    r_den = sum(len(k) for k in gold) - len(gold)
+    return PRFReport.from_pr(_safe_div(num, p_den), _safe_div(num, r_den))
 
 
 def b_cubed(gold: Partition, pred: Partition) -> PRFReport:
-    def side(a: Partition, b_map: dict) -> float:
-        # fsum keeps the score independent of cluster iteration order
-        terms = []
-        count = 0
-        for cluster in a:
-            for m in cluster:
-                count += 1
-                other = b_map.get(m)
-                if other is not None:
-                    terms.append(len(cluster & other) / len(cluster))
-        return _safe_div(math.fsum(terms), count)
+    cells = _overlaps(gold, pred)
 
-    precision = side(pred, _mention_map(gold))
-    recall = side(gold, _mention_map(pred))
-    return PRFReport.from_pr(precision, recall)
+    def side(a: Partition, axis: int) -> float:
+        # one term n/|cluster| per shared mention; fsum keeps the score
+        # independent of the order of the terms
+        terms: list[float] = []
+        for key, n in cells.items():
+            terms.extend([n / len(a[key[axis]])] * n)
+        return _safe_div(math.fsum(terms), sum(len(c) for c in a))
 
-
-def _phi4(a: Cluster, b: Cluster) -> float:
-    return 2 * len(a & b) / (len(a) + len(b))
+    return PRFReport.from_pr(side(pred, 1), side(gold, 0))
 
 
 def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
+    """Clusters that share no mention have similarity 0, so the optimal
+    alignment is solved exactly on each connected component of the overlap
+    graph; no similarity matrix is larger than one component."""
     if not gold or not pred:
         return PRFReport.from_pr(0.0, 0.0)
-    sim = np.zeros((len(gold), len(pred)))
-    for i, g in enumerate(gold):
-        for j, p in enumerate(pred):
-            sim[i, j] = _phi4(g, p)
-    rows, cols = linear_sum_assignment(sim, maximize=True)
-    total = math.fsum(sim[r, c] for r, c in zip(rows, cols))
+    cells = _overlaps(gold, pred)
+    keys = list(cells)
+    n = len(gold) + len(pred)
+    graph = coo_matrix((np.ones(len(keys)), ([i for i, _ in keys],
+                        [len(gold) + j for _, j in keys])), shape=(n, n))
+    component = connected_components(graph, directed=False)[1].tolist()
+    by_component: dict[int, list[tuple[int, int]]] = {}
+    for i, j in keys:
+        by_component.setdefault(component[i], []).append((i, j))
+    matched: list[float] = []
+    for members in by_component.values():
+        # indices in partition order, so each matrix is a block of |G| x |P|
+        rows = {i: r for r, i in enumerate(sorted({i for i, _ in members}))}
+        cols = {j: c for c, j in enumerate(sorted({j for _, j in members}))}
+        sim = np.zeros((len(rows), len(cols)))
+        for i, j in members:
+            sim[rows[i], cols[j]] = 2 * cells[i, j] / (len(gold[i]) + len(pred[j]))
+        r, c = linear_sum_assignment(sim, maximize=True)
+        matched.extend(sim[r, c].tolist())
+    total = math.fsum(matched)
     return PRFReport.from_pr(total / len(pred), total / len(gold))
+
+
+def coref_report(gold: Partition, pred: Partition) -> dict:
+    reports = {"muc": muc(gold, pred), "b3": b_cubed(gold, pred),
+               "ceafe": ceaf_e(gold, pred)}
+    out: dict = {name: r.to_json() for name, r in reports.items()}
+    out["avg_f1"] = sum(r.f1 for r in reports.values()) / 3.0
+    return out
 
 
 def avg_coref_f1(gold: Partition, pred: Partition) -> float:
     """Arithmetic mean of the MUC, B-cubed, and aligned-cluster F1 values."""
-    scores = (muc(gold, pred), b_cubed(gold, pred), ceaf_e(gold, pred))
-    return sum(s.f1 for s in scores) / 3.0
-
-
-def coref_report(gold: Partition, pred: Partition) -> dict:
-    m, b, c = muc(gold, pred), b_cubed(gold, pred), ceaf_e(gold, pred)
-    return {
-        "muc": {"precision": m.precision, "recall": m.recall, "f1": m.f1},
-        "b3": {"precision": b.precision, "recall": b.recall, "f1": b.f1},
-        "ceafe": {"precision": c.precision, "recall": c.recall, "f1": c.f1},
-        "avg_f1": (m.f1 + b.f1 + c.f1) / 3.0,
-    }
+    return coref_report(gold, pred)["avg_f1"]

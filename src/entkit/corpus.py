@@ -20,6 +20,7 @@ was never considered for linking.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
@@ -188,10 +189,12 @@ def _parse_vocab_text(text: str) -> frozenset[str]:
         if line.strip() and not line.strip().startswith("#"))
 
 
+@functools.cache
 def builtin_tag_vocabulary() -> frozenset[str]:
     return _parse_vocab_text(_resource_text("tag_vocabulary.txt"))
 
 
+@functools.cache
 def builtin_relation_vocabulary() -> frozenset[str]:
     return _parse_vocab_text(_resource_text("relation_types.txt"))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Mention, MentionMultiClusterError
+from .corpus import Mention, MentionMultiClusterError, _require
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,38 @@ def decode_entity_centric(inp: DecodeInput) -> DecodeOutput:
 # JSON wire format
 
 
+def _span(x, where: str) -> Mention:
+    _require(isinstance(x, list) and len(x) == 2
+             and all(isinstance(v, int) for v in x),
+             f"{where}: spans must be [begin, end] integer pairs")
+    return Mention(x[0], x[1])
+
+
+def _entries(obj: dict, key: str, size: int, shape: str) -> list:
+    """The list under `key`: `size`-long entries with a string in second place."""
+    entries = obj.get(key, [])
+    _require(isinstance(entries, list)
+             and all(isinstance(e, list) and len(e) == size
+                     and isinstance(e[1], str) for e in entries),
+             f"field {key!r} must be a list of {shape} entries")
+    return entries
+
+
 def decode_input_from_json(obj: dict) -> DecodeInput:
     """Parse {"p_cl": {id: [[b,e],...]}, "p_men": [[[b,e], tag],...],
-    "p_rel": [[[b,e], type, [b,e]],...]}."""
-    if not isinstance(obj, dict):
-        raise ValueError("predictions must be a JSON object")
-    p_cl = {}
-    for cid, spans in obj.get("p_cl", {}).items():
-        p_cl[cid] = tuple(Mention(b, e) for b, e in spans)
-    p_men = tuple((Mention(s[0], s[1]), tag) for s, tag in obj.get("p_men", []))
-    p_rel = tuple((Mention(h[0], h[1]), t, Mention(tl[0], tl[1]))
-                  for h, t, tl in obj.get("p_rel", []))
-    return DecodeInput(p_cl, p_men, p_rel)
+    "p_rel": [[[b,e], type, [b,e]],...]}; raises ValueError on schema errors."""
+    _require(isinstance(obj, dict), "predictions must be a JSON object")
+    p_cl = obj.get("p_cl", {})
+    _require(isinstance(p_cl, dict)
+             and all(isinstance(spans, list) for spans in p_cl.values()),
+             "field 'p_cl' must map cluster ids to lists of spans")
+    p_men = _entries(obj, "p_men", 2, "[[begin, end], tag]")
+    p_rel = _entries(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
+    return DecodeInput(
+        {cid: tuple(_span(s, f"p_cl[{cid!r}]") for s in spans)
+         for cid, spans in p_cl.items()},
+        tuple((_span(s, "p_men"), tag) for s, tag in p_men),
+        tuple((_span(h, "p_rel"), t, _span(tl, "p_rel")) for h, t, tl in p_rel))
 
 
 def decode_output_to_json(out: DecodeOutput) -> dict:

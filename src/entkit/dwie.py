@@ -30,7 +30,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Document, EntityCluster, Mention, RelationTriple, UNANNOTATED
+from .corpus import (Document, EntityCluster, Mention, ParseError,
+                     RelationTriple, UNANNOTATED, _require)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _SENT_FINAL = {".", "!", "?"}
@@ -85,12 +86,28 @@ def char_span_to_token_span(tokens: list[tuple[str, int, int]],
     return Mention(first, last + 1)
 
 
+def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
+    """The entries of the list under `key`; each must be an object whose
+    `kinds` fields have the given types."""
+    entries = obj.get(key, [])
+    _require(isinstance(entries, list), f"field {key!r} must be a list")
+    shape = ", ".join(f"{kind.__name__} {name!r}" for name, kind in kinds.items())
+    for e in entries:
+        _require(isinstance(e, dict) and all(isinstance(e.get(name), kind)
+                                             for name, kind in kinds.items()),
+                 f"{key} entries must be objects with {shape}")
+    return entries
+
+
 def convert_annotation(obj: dict, report: ConversionReport | None = None
                        ) -> Document:
-    """Convert one decoded release file to a canonical Document."""
+    """Convert one decoded release file to a canonical Document; raises
+    ValueError on schema errors."""
     report = report if report is not None else ConversionReport()
+    _require(isinstance(obj, dict), "release file must be a JSON object")
     doc_id = str(obj.get("id", "unknown"))
     content = obj.get("content") or ""
+    _require(isinstance(content, str), f"{doc_id}: field 'content' must be a string")
     if not content:
         report.notes.append(f"{doc_id}: no article content; run the release's "
                             "content-fetch step first")
@@ -98,17 +115,17 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
     sentences = sentence_intervals(content, tokens)
 
     mentions_by_concept: dict[int, list[Mention]] = {}
-    for m in obj.get("mentions", []):
-        span = char_span_to_token_span(tokens, int(m["begin"]), int(m["end"]))
+    for m in _records(obj, "mentions", {"begin": int, "end": int, "concept": int}):
+        span = char_span_to_token_span(tokens, m["begin"], m["end"])
         if span is None:
             report.unaligned_mentions += 1
             continue
-        mentions_by_concept.setdefault(int(m["concept"]), []).append(span)
+        mentions_by_concept.setdefault(m["concept"], []).append(span)
 
     clusters = []
     kept: set[int] = set()
-    for c in obj.get("concepts", []):
-        idx = int(c["concept"])
+    for c in _records(obj, "concepts", {"concept": int}):
+        idx = c["concept"]
         spans = mentions_by_concept.get(idx)
         if not spans:
             report.dropped_concepts += 1
@@ -122,10 +139,10 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
                                       frozenset(tags), link))
 
     relations = []
-    for r in obj.get("relations", []):
-        s, o = int(r["s"]), int(r["o"])
+    for r in _records(obj, "relations", {"s": int, "p": str, "o": int}):
+        s, o = r["s"], r["o"]
         if s in kept and o in kept:
-            relations.append(RelationTriple(f"c{s}", str(r["p"]), f"c{o}"))
+            relations.append(RelationTriple(f"c{s}", r["p"], f"c{o}"))
         else:
             report.dropped_relations += 1
 
@@ -138,10 +155,14 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
 
 
 def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionReport]:
-    """Convert every *.json file under `src_dir`, in filename order."""
+    """Convert every *.json file under `src_dir`, in filename order; a file
+    that is not valid JSON or breaks the schema raises ParseError."""
     report = ConversionReport()
     docs = []
     for path in sorted(Path(src_dir).glob("*.json")):
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        docs.append(convert_annotation(obj, report))
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            docs.append(convert_annotation(obj, report))
+        except ValueError as e:  # JSONDecodeError included
+            raise ParseError(str(e), path=path) from e
     return docs, report

@@ -24,7 +24,7 @@ scores 1.0 when the other side is also empty (perfect on empty documents) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .corpus import Document
 
@@ -51,6 +51,10 @@ class PRFReport:
                 level: str | None = None, task: str | None = None) -> "PRFReport":
         return cls(precision, recall, f1_score(precision, recall), level, task)
 
+    def to_json(self) -> dict:
+        return {"precision": self.precision, "recall": self.recall,
+                "f1": self.f1}
+
 
 @dataclass
 class LabelView:
@@ -65,17 +69,11 @@ class LabelView:
 
     @property
     def pred_instances(self) -> frozenset:
-        out: set = set()
-        for c in self.pred_clusters:
-            out |= c
-        return frozenset(out)
+        return frozenset().union(*self.pred_clusters)
 
     @property
     def gold_instances(self) -> frozenset:
-        out: set = set()
-        for c in self.gold_clusters:
-            out |= c
-        return frozenset(out)
+        return frozenset().union(*self.gold_clusters)
 
 
 @dataclass
@@ -83,8 +81,24 @@ class EvalView:
     task: str
     labels: dict[str, LabelView] = field(default_factory=dict)
 
-    def label_view(self, label: str) -> LabelView:
-        return self.labels.setdefault(label, LabelView())
+
+def _units(doc: Document, task: str) -> Iterator[tuple[str, frozenset]]:
+    """(label, instance set) for every labelled cluster unit of `doc`."""
+    if task == "ner":
+        for c in doc.clusters:
+            instances = frozenset((m.begin, m.end) for m in c.mentions)
+            for label in c.tags:
+                yield label, instances
+        return
+    by_id = doc.cluster_by_id()
+    for head_id, label, tail_id in sorted(
+            {(r.head, r.type, r.tail) for r in doc.relations}):
+        if head_id not in by_id or tail_id not in by_id:
+            raise ValueError(f"{doc.id}: relation {label!r} references "
+                             f"a missing cluster id")
+        head, tail = by_id[head_id], by_id[tail_id]
+        yield label, frozenset(((hm.begin, hm.end), (tm.begin, tm.end))
+                               for hm in head.mentions for tm in tail.mentions)
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
@@ -95,40 +109,11 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
         raise ValueError(f"token-space mismatch between gold {gold.id!r} "
                          f"and pred {pred.id!r}")
     view = EvalView(task)
-    if task == "ner":
-        for side, doc in (("gold", gold), ("pred", pred)):
-            for c in doc.clusters:
-                instances = frozenset((m.begin, m.end) for m in c.mentions)
-                for label in c.tags:
-                    lv = view.label_view(label)
-                    (lv.gold_clusters if side == "gold" else lv.pred_clusters
-                     ).append(instances)
-    else:
-        for side, doc in (("gold", gold), ("pred", pred)):
-            by_id = doc.cluster_by_id()
-            for head_id, label, tail_id in sorted(
-                    {(r.head, r.type, r.tail) for r in doc.relations}):
-                if head_id not in by_id or tail_id not in by_id:
-                    raise ValueError(f"{doc.id}: relation {label!r} references "
-                                     f"a missing cluster id")
-                head, tail = by_id[head_id], by_id[tail_id]
-                instances = frozenset(
-                    ((hm.begin, hm.end), (tm.begin, tm.end))
-                    for hm in head.mentions for tm in tail.mentions)
-                lv = view.label_view(label)
-                (lv.gold_clusters if side == "gold" else lv.pred_clusters
-                 ).append(instances)
+    for side, doc in (("gold_clusters", gold), ("pred_clusters", pred)):
+        for label, instances in _units(doc, task):
+            lv = view.labels.setdefault(label, LabelView())
+            getattr(lv, side).append(instances)
     return view
-
-
-def _as_views(view_or_views: EvalView | Iterable[EvalView]) -> list[EvalView]:
-    if isinstance(view_or_views, EvalView):
-        return [view_or_views]
-    views = list(view_or_views)
-    tasks = {v.task for v in views}
-    if len(tasks) > 1:
-        raise ValueError(f"cannot mix tasks {sorted(tasks)} in one score")
-    return views
 
 
 def _ratio(num: float, den: float, other_empty_den: float) -> float:
@@ -138,67 +123,6 @@ def _ratio(num: float, den: float, other_empty_den: float) -> float:
     return num / den
 
 
-# --------------------------------------------------------------------------
-# Mention level
-
-
-def mention_counts(view: EvalView) -> dict[str, tuple[int, int, int]]:
-    """Per-label (tp, fp, fn) over labeled instances."""
-    out = {}
-    for label, lv in view.labels.items():
-        p, g = lv.pred_instances, lv.gold_instances
-        out[label] = (len(p & g), len(p - g), len(g - p))
-    return out
-
-
-def mention_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
-    views = _as_views(view_or_views)
-    tp = fp = fn = 0
-    for view in views:
-        for label_tp, label_fp, label_fn in mention_counts(view).values():
-            tp += label_tp
-            fp += label_fp
-            fn += label_fn
-    precision = _ratio(tp, tp + fp, tp + fn)
-    recall = _ratio(tp, tp + fn, tp + fp)
-    task = views[0].task if views else None
-    return PRFReport.from_pr(precision, recall, "mention", task)
-
-
-# --------------------------------------------------------------------------
-# Hard entity level
-
-
-def hard_counts(view: EvalView) -> dict[str, tuple[int, int, int]]:
-    """Per-label (tp, #pred clusters, #gold clusters); a predicted cluster is
-    a true positive only on an exact instance-set match with a gold cluster
-    bearing the same label."""
-    out = {}
-    for label, lv in view.labels.items():
-        gold_sets = set(lv.gold_clusters)
-        tp = sum(1 for c in lv.pred_clusters if c in gold_sets)
-        out[label] = (tp, len(lv.pred_clusters), len(lv.gold_clusters))
-    return out
-
-
-def hard_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
-    views = _as_views(view_or_views)
-    tp = n_pred = n_gold = 0
-    for view in views:
-        for label_tp, label_pred, label_gold in hard_counts(view).values():
-            tp += label_tp
-            n_pred += label_pred
-            n_gold += label_gold
-    precision = _ratio(tp, n_pred, n_gold)
-    recall = _ratio(tp, n_gold, n_pred)
-    task = views[0].task if views else None
-    return PRFReport.from_pr(precision, recall, "hard", task)
-
-
-# --------------------------------------------------------------------------
-# Soft entity level
-
-
 @dataclass(frozen=True)
 class SoftCounts:
     tp_p: float
@@ -206,13 +130,15 @@ class SoftCounts:
     fp: float
     fn: float
 
-    @property
-    def n_pred(self) -> float:
-        return self.tp_p + self.fp
 
-    @property
-    def n_gold(self) -> float:
-        return self.tp_g + self.fn
+def _soft_counts(lv: LabelView) -> SoftCounts:
+    gold_instances = lv.gold_instances
+    pred_instances = lv.pred_instances
+    tp_p = sum(len(c & gold_instances) / len(c) for c in lv.pred_clusters)
+    tp_g = sum(len(c & pred_instances) / len(c) for c in lv.gold_clusters)
+    return SoftCounts(tp_p, tp_g,
+                      len(lv.pred_clusters) - tp_p,
+                      len(lv.gold_clusters) - tp_g)
 
 
 def soft_entity_counts(view: EvalView, label: str) -> SoftCounts:
@@ -223,50 +149,80 @@ def soft_entity_counts(view: EvalView, label: str) -> SoftCounts:
     the mirror image over gold clusters. fp and fn are the cluster counts
     minus the respective weighted true positives.
     """
-    lv = view.labels.get(label, LabelView())
-    gold_instances = lv.gold_instances
-    pred_instances = lv.pred_instances
-    tp_p = sum(len(c & gold_instances) / len(c) for c in lv.pred_clusters)
-    tp_g = sum(len(c & pred_instances) / len(c) for c in lv.gold_clusters)
-    return SoftCounts(tp_p, tp_g,
-                      len(lv.pred_clusters) - tp_p,
-                      len(lv.gold_clusters) - tp_g)
+    return _soft_counts(view.labels.get(label, LabelView()))
 
 
-def soft_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
-    views = _as_views(view_or_views)
-    tp_p = tp_g = n_pred = n_gold = 0.0
-    for view in views:
-        for label in view.labels:
-            c = soft_entity_counts(view, label)
-            tp_p += c.tp_p
-            tp_g += c.tp_g
-            n_pred += c.n_pred
-            n_gold += c.n_gold
-    precision = _ratio(tp_p, n_pred, n_gold)
-    recall = _ratio(tp_g, n_gold, n_pred)
-    task = views[0].task if views else None
-    return PRFReport.from_pr(precision, recall, "soft", task)
+def _label_counts(lv: LabelView, level: str) -> tuple:
+    """(pred-side hits, #pred units, gold-side hits, #gold units) for one label.
+
+    mention: instances in both sides over the instance sets; hard: predicted
+    clusters whose instance set equals a gold cluster's, over the cluster
+    counts; soft: the size-weighted true positives of `soft_entity_counts`.
+    """
+    if level == "mention":
+        p, g = lv.pred_instances, lv.gold_instances
+        tp = len(p & g)
+        return tp, len(p), tp, len(g)
+    if level == "hard":
+        gold_sets = set(lv.gold_clusters)
+        tp = sum(1 for c in lv.pred_clusters if c in gold_sets)
+        return tp, len(lv.pred_clusters), tp, len(lv.gold_clusters)
+    c = _soft_counts(lv)
+    # tp_p + fp rather than the cluster count, which it equals up to rounding
+    return c.tp_p, c.tp_p + c.fp, c.tp_g, c.tp_g + c.fn
+
+
+def _label_rows(view_or_views: EvalView | Iterable[EvalView], level: str
+                ) -> tuple[str | None, list[tuple[str, tuple]]]:
+    """The task and one (label, counts) row per label of each view, in view
+    order and then label order."""
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    views = [view_or_views] if isinstance(view_or_views, EvalView) \
+        else list(view_or_views)
+    tasks = {v.task for v in views}
+    if len(tasks) > 1:
+        raise ValueError(f"cannot mix tasks {sorted(tasks)} in one score")
+    rows = [(label, _label_counts(lv, level))
+            for v in views for label, lv in v.labels.items()]
+    return (views[0].task if views else None), rows
+
+
+def _reduce(counts: Iterable[tuple], level: str, task: str | None) -> PRFReport:
+    """Micro-averaged P/R/F1 from summed per-label counts."""
+    hits_p = n_pred = hits_g = n_gold = 0
+    for label_hits_p, label_pred, label_hits_g, label_gold in counts:
+        hits_p += label_hits_p
+        n_pred += label_pred
+        hits_g += label_hits_g
+        n_gold += label_gold
+    return PRFReport.from_pr(_ratio(hits_p, n_pred, n_gold),
+                             _ratio(hits_g, n_gold, n_pred), level, task)
 
 
 def score_level(view_or_views: EvalView | Iterable[EvalView], level: str) -> PRFReport:
-    if level == "mention":
-        return mention_prf(view_or_views)
-    if level == "hard":
-        return hard_entity_prf(view_or_views)
-    if level == "soft":
-        return soft_entity_prf(view_or_views)
-    raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    task, rows = _label_rows(view_or_views, level)
+    return _reduce((counts for _label, counts in rows), level, task)
+
+
+def mention_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
+    return score_level(view_or_views, "mention")
+
+
+def hard_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
+    return score_level(view_or_views, "hard")
+
+
+def soft_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
+    return score_level(view_or_views, "soft")
 
 
 def per_label_prf(view_or_views: EvalView | Iterable[EvalView],
                   level: str) -> dict[str, PRFReport]:
     """The chosen level restricted to each label separately."""
-    views = _as_views(view_or_views)
-    labels = sorted({l for v in views for l in v.labels})
-    out = {}
-    for label in labels:
-        restricted = [EvalView(v.task, {label: v.labels[label]})
-                      for v in views if label in v.labels]
-        out[label] = score_level(restricted, level)
-    return out
+    task, rows = _label_rows(view_or_views, level)
+    by_label: dict[str, list[tuple]] = {}
+    for label, counts in rows:
+        by_label.setdefault(label, []).append(counts)
+    return {label: _reduce(by_label[label], level, task)
+            for label in sorted(by_label)}

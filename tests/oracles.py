@@ -8,6 +8,12 @@ rather than tautology.
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from entkit.metrics import PRFReport
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +134,72 @@ def brute_force_ceafe(gold, pred):
                                  for j, i in enumerate(chosen)))
     p, r = best / len(pred), best / len(gold)
     return p, r, _f1(p, r)
+
+
+# --------------------------------------------------------------------------
+# Coreference scorers over mention -> cluster maps and a dense |G| x |P|
+# similarity matrix
+
+
+def _mention_map(partition):
+    return {m: c for c in partition for m in c}
+
+
+def _safe_div(num: float, den: float) -> float:
+    return num / den if den else 0.0
+
+
+def muc(gold, pred) -> PRFReport:
+    """Link-based score: recall numerator per gold cluster is
+    |cluster| - (partitions of it induced by pred, counting each missing
+    mention as its own part); precision swaps the roles."""
+
+    def side(a, b_map: dict) -> tuple[int, int]:
+        num = den = 0
+        for cluster in a:
+            parts = {b_map[m] for m in cluster if m in b_map}
+            missing = sum(1 for m in cluster if m not in b_map)
+            num += len(cluster) - len(parts) - missing
+            den += len(cluster) - 1
+        return num, den
+
+    r_num, r_den = side(gold, _mention_map(pred))
+    p_num, p_den = side(pred, _mention_map(gold))
+    return PRFReport.from_pr(_safe_div(p_num, p_den), _safe_div(r_num, r_den))
+
+
+def b_cubed(gold, pred) -> PRFReport:
+    def side(a, b_map: dict) -> float:
+        # fsum keeps the score independent of cluster iteration order
+        terms = []
+        count = 0
+        for cluster in a:
+            for m in cluster:
+                count += 1
+                other = b_map.get(m)
+                if other is not None:
+                    terms.append(len(cluster & other) / len(cluster))
+        return _safe_div(math.fsum(terms), count)
+
+    precision = side(pred, _mention_map(gold))
+    recall = side(gold, _mention_map(pred))
+    return PRFReport.from_pr(precision, recall)
+
+
+def _phi4(a, b) -> float:
+    return 2 * len(a & b) / (len(a) + len(b))
+
+
+def ceaf_e(gold, pred) -> PRFReport:
+    if not gold or not pred:
+        return PRFReport.from_pr(0.0, 0.0)
+    sim = np.zeros((len(gold), len(pred)))
+    for i, g in enumerate(gold):
+        for j, p in enumerate(pred):
+            sim[i, j] = _phi4(g, p)
+    rows, cols = linear_sum_assignment(sim, maximize=True)
+    total = math.fsum(sim[r, c] for r, c in zip(rows, cols))
+    return PRFReport.from_pr(total / len(pred), total / len(gold))
 
 
 # --------------------------------------------------------------------------

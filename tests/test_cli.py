@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from entkit.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -216,3 +218,48 @@ def test_kappa_entity_without_mentions_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: neither annotator produced any mention"]
+
+
+def _single_error_line(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("predictions,field", [
+    ({"p_cl": {"c1": 5}}, "p_cl"),
+    ({"p_men": [[["a", "b"], "person"]]}, "p_men"),
+    ({"p_men": [[[0, 1]]]}, "p_men"),
+    ({"p_rel": [[[0, 1], "in0", [2]]]}, "p_rel"),
+])
+def test_decode_rejects_malformed_predictions(tmp_path, capsys, predictions,
+                                              field):
+    path = tmp_path / "pred.json"
+    path.write_text(json.dumps(predictions))
+    assert field in _single_error_line(capsys, ["decode", "--pred", str(path)])
+
+
+@pytest.mark.parametrize("broken", [
+    {"mentions": [{"end": 4, "concept": 0}]},
+    {"mentions": [{"begin": "0", "end": 4, "concept": 0}]},
+    {"concepts": [{"tags": ["type::person"]}]},
+    {"relations": [{"s": 0, "p": "citizen_of"}]},
+    {"relations": [{"s": 0, "p": 7, "o": 0}]},
+    None,
+])
+def test_convert_schema_errors_name_the_file(tmp_path, capsys, broken):
+    src = tmp_path / "release"
+    src.mkdir()
+    release = {"id": "DW_X", "content": "Anna visited Berlin.",
+               "mentions": [{"begin": 0, "end": 4, "concept": 0}],
+               "concepts": [{"concept": 0, "tags": ["type::person"]}],
+               "relations": []}
+    text = "{\"id\": " if broken is None else json.dumps({**release, **broken})
+    (src / "x.json").write_text(text)
+    line = _single_error_line(capsys, [
+        "convert", str(src), "--out-corpus", str(tmp_path / "out.jsonl")])
+    assert str(src / "x.json") in line

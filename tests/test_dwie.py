@@ -1,6 +1,8 @@
 import json
 
-from entkit.corpus import Mention, UNANNOTATED, validate_document
+import pytest
+
+from entkit.corpus import Mention, ParseError, UNANNOTATED, validate_document
 from entkit.dwie import (ConversionReport, convert_annotation, convert_release,
                          char_span_to_token_span, sentence_intervals,
                          tokenize_with_offsets)
@@ -88,3 +90,10 @@ def test_missing_link_field_stays_unannotated():
     raw["relations"] = []
     doc = convert_annotation(raw)
     assert doc.clusters[0].link is UNANNOTATED
+
+
+def test_release_schema_error_is_parse_error(tmp_path):
+    broken = dict(RELEASE_DOC, mentions=[{"end": 10, "concept": 0}])
+    (tmp_path / "DW_001.json").write_text(json.dumps(broken))
+    with pytest.raises(ParseError, match="DW_001.json"):
+        convert_release(tmp_path)

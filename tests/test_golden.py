@@ -42,3 +42,10 @@ def test_stats_matches_golden(side, tmp_path, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / f"stats_{side}.json").read_bytes()
     assert tsv.read_bytes() == (GOLDEN / f"stats_{side}.tsv").read_bytes()
+
+
+def test_score_matches_golden(capsys):
+    assert run(["score", "--task", "all", "--level", "all", "--per-label",
+                "--gold", A, "--pred", B]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "score_all.json").read_bytes()

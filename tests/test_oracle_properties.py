@@ -1,8 +1,11 @@
-"""Agreement and distance coverage against the brute-force oracles.
+"""Count-based scorers against the brute-force oracles.
 
-The library computes kappa from contingency counts and coverage from sorted
-columns; the oracles in `oracles.py` write every item out and count every
-threshold. Both must give the same floats exactly, not approximately.
+The library computes kappa from contingency counts, coverage from sorted
+columns, the coreference scores from one cluster-overlap table and the
+per-label metrics from per-label count rows; the oracles in `oracles.py`
+write every item out, count every threshold, map every mention and fill the
+dense similarity matrix. Kappa, coverage and the coreference scores must give
+the same floats exactly, not approximately.
 """
 
 from collections import Counter
@@ -15,14 +18,19 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               entity_agreement, expected_agreement,
                               linking_agreement, observed_agreement,
                               relation_agreement)
+from entkit import coref
 from entkit.corpus import UNANNOTATED
+from entkit.metrics import LEVELS, build_eval_view, per_label_prf
 from entkit.stats import (DistanceProfile, DistanceRecord,
                           relation_distance_profile)
+import oracles
 from conftest import make_doc
-from oracles import (brute_force_coref_agreement, brute_force_kappa,
-                     brute_force_labelled_agreement,
-                     brute_force_linking_agreement, naive_coverage_table,
+from oracles import (brute_force_ceafe, brute_force_coref_agreement,
+                     brute_force_kappa, brute_force_labelled_agreement,
+                     brute_force_levels, brute_force_linking_agreement,
+                     naive_coverage_table, ner_units, re_units,
                      span_pair_types, span_tags)
+from test_metrics import TOL
 
 SPAN_POOL = [(b, b + w) for b in range(9) for w in (1, 2)]
 SENTENCES = ((0, 4), (4, 7), (7, 10))
@@ -103,3 +111,72 @@ def test_pair_from_items_or_counts_equals_oracle(items):
 def test_coverage_table_equals_per_threshold_counts(records):
     assert DistanceProfile(records).coverage_table() \
         == naive_coverage_table(records)
+
+
+@st.composite
+def partitions(draw, pool):
+    """Up to five clusters over a subset of `pool`, in any order."""
+    mentions = draw(st.lists(st.sampled_from(pool), unique=True))
+    owners = draw(st.lists(st.integers(0, 4), min_size=len(mentions),
+                           max_size=len(mentions)))
+    return coref.make_partition(
+        [m for m, o in zip(mentions, owners) if o == k]
+        for k in draw(st.permutations(sorted(set(owners)))))
+
+
+@st.composite
+def partition_pairs(draw):
+    """Gold over mentions 0-9; pred over the same, an overlapping or a
+    disjoint mention universe."""
+    shift = draw(st.sampled_from([0, 5, 10]))
+    return (draw(partitions(list(range(10)))),
+            draw(partitions(list(range(shift, shift + 10)))))
+
+
+SINGLETONS = coref.make_partition([m] for m in range(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_pairs())
+@example(((), ()))
+@example((SINGLETONS, ()))
+@example(((), SINGLETONS))
+@example((SINGLETONS, SINGLETONS))
+@example((SINGLETONS, coref.make_partition([m] for m in range(2, 6))))
+@example((SINGLETONS, coref.make_partition([m] for m in range(10, 14))))
+@example((coref.make_partition([range(4)]), SINGLETONS))
+def test_coref_scorers_equal_dense_references(pair):
+    gold, pred = pair
+    for name in ("muc", "b_cubed", "ceaf_e"):
+        assert getattr(coref, name)(gold, pred) \
+            == getattr(oracles, name)(gold, pred), name
+    got = coref.ceaf_e(gold, pred)
+    for value, expected in zip((got.precision, got.recall, got.f1),
+                               brute_force_ceafe(gold, pred)):
+        assert abs(value - expected) < TOL
+
+
+def _one_label(units, label, doc_id):
+    """The units that carry `label`, with instances scoped by document."""
+    return [(frozenset((doc_id, x) for x in instances), {label})
+            for instances, labels in units if label in labels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_pairs(), st.sampled_from(["ner", "re"]))
+def test_per_label_equals_brute_force_on_one_label(pair, task):
+    golds, preds = pair
+    views = [build_eval_view(g, p, task) for g, p in zip(golds, preds)]
+    units_of = ner_units if task == "ner" else re_units
+    for level in LEVELS:
+        table = per_label_prf(views, level)
+        assert set(table) == {label for v in views for label in v.labels}
+        for label, report in table.items():
+            gold_units, pred_units = [], []
+            for g, p in zip(golds, preds):
+                gold_units += _one_label(units_of(g), label, g.id)
+                pred_units += _one_label(units_of(p), label, p.id)
+            expected = brute_force_levels(gold_units, pred_units)[level]
+            got = (report.precision, report.recall, report.f1)
+            assert all(abs(a - b) < TOL for a, b in zip(got, expected)), \
+                (level, label)
