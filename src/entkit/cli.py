@@ -3,6 +3,7 @@
 Subcommands: validate, stats, score, decode, rules, kappa, kernels, convert.
 Reports go to stdout as JSON (schema_version 1), diagnostics to stderr.
 Exit codes: 0 ok, 1 findings under --strict, 2 usage or input error.
+stats, score, kappa and rules check refuse a corpus that fails validation.
 """
 
 from __future__ import annotations
@@ -30,9 +31,21 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _load(path: str) -> list[Document]:
+def _read(path: str) -> list[Document]:
     fmt = "per-file" if Path(path).is_dir() else "jsonl"
     return load_corpus(path, fmt)
+
+
+def _load(path: str) -> list[Document]:
+    """Read a corpus for a command that consumes it; refuse it when any
+    document breaks a hard invariant."""
+    docs = _read(path)
+    n_errors = sum(len(validate_document(d).errors) for d in docs)
+    if n_errors:
+        raise CorpusError(
+            f"corpus fails validation ({n_errors} error(s)); "
+            f"run `entkit validate` for the full report [{path}]")
+    return docs
 
 
 # --------------------------------------------------------------------------
@@ -40,7 +53,7 @@ def _load(path: str) -> list[Document]:
 
 
 def _cmd_validate(args) -> int:
-    docs = _load(args.corpus)
+    docs = _read(args.corpus)
     errors, warnings = [], []
     for d in docs:
         report = validate_document(d)
@@ -55,11 +68,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     docs = _load(args.corpus)
-    findings = [f for d in docs for f in validate_document(d).errors]
-    if findings:
-        raise CorpusError(
-            f"corpus fails validation ({len(findings)} error(s)); "
-            "run `entkit validate` for the full report")
     summary = stats.corpus_summary(docs)
     type_hist = stats.entity_type_histogram(docs)
     rel_hist = stats.relation_type_histogram(docs)

@@ -377,10 +377,12 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[Document]:
     if fmt == "per-file":
         docs = []
         for f in sorted(path.glob("*.json")):
+            text = f.read_text(encoding="utf-8")
             try:
-                obj = json.loads(f.read_text(encoding="utf-8"))
+                obj = json.loads(text)
             except json.JSONDecodeError as e:
-                raise ParseError(str(e), path=f, byte_offset=e.pos) from e
+                byte_off = len(text[:e.pos].encode("utf-8"))
+                raise ParseError(str(e), path=f, byte_offset=byte_off) from e
             try:
                 docs.append(document_from_json(obj))
             except ValueError as e:

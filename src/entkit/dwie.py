@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import (Document, EntityCluster, Mention, ParseError,
@@ -54,36 +56,29 @@ def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
                        ) -> list[tuple[int, int]]:
     """Break after sentence-final punctuation or a newline gap; always a
     contiguous cover of the token range."""
-    if not tokens:
-        return []
-    boundaries = []
-    for i, (tok, _b, e) in enumerate(tokens):
-        last = i == len(tokens) - 1
-        gap = "" if last else text[e:tokens[i + 1][1]]
-        if last or tok in _SENT_FINAL or "\n" in gap:
-            boundaries.append(i + 1)
     intervals = []
     begin = 0
-    for end in boundaries:
-        if end > begin:
-            intervals.append((begin, end))
-            begin = end
-    if begin < len(tokens):
-        intervals.append((begin, len(tokens)))
+    for i, (tok, _b, e) in enumerate(tokens):
+        if i == len(tokens) - 1 or tok in _SENT_FINAL \
+                or "\n" in text[e:tokens[i + 1][1]]:
+            intervals.append((begin, i + 1))
+            begin = i + 1
     return intervals
 
 
 def char_span_to_token_span(tokens: list[tuple[str, int, int]],
                             begin: int, end: int) -> Mention | None:
-    first = last = None
-    for i, (_t, tb, te) in enumerate(tokens):
-        if te > begin and tb < end:
-            if first is None:
-                first = i
-            last = i
-    if first is None:
-        return None
-    return Mention(first, last + 1)
+    """The tokens overlapping the character span [begin, end), or None.
+
+    `tokens` must be non-empty, non-overlapping and in text order, as
+    `tokenize_with_offsets` returns them: then both their begin and end
+    offsets strictly increase, the tokens ending after `begin` are a suffix
+    and the tokens starting before `end` a prefix, and the span is where the
+    two meet.
+    """
+    first = bisect_right(tokens, begin, key=itemgetter(2))
+    stop = bisect_left(tokens, end, key=itemgetter(1))
+    return Mention(first, stop) if first < stop else None
 
 
 def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:

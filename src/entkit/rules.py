@@ -88,9 +88,6 @@ class FactBase:
         out |= {e for _, e in self.unary}
         return out
 
-    def __le__(self, other: "FactBase") -> bool:
-        return self.binary <= other.binary and self.unary <= other.unary
-
 
 def facts_from_document(d: Document) -> FactBase:
     """Relations become binary facts; every cluster tag becomes a unary fact.
@@ -157,36 +154,28 @@ def builtin_ruleset() -> list[Rule]:
 # Matching and fixpoint
 
 
-def _match_atom(atom: Atom, facts: FactBase,
+def _index(facts: FactBase) -> dict[tuple[str, int], list[tuple[str, ...]]]:
+    """Argument tuples by (predicate, arity), in sorted fact order; the arity
+    keeps a tag and a relation type of the same name apart."""
+    index: dict[tuple[str, int], list[tuple[str, ...]]] = {}
+    for h, p, t in sorted(facts.binary):
+        index.setdefault((p, 2), []).append((h, t))
+    for p, e in sorted(facts.unary):
+        index.setdefault((p, 1), []).append((e,))
+    return index
+
+
+def _match_atom(atom: Atom, index: dict[tuple[str, int], list[tuple[str, ...]]],
                 subst: dict[str, str]) -> Iterator[dict[str, str]]:
-    """Yield extensions of `subst` that ground `atom` against `facts`."""
-
-    def bind(terms: tuple[str, ...], values: tuple[str, ...],
-             base: dict[str, str]) -> dict[str, str] | None:
-        out = dict(base)
-        for term, value in zip(terms, values):
-            if is_variable(term):
-                if out.get(term, value) != value:
-                    return None
-                out[term] = value
-            elif term != value:
-                return None
-        return out
-
-    if atom.is_binary:
-        for h, p, t in facts.binary:
-            if p != atom.predicate:
-                continue
-            ext = bind(atom.args, (h, t), subst)
-            if ext is not None:
-                yield ext
-    else:
-        for p, e in facts.unary:
-            if p != atom.predicate:
-                continue
-            ext = bind(atom.args, (e,), subst)
-            if ext is not None:
-                yield ext
+    """Yield extensions of `subst` that ground `atom` against an indexed fact."""
+    for values in index.get((atom.predicate, len(atom.args)), ()):
+        ext = dict(subst)
+        for term, value in zip(atom.args, values):
+            bound = ext.setdefault(term, value) if is_variable(term) else term
+            if bound != value:
+                break
+        else:
+            yield ext
 
 
 def _ground_head(head: Atom, subst: dict[str, str]) -> tuple[str, str, str]:
@@ -196,20 +185,18 @@ def _ground_head(head: Atom, subst: dict[str, str]) -> tuple[str, str, str]:
 
 def iter_groundings(facts: FactBase, rules: Iterable[Rule]
                     ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
-    """Every satisfied rule body, with its substitution and grounded head.
-    Duplicate (rule, substitution) firings are suppressed."""
+    """Every satisfied rule body, with its substitution and grounded head, in
+    rule order and then in sorted fact order.
+
+    A substitution binds every term of the body, so it grounds each body atom
+    to exactly one fact: distinct fact pairs give distinct firings, and none
+    repeats.
+    """
+    index = _index(facts)
     for rule in rules:
-        seen: set[tuple] = set()
-        for s1 in _match_atom(rule.body[0], facts, {}):
-            if len(rule.body) == 1:
-                candidates = [s1]
-            else:
-                candidates = _match_atom(rule.body[1], facts, s1)
-            for subst in candidates:
-                key = tuple(sorted(subst.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
+        for s1 in _match_atom(rule.body[0], index, {}):
+            rest = _match_atom(rule.body[1], index, s1) if len(rule.body) == 2 else (s1,)
+            for subst in rest:
                 yield rule, subst, _ground_head(rule.head, subst)
 
 
@@ -257,7 +244,7 @@ class Violation:
 def check_violations(d: Document, rules: Iterable[Rule] | None = None
                      ) -> list[Violation]:
     """Report each rule body satisfied by the document's annotations whose
-    grounded head relation is not annotated."""
+    grounded head relation is not annotated, in `iter_groundings` order."""
     rules = list(builtin_ruleset() if rules is None else rules)
     facts = facts_from_document(d)
     out = []

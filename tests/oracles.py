@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from entkit.corpus import Mention
+from entkit.dwie import _SENT_FINAL
 from entkit.metrics import PRFReport
+from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
 
 
 # --------------------------------------------------------------------------
@@ -398,3 +402,98 @@ def naive_coverage_table(records):
              sum(1 for r in records if r.min_sentence_dist <= d) / n,
              sum(1 for r in records if r.max_sentence_dist <= d) / n)
             for d in range(top + 1)]
+
+
+# --------------------------------------------------------------------------
+# Release alignment by scanning every token
+
+
+def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
+                       ) -> list[tuple[int, int]]:
+    """Break after sentence-final punctuation or a newline gap; always a
+    contiguous cover of the token range."""
+    if not tokens:
+        return []
+    boundaries = []
+    for i, (tok, _b, e) in enumerate(tokens):
+        last = i == len(tokens) - 1
+        gap = "" if last else text[e:tokens[i + 1][1]]
+        if last or tok in _SENT_FINAL or "\n" in gap:
+            boundaries.append(i + 1)
+    intervals = []
+    begin = 0
+    for end in boundaries:
+        if end > begin:
+            intervals.append((begin, end))
+            begin = end
+    if begin < len(tokens):
+        intervals.append((begin, len(tokens)))
+    return intervals
+
+
+def char_span_to_token_span(tokens: list[tuple[str, int, int]],
+                            begin: int, end: int) -> Mention | None:
+    first = last = None
+    for i, (_t, tb, te) in enumerate(tokens):
+        if te > begin and tb < end:
+            if first is None:
+                first = i
+            last = i
+    if first is None:
+        return None
+    return Mention(first, last + 1)
+
+
+# --------------------------------------------------------------------------
+# Rule grounding by scanning every fact, with duplicate suppression
+
+
+def _match_atom(atom: Atom, facts: FactBase,
+                subst: dict[str, str]) -> Iterator[dict[str, str]]:
+    """Yield extensions of `subst` that ground `atom` against `facts`."""
+
+    def bind(terms: tuple[str, ...], values: tuple[str, ...],
+             base: dict[str, str]) -> dict[str, str] | None:
+        out = dict(base)
+        for term, value in zip(terms, values):
+            if is_variable(term):
+                if out.get(term, value) != value:
+                    return None
+                out[term] = value
+            elif term != value:
+                return None
+        return out
+
+    if atom.is_binary:
+        for h, p, t in facts.binary:
+            if p != atom.predicate:
+                continue
+            ext = bind(atom.args, (h, t), subst)
+            if ext is not None:
+                yield ext
+    else:
+        for p, e in facts.unary:
+            if p != atom.predicate:
+                continue
+            ext = bind(atom.args, (e,), subst)
+            if ext is not None:
+                yield ext
+
+
+def iter_groundings(facts: FactBase, rules: Iterable[Rule]
+                    ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
+    """Every satisfied rule body, with its substitution and grounded head.
+    Duplicate (rule, substitution) firings are suppressed."""
+    for rule in rules:
+        seen: set[tuple] = set()
+        for s1 in _match_atom(rule.body[0], facts, {}):
+            if len(rule.body) == 1:
+                candidates = [s1]
+            else:
+                candidates = _match_atom(rule.body[1], facts, s1)
+            for subst in candidates:
+                key = tuple(sorted(subst.items()))
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield rule, subst, _ground_head(rule.head, subst)

@@ -263,3 +263,36 @@ def test_convert_schema_errors_name_the_file(tmp_path, capsys, broken):
     line = _single_error_line(capsys, [
         "convert", str(src), "--out-corpus", str(tmp_path / "out.jsonl")])
     assert str(src / "x.json") in line
+
+
+@pytest.mark.parametrize("clusters,relations", [
+    ([{"id": "c", "mentions": [], "tags": []}], []),               # empty cluster
+    ([{"id": "c", "mentions": [[2, 1]], "tags": []}], []),         # reversed
+    ([{"id": "c", "mentions": [[0, 9]], "tags": []}], []),         # out of bounds
+    ([{"id": "c", "mentions": [[0, 1]], "tags": []},
+      {"id": "c", "mentions": [[1, 2]], "tags": []}], []),         # duplicate id
+    ([{"id": "c", "mentions": [[0, 1]], "tags": []}],
+     [{"head": "c", "type": "in0", "tail": "x"}]),                 # dangling
+])
+@pytest.mark.parametrize("command", [
+    ["stats", "{bad}"], ["rules", "check", "{bad}"],
+    ["score", "--task", "ner", "--gold", "{bad}", "--pred", "{bad}"],
+    ["score", "--task", "re", "--gold", "{ok}", "--pred", "{bad}"],
+    ["score", "--task", "coref", "--gold", "{bad}", "--pred", "{ok}"],
+    ["kappa", "--a", "{bad}", "--b", "{bad}", "--task", "entity"],
+    ["kappa", "--a", "{ok}", "--b", "{bad}", "--task", "linking"],
+])
+def test_consuming_commands_refuse_invalid_corpus(tmp_path, capsys, clusters,
+                                                  relations, command):
+    paths = {}
+    for name, doc_clusters, doc_relations in (
+            ("ok", [{"id": "c", "mentions": [[0, 1]], "tags": []}], []),
+            ("bad", clusters, relations)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(json.dumps({
+            "id": "d", "split": "train", "tokens": ["a", "b", "c"],
+            "sentences": [[0, 3]], "clusters": doc_clusters,
+            "relations": doc_relations}) + "\n")
+    argv = [a.format(**paths) for a in command]
+    line = _single_error_line(capsys, argv)
+    assert "corpus fails validation" in line and str(paths["bad"]) in line

@@ -194,3 +194,16 @@ def test_schema_error_message_names_document(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_corpus(path)
     assert "d9" in str(exc.value)
+
+
+def test_per_file_syntax_error_reports_byte_offset(tmp_path):
+    raw = '{"id": "é€é€é€", "tokens": oops}'.encode("utf-8")
+    (tmp_path / "d.json").write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        load_corpus(tmp_path, fmt="per-file")
+    assert exc.value.byte_offset == raw.index(b"oops")  # 36 bytes, 27 characters
+    line = tmp_path / "d.jsonl"
+    line.write_bytes(raw + b"\n")
+    with pytest.raises(ParseError) as exc_jsonl:
+        load_corpus(line)
+    assert exc_jsonl.value.byte_offset == exc.value.byte_offset

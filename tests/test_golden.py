@@ -3,11 +3,15 @@
 `tests/fixtures/annotator_a.jsonl` and `annotator_b.jsonl` cover split and
 merged clusters, spans only one annotator marked, multi-label tags and
 relations, NIL and unannotated links, multi-sentence relation distances and
-a document with no mentions. The files under `tests/fixtures/golden/` hold
-the stdout (and the `--plot-data` TSV) that these commands must reproduce
-exactly.
+a document with no mentions. `tests/fixtures/rules_multi.jsonl` has two
+violations of one rule in one document and relations the closure derives.
+The files under `tests/fixtures/golden/` hold the stdout (and the
+`--plot-data` TSV) that these commands must reproduce exactly.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 A = str(FIXTURES / "annotator_a.jsonl")
 B = str(FIXTURES / "annotator_b.jsonl")
+RULES_ARGV = ["rules", "check", str(FIXTURES / "rules_multi.jsonl"), "--closure"]
 
 
 @pytest.mark.parametrize("task,conditioned", [
@@ -49,3 +54,25 @@ def test_score_matches_golden(capsys):
                 "--gold", A, "--pred", B]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / "score_all.json").read_bytes()
+
+
+def test_rules_check_matches_golden(capsys):
+    assert run(RULES_ARGV) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "rules_check.json").read_bytes()
+
+
+def test_rules_check_output_ignores_hash_seed():
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from entkit.cli import run; sys.exit(run(sys.argv[1:]))",
+             *RULES_ARGV], env=env, capture_output=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == (GOLDEN / "rules_check.json").read_bytes()

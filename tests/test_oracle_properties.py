@@ -5,7 +5,9 @@ columns, the coreference scores from one cluster-overlap table and the
 per-label metrics from per-label count rows; the oracles in `oracles.py`
 write every item out, count every threshold, map every mention and fill the
 dense similarity matrix. Kappa, coverage and the coreference scores must give
-the same floats exactly, not approximately.
+the same floats exactly, not approximately. Release alignment bisects and
+rule grounding reads a fact index, where the oracles scan every token and
+every fact; both must give the same answers.
 """
 
 from collections import Counter
@@ -18,7 +20,7 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               entity_agreement, expected_agreement,
                               linking_agreement, observed_agreement,
                               relation_agreement)
-from entkit import coref
+from entkit import coref, dwie, rules
 from entkit.corpus import UNANNOTATED
 from entkit.metrics import LEVELS, build_eval_view, per_label_prf
 from entkit.stats import (DistanceProfile, DistanceRecord,
@@ -180,3 +182,96 @@ def test_per_label_equals_brute_force_on_one_label(pair, task):
             got = (report.precision, report.recall, report.f1)
             assert all(abs(a - b) < TOL for a, b in zip(got, expected)), \
                 (level, label)
+
+
+# --------------------------------------------------------------------------
+# Release alignment: bisection against the token scan
+
+PIECES = ["Anna", "Köln", "x", "42", "naïve", "€", ".", "!", "?", ",", "-",
+          "(", " ", "  ", "\n", "\n\n", "\t"]
+
+
+@st.composite
+def texts_and_spans(draw):
+    """Texts of words, punctuation, spaces, newlines and non-ASCII
+    characters, with character spans that may be reversed, empty, negative
+    or past the end."""
+    text = "".join(draw(st.lists(st.sampled_from(PIECES), max_size=25)))
+    offsets = st.integers(-3, len(text) + 3)
+    return text, draw(st.lists(st.tuples(offsets, offsets), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts_and_spans())
+@example(("", [(0, 0), (-1, 1)]))
+@example(("One two. Three!", [(0, 15), (5, 2), (7, 7), (-2, 3), (14, 18)]))
+def test_alignment_equals_token_scan(case):
+    text, spans = case
+    tokens = dwie.tokenize_with_offsets(text)
+    assert dwie.sentence_intervals(text, tokens) \
+        == oracles.sentence_intervals(text, tokens)
+    for begin, end in spans:
+        assert dwie.char_span_to_token_span(tokens, begin, end) \
+            == oracles.char_span_to_token_span(tokens, begin, end)
+
+
+# --------------------------------------------------------------------------
+# Rule grounding: fact index against the fact scan
+
+ENTITIES = ["a", "b", "c"]
+RELATION_TYPES = ["r", "s", "gpe0"]     # "gpe0" is also a tag
+TAGS = ["gpe0", "t"]
+TERMS = ["X", "Y", "Z", "a", "b"]       # variables and constants
+
+
+@st.composite
+def rule_lists(draw):
+    out = []
+    for i in range(draw(st.integers(1, 4))):
+        body = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                body.append(rules.Atom(draw(st.sampled_from(RELATION_TYPES)),
+                                       (draw(st.sampled_from(TERMS)),
+                                        draw(st.sampled_from(TERMS)))))
+            else:
+                body.append(rules.Atom(draw(st.sampled_from(TAGS)),
+                                       (draw(st.sampled_from(TERMS)),)))
+        bound = sorted({t for a in body for t in a.args
+                        if rules.is_variable(t)}) + ["a", "b"]
+        head = rules.Atom(draw(st.sampled_from(RELATION_TYPES)),
+                          (draw(st.sampled_from(bound)),
+                           draw(st.sampled_from(bound))))
+        out.append(rules.Rule(f"R{i}", tuple(body), head))
+    return out
+
+
+FACT_BASES = st.builds(
+    rules.FactBase,
+    st.sets(st.tuples(st.sampled_from(ENTITIES), st.sampled_from(RELATION_TYPES),
+                      st.sampled_from(ENTITIES)), max_size=10),
+    st.sets(st.tuples(st.sampled_from(TAGS), st.sampled_from(ENTITIES)),
+            max_size=5))
+
+
+def _firings(groundings):
+    return Counter((rule.id, tuple(sorted(subst.items())), head)
+                   for rule, subst, head in groundings)
+
+
+TAG_AND_RELATION = [rules.parse_rule("R0: gpe0(X, X) & gpe0(X) => r(X, a)"),
+                    rules.parse_rule("R1: gpe0(X, Y) & t(b) => gpe0(Y, X)")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(FACT_BASES, rule_lists())
+@example(rules.FactBase({("a", "gpe0", "a"), ("a", "gpe0", "b")},
+                        {("gpe0", "a"), ("t", "b")}), TAG_AND_RELATION)
+@example(rules.FactBase(), TAG_AND_RELATION)
+def test_groundings_equal_fact_scan(facts, rule_list):
+    got = list(rules.iter_groundings(facts, rule_list))
+    assert _firings(got) == _firings(oracles.iter_groundings(facts, rule_list))
+    # the order depends on the facts, not on how their sets were built
+    rebuilt = rules.FactBase(set(sorted(facts.binary, reverse=True)),
+                             set(sorted(facts.unary, reverse=True)))
+    assert list(rules.iter_groundings(rebuilt, rule_list)) == got
