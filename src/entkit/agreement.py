@@ -115,6 +115,8 @@ def _pair_docs(docs_a: Sequence[Document], docs_b: Sequence[Document]
                ) -> list[tuple[Document, Document]]:
     by_id_a = {d.id: d for d in docs_a}
     by_id_b = {d.id: d for d in docs_b}
+    if len(by_id_a) != len(docs_a) or len(by_id_b) != len(docs_b):
+        raise ValueError("an annotator corpus repeats a document id")
     if set(by_id_a) != set(by_id_b):
         only_a = sorted(set(by_id_a) - set(by_id_b))[:3]
         only_b = sorted(set(by_id_b) - set(by_id_a))[:3]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -41,6 +42,7 @@ SENTENCE_COVERAGE = "SENTENCE_COVERAGE"
 BAD_SPLIT = "BAD_SPLIT"
 UNKNOWN_TAG = "UNKNOWN_TAG"
 UNKNOWN_RELATION_TYPE = "UNKNOWN_RELATION_TYPE"
+DUPLICATE_DOC_ID = "DUPLICATE_DOC_ID"  # corpus-level
 
 
 class CorpusError(Exception):
@@ -273,6 +275,15 @@ def validate_document(d: Document,
     return report
 
 
+def duplicate_doc_ids(docs: Iterable[Document]) -> list[Finding]:
+    """One corpus-level error for each document id that occurs more than
+    once, in order of first appearance."""
+    counts = Counter(d.id for d in docs)
+    return [Finding(doc_id, DUPLICATE_DOC_ID,
+                    f"document id {doc_id!r} appears {n} times")
+            for doc_id, n in counts.items() if n > 1]
+
+
 def span_index(d: Document) -> dict[Mention, str]:
     """Map every mention span of ``d`` to its owning cluster id.
 
@@ -293,9 +304,11 @@ def span_index(d: Document) -> dict[Mention, str]:
 # Parsing / serialization
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise ValueError(msg % args) unless `cond`; the message is only
+    formatted on failure, so checks inside per-item loops cost no formatting."""
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg % args if args else msg)
 
 
 def document_from_json(obj: dict) -> Document:
@@ -305,45 +318,53 @@ def document_from_json(obj: dict) -> Document:
     doc_id = obj["id"]
     tokens = obj.get("tokens")
     _require(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
-             f"{doc_id}: field 'tokens' must be a list of strings")
+             "%s: field 'tokens' must be a list of strings", doc_id)
     sentences = obj.get("sentences")
-    _require(isinstance(sentences, list), f"{doc_id}: field 'sentences' must be a list")
+    _require(isinstance(sentences, list), "%s: field 'sentences' must be a list", doc_id)
     sents = []
     for pair in sentences:
         _require(isinstance(pair, list) and len(pair) == 2
                  and all(isinstance(x, int) for x in pair),
-                 f"{doc_id}: sentence entries must be [begin, end] integer pairs")
+                 "%s: sentence entries must be [begin, end] integer pairs", doc_id)
         sents.append((pair[0], pair[1]))
     clusters = []
-    for c in obj.get("clusters", []):
+    for c in _list_field(obj, "clusters", doc_id):
         _require(isinstance(c, dict) and isinstance(c.get("id"), str),
-                 f"{doc_id}: cluster entries must be objects with a string 'id'")
+                 "%s: cluster entries must be objects with a string 'id'", doc_id)
         mentions = []
-        for pair in c.get("mentions", []):
+        for pair in _list_field(c, "mentions", doc_id):
             _require(isinstance(pair, list) and len(pair) == 2
                      and all(isinstance(x, int) for x in pair),
-                     f"{doc_id}: mention entries must be [begin, end] integer pairs")
+                     "%s: mention entries must be [begin, end] integer pairs", doc_id)
             mentions.append(Mention(pair[0], pair[1]))
         tags = c.get("tags", [])
         _require(isinstance(tags, list) and all(isinstance(t, str) for t in tags),
-                 f"{doc_id}: cluster 'tags' must be a list of strings")
+                 "%s: cluster 'tags' must be a list of strings", doc_id)
         if "link" in c:
             link = c["link"]
             _require(link is None or isinstance(link, str),
-                     f"{doc_id}: cluster 'link' must be a string or null")
+                     "%s: cluster 'link' must be a string or null", doc_id)
         else:
             link = UNANNOTATED
         clusters.append(EntityCluster(c["id"], tuple(mentions), frozenset(tags), link))
     relations = []
-    for r in obj.get("relations", []):
+    for r in _list_field(obj, "relations", doc_id):
         _require(isinstance(r, dict)
                  and all(isinstance(r.get(k), str) for k in ("head", "type", "tail")),
-                 f"{doc_id}: relation entries must be objects with string head/type/tail")
+                 "%s: relation entries must be objects with string head/type/tail",
+                 doc_id)
         relations.append(RelationTriple(r["head"], r["type"], r["tail"]))
     split = obj.get("split", "unsplit")
-    _require(isinstance(split, str), f"{doc_id}: field 'split' must be a string")
+    _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
     return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
                     tuple(relations), split)
+
+
+def _list_field(obj: dict, key: str, doc_id: str) -> list:
+    """The list under `key` (empty when absent); any other value is a schema error."""
+    value = obj.get(key, [])
+    _require(isinstance(value, list), "%s: field %r must be a list", doc_id, key)
+    return value
 
 
 def document_to_json(d: Document) -> dict:
@@ -369,6 +390,20 @@ def document_to_json(d: Document) -> dict:
     }
 
 
+def decode_json(text: str, path: str | Path, byte_offset: int = 0):
+    """Decode one JSON value read from `path`, where `text` starts at
+    `byte_offset`. A syntax error raises ParseError at the byte offset of the
+    error, nesting deeper than the decoder's recursion limit at the start."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, path=path, byte_offset=byte_offset
+                         + len(text[:e.pos].encode("utf-8"))) from e
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", path=path,
+                         byte_offset=byte_offset) from None
+
+
 def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[Document]:
     """Read documents without invariant checking (syntax and schema only)."""
     path = Path(path)
@@ -377,12 +412,7 @@ def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[Document]:
     if fmt == "per-file":
         docs = []
         for f in sorted(path.glob("*.json")):
-            text = f.read_text(encoding="utf-8")
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as e:
-                byte_off = len(text[:e.pos].encode("utf-8"))
-                raise ParseError(str(e), path=f, byte_offset=byte_off) from e
+            obj = decode_json(f.read_text(encoding="utf-8"), f)
             try:
                 docs.append(document_from_json(obj))
             except ValueError as e:
@@ -398,12 +428,9 @@ def _iter_jsonl(path: Path) -> Iterator[Document]:
             line = raw.decode("utf-8")
             stripped = line.strip()
             if stripped:
-                try:
-                    obj = json.loads(stripped)
-                except json.JSONDecodeError as e:
-                    lead = len(line) - len(line.lstrip())
-                    byte_off = offset + len(line[:lead + e.pos].encode("utf-8"))
-                    raise ParseError(e.msg, path=path, byte_offset=byte_off) from e
+                lead = line[:len(line) - len(line.lstrip())]
+                obj = decode_json(stripped, path,
+                                  offset + len(lead.encode("utf-8")))
                 try:
                     yield document_from_json(obj)
                 except ValueError as e:
@@ -421,7 +448,7 @@ def parse_corpus(path: str | Path, fmt: str = "jsonl", *, strict: bool = True,
     """
     docs = load_corpus(path, fmt)
     if strict:
-        findings: list[Finding] = []
+        findings = duplicate_doc_ids(docs)
         for d in docs:
             findings.extend(
                 validate_document(d, tag_vocab=tag_vocab,

@@ -25,7 +25,6 @@ drop counts are reported.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .corpus import (Document, EntityCluster, Mention, ParseError,
-                     RelationTriple, UNANNOTATED, _require)
+                     RelationTriple, UNANNOTATED, _require, decode_json)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _SENT_FINAL = {".", "!", "?"}
@@ -85,12 +84,12 @@ def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
     """The entries of the list under `key`; each must be an object whose
     `kinds` fields have the given types."""
     entries = obj.get(key, [])
-    _require(isinstance(entries, list), f"field {key!r} must be a list")
+    _require(isinstance(entries, list), "field %r must be a list", key)
     shape = ", ".join(f"{kind.__name__} {name!r}" for name, kind in kinds.items())
     for e in entries:
         _require(isinstance(e, dict) and all(isinstance(e.get(name), kind)
                                              for name, kind in kinds.items()),
-                 f"{key} entries must be objects with {shape}")
+                 "%s entries must be objects with %s", key, shape)
     return entries
 
 
@@ -102,7 +101,7 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
     _require(isinstance(obj, dict), "release file must be a JSON object")
     doc_id = str(obj.get("id", "unknown"))
     content = obj.get("content") or ""
-    _require(isinstance(content, str), f"{doc_id}: field 'content' must be a string")
+    _require(isinstance(content, str), "%s: field 'content' must be a string", doc_id)
     if not content:
         report.notes.append(f"{doc_id}: no article content; run the release's "
                             "content-fetch step first")
@@ -129,7 +128,11 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
         tags = c.get("tags") or []
         if isinstance(tags, str):
             tags = [t for t in tags.split(";") if t]
-        link = c["link"] if "link" in c else UNANNOTATED
+        _require(isinstance(tags, list) and all(isinstance(t, str) for t in tags),
+                 "%s: concept 'tags' must be a list of strings", doc_id)
+        link = c.get("link", UNANNOTATED)
+        _require(link is None or link is UNANNOTATED or isinstance(link, str),
+                 "%s: concept 'link' must be a string or null", doc_id)
         clusters.append(EntityCluster(f"c{idx}", tuple(spans),
                                       frozenset(tags), link))
 
@@ -142,6 +145,7 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
             report.dropped_relations += 1
 
     doc_tags = obj.get("tags") or []
+    _require(isinstance(doc_tags, list), "%s: field 'tags' must be a list", doc_id)
     split = "train" if "train" in doc_tags else \
         "test" if "test" in doc_tags else "unsplit"
     report.documents += 1
@@ -156,8 +160,8 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
     docs = []
     for path in sorted(Path(src_dir).glob("*.json")):
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = decode_json(path.read_text(encoding="utf-8"), path)
             docs.append(convert_annotation(obj, report))
-        except ValueError as e:  # JSONDecodeError included
+        except ValueError as e:  # schema errors and undecodable bytes
             raise ParseError(str(e), path=path) from e
     return docs, report

@@ -211,3 +211,11 @@ def test_conditioned_mode_ignores_one_sided_spans():
     assert unconditioned["classification"] < 1.0
     # detection agreement is unaffected by conditioning
     assert conditioned["detection"] == unconditioned["detection"]
+
+
+@pytest.mark.parametrize("agreement", [entity_agreement, relation_agreement,
+                                       coref_agreement, linking_agreement])
+def test_agreement_refuses_repeated_document_ids(agreement):
+    doc = make_doc("d1", clusters=[("c", [(0, 1)], ["person"], "KB")])
+    with pytest.raises(ValueError, match="repeats a document id"):
+        agreement([doc, doc], [doc])

@@ -296,3 +296,58 @@ def test_consuming_commands_refuse_invalid_corpus(tmp_path, capsys, clusters,
     argv = [a.format(**paths) for a in command]
     line = _single_error_line(capsys, argv)
     assert "corpus fails validation" in line and str(paths["bad"]) in line
+
+
+DOC = {"id": "d1", "split": "train", "tokens": ["a", "b", "c"],
+       "sentences": [[0, 3]],
+       "clusters": [{"id": "c", "mentions": [[0, 1]], "tags": ["person"]}],
+       "relations": []}
+CORPUS_COMMANDS = [
+    ["validate", "{bad}"], ["stats", "{bad}"], ["rules", "check", "{bad}"],
+    ["score", "--task", "ner", "--gold", "{bad}", "--pred", "{ok}"],
+    ["score", "--task", "coref", "--gold", "{ok}", "--pred", "{bad}"],
+    ["kappa", "--a", "{bad}", "--b", "{ok}", "--task", "entity"],
+    ["kappa", "--a", "{ok}", "--b", "{bad}", "--task", "linking"],
+]
+
+
+def _write_corpus(path, docs):
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    return str(path)
+
+
+@pytest.mark.parametrize("broken", [
+    {"clusters": 5}, {"relations": 3}, {"clusters": None},
+    {"clusters": [{"id": "c", "mentions": 7, "tags": []}]},
+    {"clusters": [{"id": "c", "tags": [], "mentions": {"0": 1}}]},
+])
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+def test_non_list_fields_are_parse_errors(tmp_path, capsys, broken, command):
+    good = json.dumps({**DOC, "id": "d0"}) + "\n"
+    paths = {"ok": _write_corpus(tmp_path / "ok.jsonl", [DOC]),
+             "bad": str(tmp_path / "bad.jsonl")}
+    (tmp_path / "bad.jsonl").write_text(good + json.dumps({**DOC, **broken}) + "\n")
+    line = _single_error_line(capsys, [a.format(**paths) for a in command])
+    assert "must be a list" in line
+    assert f"[{paths['bad']} @ byte {len(good)}]" in line
+
+
+def test_validate_reports_duplicate_document_ids(tmp_path, capsys):
+    other = {**DOC, "clusters": [{"id": "c", "mentions": [[1, 2]], "tags": []}]}
+    path = _write_corpus(tmp_path / "dup.jsonl", [DOC, {**DOC, "id": "d2"}, other])
+    code, payload = run_json(capsys, ["validate", path, "--strict"])
+    assert code == 1
+    assert payload["documents"] == 3
+    assert [(e["doc"], e["code"]) for e in payload["errors"]] == [
+        ("d1", "DUPLICATE_DOC_ID")]
+    assert "2 times" in payload["errors"][0]["message"]
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS[1:])
+def test_consuming_commands_refuse_duplicate_document_ids(tmp_path, capsys,
+                                                          command):
+    paths = {"ok": _write_corpus(tmp_path / "ok.jsonl", [DOC]),
+             "bad": _write_corpus(tmp_path / "bad.jsonl", [DOC, DOC])}
+    line = _single_error_line(capsys, [a.format(**paths) for a in command])
+    assert "corpus fails validation (1 error(s))" in line
+    assert line.endswith(f"[{paths['bad']}]")

@@ -207,3 +207,13 @@ def test_per_file_syntax_error_reports_byte_offset(tmp_path):
     with pytest.raises(ParseError) as exc_jsonl:
         load_corpus(line)
     assert exc_jsonl.value.byte_offset == exc.value.byte_offset
+
+
+def test_parse_corpus_rejects_duplicate_document_ids(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    serialize_corpus([make_doc("d1"), make_doc("d2"), make_doc("d1")], path)
+    with pytest.raises(CorpusValidationError) as exc:
+        parse_corpus(path)
+    assert [(f.doc_id, f.code) for f in exc.value.findings] == [
+        ("d1", "DUPLICATE_DOC_ID")]
+    assert len(parse_corpus(path, strict=False)) == 3
