@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .corpus import Document, span_index
+from .corpus import Document, Mention, pair_documents, span_index
 
 ABSENT = "<absent>"
 
@@ -111,26 +112,8 @@ def multilabel_kappa(pairs: Mapping[str, AnnotationPair]) -> float:
 # Corpus-level alignment
 
 
-def _pair_docs(docs_a: Sequence[Document], docs_b: Sequence[Document]
-               ) -> list[tuple[Document, Document]]:
-    by_id_a = {d.id: d for d in docs_a}
-    by_id_b = {d.id: d for d in docs_b}
-    if len(by_id_a) != len(docs_a) or len(by_id_b) != len(docs_b):
-        raise ValueError("an annotator corpus repeats a document id")
-    if set(by_id_a) != set(by_id_b):
-        only_a = sorted(set(by_id_a) - set(by_id_b))[:3]
-        only_b = sorted(set(by_id_b) - set(by_id_a))[:3]
-        raise ValueError(f"annotator corpora cover different documents "
-                         f"(only a: {only_a}, only b: {only_b})")
-    return [(by_id_a[i], by_id_b[i]) for i in sorted(by_id_a)]
-
-
-def _mention_tags(d: Document) -> dict[tuple[int, int], frozenset[str]]:
-    out = {}
-    for c in d.clusters:
-        for m in c.mentions:
-            out[(m.begin, m.end)] = c.tags
-    return out
+def _mention_tags(d: Document) -> dict[Mention, frozenset[str]]:
+    return {m: c.tags for c in d.clusters for m in c.mentions}
 
 
 def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
@@ -146,16 +129,14 @@ def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
                                conditioned)
 
 
-def _mention_pair_types(d: Document) -> dict[tuple, frozenset[str]]:
+def _mention_pair_types(d: Document) -> dict[tuple[Mention, Mention], frozenset[str]]:
     by_id = d.cluster_by_id()
-    out: dict[tuple, set[str]] = {}
+    out: dict[tuple[Mention, Mention], set[str]] = {}
     for r in d.relations:
         if r.head not in by_id or r.tail not in by_id:
             continue
-        for hm in by_id[r.head].mentions:
-            for tm in by_id[r.tail].mentions:
-                key = ((hm.begin, hm.end), (tm.begin, tm.end))
-                out.setdefault(key, set()).add(r.type)
+        for key in product(by_id[r.head].mentions, by_id[r.tail].mentions):
+            out.setdefault(key, set()).add(r.type)
     return {k: frozenset(v) for k, v in out.items()}
 
 
@@ -183,7 +164,7 @@ def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     detect: Counter = Counter()
     tables: defaultdict[str, Counter] = defaultdict(Counter)
     n_class_items = 0
-    for da, db in _pair_docs(docs_a, docs_b):
+    for da, db in pair_documents(docs_a, docs_b):
         labels_a, labels_b = labels_of(da), labels_of(db)
         for key in labels_a.keys() | labels_b.keys():
             in_a, in_b = key in labels_a, key in labels_b
@@ -222,9 +203,8 @@ def coref_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
     annotators, pairs inside one cluster of a only for a, and so on.
     """
     counts: Counter = Counter()
-    for da, db in _pair_docs(docs_a, docs_b):
-        idx_a = {(m.begin, m.end): cid for m, cid in span_index(da).items()}
-        idx_b = {(m.begin, m.end): cid for m, cid in span_index(db).items()}
+    for da, db in pair_documents(docs_a, docs_b):
+        idx_a, idx_b = span_index(da), span_index(db)
         shared = idx_a.keys() & idx_b.keys()
         both = _pairs_within(
             Counter((idx_a[s], idx_b[s]) for s in shared).values())
@@ -251,11 +231,9 @@ def linking_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
         return "<nil>" if link is None else ABSENT
 
     counts: Counter = Counter()
-    for da, db in _pair_docs(docs_a, docs_b):
-        links_a = {(m.begin, m.end): link_label(c.link)
-                   for c in da.clusters for m in c.mentions}
-        links_b = {(m.begin, m.end): link_label(c.link)
-                   for c in db.clusters for m in c.mentions}
+    for da, db in pair_documents(docs_a, docs_b):
+        links_a = {m: link_label(c.link) for c in da.clusters for m in c.mentions}
+        links_b = {m: link_label(c.link) for c in db.clusters for m in c.mentions}
         counts.update((links_a[span], links_b[span])
                       for span in links_a.keys() & links_b.keys())
     if not counts:

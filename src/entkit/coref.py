@@ -53,8 +53,7 @@ def partition_from_document(d: Document, namespace: str | None = None) -> Partit
     """Cluster the document's mention spans; `namespace` prefixes every
     mention so partitions of different documents can be unioned."""
     prefix = () if namespace is None else (namespace,)
-    return make_partition([prefix + (m.begin, m.end) for m in c.mentions]
-                          for c in d.clusters)
+    return make_partition([prefix + m for m in c.mentions] for c in d.clusters)
 
 
 def corpus_partition(docs: Sequence[Document]) -> Partition:

@@ -25,8 +25,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -66,13 +67,12 @@ class ParseError(CorpusError):
 
 
 class CorpusValidationError(CorpusError):
-    """One or more documents violate a hard invariant."""
+    """One or more documents of the corpus at `path` violate a hard invariant."""
 
-    def __init__(self, findings: list["Finding"]):
+    def __init__(self, findings: list["Finding"], path: str | Path):
         self.findings = findings
-        head = "; ".join(f"{f.doc_id}:{f.code}" for f in findings[:5])
-        more = "" if len(findings) <= 5 else f" (+{len(findings) - 5} more)"
-        super().__init__(f"{len(findings)} validation error(s): {head}{more}")
+        super().__init__(f"corpus fails validation ({len(findings)} error(s)); "
+                         f"run `entkit validate` for the full report [{path}]")
 
 
 class MentionMultiClusterError(CorpusError):
@@ -96,9 +96,9 @@ class _Unannotated:
 UNANNOTATED = _Unannotated()
 
 
-@dataclass(frozen=True, order=True)
-class Mention:
-    """Contiguous token span, half-open: tokens[begin:end]."""
+class Mention(NamedTuple):
+    """Contiguous token span, half-open: tokens[begin:end]. It is the
+    ``(begin, end)`` tuple, so it keys dicts and sets as one."""
 
     begin: int
     end: int
@@ -139,15 +139,14 @@ class RelationTriple:
 class Document:
     id: str
     tokens: tuple[str, ...]
-    sentences: tuple[tuple[int, int], ...]
+    sentences: tuple[Mention, ...]
     clusters: tuple[EntityCluster, ...]
     relations: tuple[RelationTriple, ...]
     split: str = "unsplit"
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "sentences",
-                           tuple((int(b), int(e)) for b, e in self.sentences))
+        object.__setattr__(self, "sentences", tuple(self.sentences))
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "relations", tuple(self.relations))
 
@@ -275,13 +274,32 @@ def validate_document(d: Document,
     return report
 
 
-def duplicate_doc_ids(docs: Iterable[Document]) -> list[Finding]:
-    """One corpus-level error for each document id that occurs more than
-    once, in order of first appearance."""
+def validate_corpus(docs: Sequence[Document]) -> ValidationReport:
+    """The corpus-level DUPLICATE_DOC_ID errors, one per repeated id in order
+    of first appearance, then every document's findings in corpus order."""
     counts = Counter(d.id for d in docs)
-    return [Finding(doc_id, DUPLICATE_DOC_ID,
-                    f"document id {doc_id!r} appears {n} times")
-            for doc_id, n in counts.items() if n > 1]
+    report = ValidationReport(errors=[
+        Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
+        for doc_id, n in counts.items() if n > 1])
+    for d in docs:
+        report.extend(validate_document(d))
+    return report
+
+
+def pair_documents(docs_a: Sequence[Document], docs_b: Sequence[Document]
+                   ) -> list[tuple[Document, Document]]:
+    """The documents of two corpora paired by id, in id order. Both must hold
+    each id once and cover the same ids."""
+    by_id_a = {d.id: d for d in docs_a}
+    by_id_b = {d.id: d for d in docs_b}
+    if len(by_id_a) != len(docs_a) or len(by_id_b) != len(docs_b):
+        raise ValueError("a corpus repeats a document id")
+    if by_id_a.keys() != by_id_b.keys():
+        only_a = sorted(by_id_a.keys() - by_id_b.keys())[:3]
+        only_b = sorted(by_id_b.keys() - by_id_a.keys())[:3]
+        raise ValueError(f"the corpora cover different document ids "
+                         f"(only in the first: {only_a}, only in the second: {only_b})")
+    return [(by_id_a[i], by_id_b[i]) for i in sorted(by_id_a)]
 
 
 def span_index(d: Document) -> dict[Mention, str]:
@@ -311,34 +329,35 @@ def _require(cond: bool, msg: str, *args) -> None:
         raise ValueError(msg % args if args else msg)
 
 
+def spans_from_json(pairs: list, where: str, what: str) -> list[Mention]:
+    """The `[begin, end]` integer pairs of the JSON list `pairs` as Mentions.
+    Types are checked exactly, so a JSON boolean is not an integer; a schema
+    error says "<where>: <what> must be [begin, end] integer pairs"."""
+    _require(set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+             and set(map(type, chain.from_iterable(pairs))) <= {int},
+             "%s: %s must be [begin, end] integer pairs", where, what)
+    return list(map(Mention._make, pairs))
+
+
 def document_from_json(obj: dict) -> Document:
     """Build a Document from one decoded JSON object; raises ValueError on schema errors."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     _require(isinstance(obj.get("id"), str), "field 'id' must be a string")
     doc_id = obj["id"]
     tokens = obj.get("tokens")
-    _require(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
+    _require(type(tokens) is list and set(map(type, tokens)) <= {str},
              "%s: field 'tokens' must be a list of strings", doc_id)
     sentences = obj.get("sentences")
     _require(isinstance(sentences, list), "%s: field 'sentences' must be a list", doc_id)
-    sents = []
-    for pair in sentences:
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(x, int) for x in pair),
-                 "%s: sentence entries must be [begin, end] integer pairs", doc_id)
-        sents.append((pair[0], pair[1]))
+    sents = spans_from_json(sentences, doc_id, "sentence entries")
     clusters = []
     for c in _list_field(obj, "clusters", doc_id):
         _require(isinstance(c, dict) and isinstance(c.get("id"), str),
                  "%s: cluster entries must be objects with a string 'id'", doc_id)
-        mentions = []
-        for pair in _list_field(c, "mentions", doc_id):
-            _require(isinstance(pair, list) and len(pair) == 2
-                     and all(isinstance(x, int) for x in pair),
-                     "%s: mention entries must be [begin, end] integer pairs", doc_id)
-            mentions.append(Mention(pair[0], pair[1]))
+        mentions = spans_from_json(_list_field(c, "mentions", doc_id), doc_id,
+                                   "mention entries")
         tags = c.get("tags", [])
-        _require(isinstance(tags, list) and all(isinstance(t, str) for t in tags),
+        _require(type(tags) is list and set(map(type, tags)) <= {str},
                  "%s: cluster 'tags' must be a list of strings", doc_id)
         if "link" in c:
             link = c["link"]
@@ -373,7 +392,7 @@ def document_to_json(d: Document) -> dict:
     for c in d.clusters:
         entry: dict = {
             "id": c.id,
-            "mentions": [[m.begin, m.end] for m in c.mentions],
+            "mentions": [list(m) for m in c.mentions],
             "tags": sorted(c.tags),
         }
         if not isinstance(c.link, _Unannotated):
@@ -390,6 +409,16 @@ def document_to_json(d: Document) -> dict:
     }
 
 
+def _utf8(raw: bytes, path: str | Path, byte_offset: int = 0) -> str:
+    """`raw`, read from `path` at `byte_offset`, decoded; invalid UTF-8
+    raises ParseError at the offset of the first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid UTF-8 ({e.reason})", path=path,
+                         byte_offset=byte_offset + e.start) from None
+
+
 def decode_json(text: str, path: str | Path, byte_offset: int = 0):
     """Decode one JSON value read from `path`, where `text` starts at
     `byte_offset`. A syntax error raises ParseError at the byte offset of the
@@ -404,28 +433,34 @@ def decode_json(text: str, path: str | Path, byte_offset: int = 0):
                          byte_offset=byte_offset) from None
 
 
-def load_corpus(path: str | Path, fmt: str = "jsonl") -> list[Document]:
-    """Read documents without invariant checking (syntax and schema only)."""
+def read_json(path: str | Path):
+    """Decode the JSON file at `path`; invalid UTF-8 and syntax errors raise
+    ParseError naming the file and the byte offset."""
+    return decode_json(_utf8(Path(path).read_bytes(), path), path)
+
+
+def load_corpus(path: str | Path) -> list[Document]:
+    """Read documents without invariant checking (syntax and schema only):
+    a directory as one document per *.json file, any other path as JSON Lines.
+    """
     path = Path(path)
-    if fmt == "jsonl":
+    if not path.is_dir():
         return list(_iter_jsonl(path))
-    if fmt == "per-file":
-        docs = []
-        for f in sorted(path.glob("*.json")):
-            obj = decode_json(f.read_text(encoding="utf-8"), f)
-            try:
-                docs.append(document_from_json(obj))
-            except ValueError as e:
-                raise ParseError(str(e), path=f, byte_offset=0) from e
-        return docs
-    raise ValueError(f"unknown corpus format {fmt!r}")
+    docs = []
+    for f in sorted(path.glob("*.json")):
+        obj = read_json(f)
+        try:
+            docs.append(document_from_json(obj))
+        except ValueError as e:
+            raise ParseError(str(e), path=f, byte_offset=0) from e
+    return docs
 
 
 def _iter_jsonl(path: Path) -> Iterator[Document]:
     offset = 0
     with open(path, "rb") as fh:
         for raw in fh:
-            line = raw.decode("utf-8")
+            line = _utf8(raw, path, offset)
             stripped = line.strip()
             if stripped:
                 lead = line[:len(line) - len(line.lstrip())]
@@ -438,23 +473,17 @@ def _iter_jsonl(path: Path) -> Iterator[Document]:
             offset += len(raw)
 
 
-def parse_corpus(path: str | Path, fmt: str = "jsonl", *, strict: bool = True,
-                 tag_vocab: frozenset[str] | None = None,
-                 relation_vocab: frozenset[str] | None = None) -> list[Document]:
-    """Read and validate a corpus in file order.
+def parse_corpus(path: str | Path, *, strict: bool = True) -> list[Document]:
+    """Read and validate a corpus in file order (as `load_corpus` reads it).
 
-    With strict=True (default) any hard-invariant breach raises
-    CorpusValidationError; warnings never raise.
+    With strict=True (default) any hard-invariant breach, `validate_corpus`'s
+    errors, raises CorpusValidationError; warnings never raise.
     """
-    docs = load_corpus(path, fmt)
+    docs = load_corpus(path)
     if strict:
-        findings = duplicate_doc_ids(docs)
-        for d in docs:
-            findings.extend(
-                validate_document(d, tag_vocab=tag_vocab,
-                                  relation_vocab=relation_vocab).errors)
-        if findings:
-            raise CorpusValidationError(findings)
+        errors = validate_corpus(docs).errors
+        if errors:
+            raise CorpusValidationError(errors, path)
     return docs
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Mention, MentionMultiClusterError, _require
+from .corpus import Mention, MentionMultiClusterError, _require, spans_from_json
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,6 @@ def decode_entity_centric(inp: DecodeInput) -> DecodeOutput:
 # JSON wire format
 
 
-def _span(x, where: str) -> Mention:
-    _require(isinstance(x, list) and len(x) == 2
-             and all(isinstance(v, int) for v in x),
-             f"{where}: spans must be [begin, end] integer pairs")
-    return Mention(x[0], x[1])
-
-
 def _entries(obj: dict, key: str, size: int, shape: str) -> list:
     """The list under `key`: `size`-long entries with a string in second place."""
     entries = obj.get(key, [])
@@ -150,16 +143,19 @@ def decode_input_from_json(obj: dict) -> DecodeInput:
              "field 'p_cl' must map cluster ids to lists of spans")
     p_men = _entries(obj, "p_men", 2, "[[begin, end], tag]")
     p_rel = _entries(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
+    clusters = {cid: tuple(spans_from_json(spans, f"p_cl[{cid!r}]", "spans"))
+                for cid, spans in p_cl.items()}
+    # Check every span first, then build each entry in one piece.
+    spans_from_json([s for s, _tag in p_men], "p_men", "spans")
+    spans_from_json([s for h, _t, tl in p_rel for s in (h, tl)], "p_rel", "spans")
     return DecodeInput(
-        {cid: tuple(_span(s, f"p_cl[{cid!r}]") for s in spans)
-         for cid, spans in p_cl.items()},
-        tuple((_span(s, "p_men"), tag) for s, tag in p_men),
-        tuple((_span(h, "p_rel"), t, _span(tl, "p_rel")) for h, t, tl in p_rel))
+        clusters, tuple((Mention._make(s), tag) for s, tag in p_men),
+        tuple((Mention._make(h), t, Mention._make(tl)) for h, t, tl in p_rel))
 
 
 def decode_output_to_json(out: DecodeOutput) -> dict:
     return {
-        "clusters": {cid: [[m.begin, m.end] for m in sorted(spans)]
+        "clusters": {cid: [list(m) for m in sorted(spans)]
                      for cid, spans in sorted(out.clusters.items())},
         "d_ent": {cid: sorted(tags) for cid, tags in sorted(out.d_ent.items())},
         "d_rel": [{"head": h, "tail": t, "types": sorted(types)}

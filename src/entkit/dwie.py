@@ -32,7 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .corpus import (Document, EntityCluster, Mention, ParseError,
-                     RelationTriple, UNANNOTATED, _require, decode_json)
+                     RelationTriple, UNANNOTATED, _require, read_json)
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _SENT_FINAL = {".", "!", "?"}
@@ -52,7 +52,7 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
 
 
 def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
-                       ) -> list[tuple[int, int]]:
+                       ) -> list[Mention]:
     """Break after sentence-final punctuation or a newline gap; always a
     contiguous cover of the token range."""
     intervals = []
@@ -60,7 +60,7 @@ def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
     for i, (tok, _b, e) in enumerate(tokens):
         if i == len(tokens) - 1 or tok in _SENT_FINAL \
                 or "\n" in text[e:tokens[i + 1][1]]:
-            intervals.append((begin, i + 1))
+            intervals.append(Mention(begin, i + 1))
             begin = i + 1
     return intervals
 
@@ -82,12 +82,13 @@ def char_span_to_token_span(tokens: list[tuple[str, int, int]],
 
 def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
     """The entries of the list under `key`; each must be an object whose
-    `kinds` fields have the given types."""
+    `kinds` fields have exactly the given types (a JSON boolean is not an
+    int)."""
     entries = obj.get(key, [])
     _require(isinstance(entries, list), "field %r must be a list", key)
     shape = ", ".join(f"{kind.__name__} {name!r}" for name, kind in kinds.items())
     for e in entries:
-        _require(isinstance(e, dict) and all(isinstance(e.get(name), kind)
+        _require(isinstance(e, dict) and all(type(e.get(name)) is kind
                                              for name, kind in kinds.items()),
                  "%s entries must be objects with %s", key, shape)
     return entries
@@ -159,9 +160,9 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
     report = ConversionReport()
     docs = []
     for path in sorted(Path(src_dir).glob("*.json")):
+        obj = read_json(path)
         try:
-            obj = decode_json(path.read_text(encoding="utf-8"), path)
             docs.append(convert_annotation(obj, report))
-        except ValueError as e:  # schema errors and undecodable bytes
+        except ValueError as e:
             raise ParseError(str(e), path=path) from e
     return docs, report

@@ -24,6 +24,7 @@ scores 1.0 when the other side is also empty (perfect on empty documents) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Iterator
 
 from .corpus import Document
@@ -86,7 +87,7 @@ def _units(doc: Document, task: str) -> Iterator[tuple[str, frozenset]]:
     """(label, instance set) for every labelled cluster unit of `doc`."""
     if task == "ner":
         for c in doc.clusters:
-            instances = frozenset((m.begin, m.end) for m in c.mentions)
+            instances = frozenset(c.mentions)
             for label in c.tags:
                 yield label, instances
         return
@@ -97,8 +98,7 @@ def _units(doc: Document, task: str) -> Iterator[tuple[str, frozenset]]:
             raise ValueError(f"{doc.id}: relation {label!r} references "
                              f"a missing cluster id")
         head, tail = by_id[head_id], by_id[tail_id]
-        yield label, frozenset(((hm.begin, hm.end), (tm.begin, tm.end))
-                               for hm in head.mentions for tm in tail.mentions)
+        yield label, frozenset(product(head.mentions, tail.mentions))
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:

@@ -57,7 +57,7 @@ class DistanceProfile:
 
 def token_gap(a: Mention, b: Mention) -> int:
     """Tokens strictly between two spans; 0 when they touch or overlap."""
-    if a.begin > b.begin or (a.begin == b.begin and a.end > b.end):
+    if a > b:
         a, b = b, a
     return max(0, b.begin - a.end)
 

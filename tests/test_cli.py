@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,9 @@ def _single_error_line(capsys, argv):
     ({"p_men": [[["a", "b"], "person"]]}, "p_men"),
     ({"p_men": [[[0, 1]]]}, "p_men"),
     ({"p_rel": [[[0, 1], "in0", [2]]]}, "p_rel"),
+    ({"p_cl": {"c": [[True, 2]]}, "p_men": [], "p_rel": []}, "p_cl"),
+    ({"p_men": [[[0, True], "person"]]}, "p_men"),
+    ({"p_rel": [[[0, 1], "in0", [False, 1]]]}, "p_rel"),
 ])
 def test_decode_rejects_malformed_predictions(tmp_path, capsys, predictions,
                                               field):
@@ -249,6 +255,9 @@ def test_decode_rejects_malformed_predictions(tmp_path, capsys, predictions,
     {"concepts": [{"tags": ["type::person"]}]},
     {"relations": [{"s": 0, "p": "citizen_of"}]},
     {"relations": [{"s": 0, "p": 7, "o": 0}]},
+    {"mentions": [{"begin": True, "end": 4, "concept": 0}]},
+    {"mentions": [{"begin": 0, "end": True, "concept": 0}]},
+    {"mentions": [{"begin": 0, "end": 4, "concept": False}]},
     None,
 ])
 def test_convert_schema_errors_name_the_file(tmp_path, capsys, broken):
@@ -351,3 +360,40 @@ def test_consuming_commands_refuse_duplicate_document_ids(tmp_path, capsys,
     line = _single_error_line(capsys, [a.format(**paths) for a in command])
     assert "corpus fails validation (1 error(s))" in line
     assert line.endswith(f"[{paths['bad']}]")
+
+
+# A JSON boolean is not an integer, although Python's bool is an int.
+BOOLEAN_SPANS = {"id": "d", "split": "train", "tokens": ["a", "b"],
+                 "sentences": [[False, 2]],
+                 "clusters": [{"id": "c", "mentions": [[True, 2]],
+                               "tags": ["type::person"]}],
+                 "relations": []}
+
+
+@pytest.mark.parametrize("broken", [
+    BOOLEAN_SPANS,
+    {**DOC, "sentences": [[False, 3]]},
+    {**DOC, "clusters": [{"id": "c", "mentions": [[0, True]], "tags": []}]},
+])
+@pytest.mark.parametrize("command", [["validate", "{bad}", "--strict"]]
+                         + CORPUS_COMMANDS)
+def test_boolean_span_bounds_are_parse_errors(tmp_path, capsys, broken,
+                                              command):
+    paths = {"ok": _write_corpus(tmp_path / "ok.jsonl", [DOC]),
+             "bad": _write_corpus(tmp_path / "bad.jsonl", [broken])}
+    line = _single_error_line(capsys, [a.format(**paths) for a in command])
+    assert "must be [begin, end] integer pairs" in line
+    assert f"[{paths['bad']} @ byte 0]" in line
+
+
+@pytest.mark.parametrize("module", ["entkit", "entkit.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    bad = _write_corpus(tmp_path / "bad.jsonl", [
+        {**DOC, "clusters": [{"id": "c", "mentions": [[2, 1]], "tags": []}]}])
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", module, "validate", bad,
+                           "--strict"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert [e["code"] for e in json.loads(proc.stdout)["errors"]] == ["SPAN_ORDER"]

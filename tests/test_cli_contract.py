@@ -7,7 +7,9 @@ and unknown labels. Every command must exit 0, 1 or 2 without letting an
 exception escape, and a command that consumes a corpus may exit 0 only when
 `validate` finds no error in it. The same exit-code contract holds when a
 corpus line, a per-file document, a release file or a `decode` input is any
-JSON value at all, or a well-formed object with some fields replaced by one.
+JSON value at all, a well-formed object with some fields replaced by one, or
+any bytes at all; bytes that are not UTF-8 are refused with the file and the
+offset of the first bad byte.
 """
 
 import contextlib
@@ -78,14 +80,14 @@ def corpora(draw):
 
 def _run(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()) as err:
         code = run(argv)
     assert code in (0, 1, 2), argv
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _has_errors(path):
-    code, out = _run(["validate", path])
+    code, out, _err = _run(["validate", path])
     assert code == 0  # without --strict findings do not change the exit code
     return bool(json.loads(out)["errors"])
 
@@ -110,7 +112,7 @@ def test_every_command_keeps_the_exit_code_contract(corpus_a, corpus_b):
         commands += [(["kappa", "--a", a, "--b", b, "--task", task], pair_invalid)
                      for task in ("entity", "relation", "coref", "linking")]
         for argv, invalid in commands:
-            code, _out = _run(argv)
+            code, _out, _err = _run(argv)
             assert not (invalid and code == 0), argv
 
 
@@ -165,14 +167,14 @@ def shaken(draw, template):
     return template
 
 
-def _commands(tmp: Path, text: str) -> dict[str, list[list[str]]]:
-    """Write `text` as a JSONL line, a per-file document, a release file and
+def _commands(tmp: Path, data: bytes) -> dict[str, list[list[str]]]:
+    """Write `data` as a JSONL line, a per-file document, a release file and
     a `decode` input; the command lines that read each, by input kind."""
     line, per_file, pred = tmp / "c.jsonl", tmp / "docs", tmp / "pred.json"
     per_file.mkdir()
-    line.write_text(text + "\n", encoding="utf-8")
-    (per_file / "x.json").write_text(text, encoding="utf-8")
-    pred.write_text(text, encoding="utf-8")
+    line.write_bytes(data + b"\n")
+    (per_file / "x.json").write_bytes(data)
+    pred.write_bytes(data)
     line = str(line)
     corpus = [["validate", line, "--strict"], ["validate", str(per_file)],
               ["stats", line], ["rules", "check", line, "--closure"],
@@ -187,7 +189,7 @@ def _commands(tmp: Path, text: str) -> dict[str, list[list[str]]]:
 
 def _run_all(text: str, kinds=("corpus", "decode", "convert")) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        commands = _commands(Path(tmp), text)
+        commands = _commands(Path(tmp), text.encode("utf-8"))
         for kind in kinds:
             for argv in commands[kind]:
                 _run(argv)
@@ -223,3 +225,45 @@ def test_convert_keeps_the_contract_on_shaken_releases(value):
 
 def test_every_command_keeps_the_contract_on_deeply_nested_json():
     _run_all("[" * 100_000 + "]" * 100_000)
+
+
+# --------------------------------------------------------------------------
+# Arbitrary bytes
+
+# Bytes that occur in no UTF-8 text, whatever surrounds them.
+NEVER_UTF8 = [0xc0, 0xc1, *range(0xf5, 0x100)]
+
+
+@ARBITRARY
+@given(st.binary(max_size=40))
+def test_every_command_keeps_the_contract_on_arbitrary_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        for argvs in _commands(Path(tmp), data).values():
+            for argv in argvs:
+                _run(argv)
+
+
+@ARBITRARY
+@given(st.binary(max_size=20).map(lambda b: b.replace(b"\n", b"")),
+       st.sampled_from(NEVER_UTF8), st.binary(max_size=20))
+def test_invalid_utf8_names_the_file_and_the_byte(head, bad, tail):
+    """Every command that reads a file it cannot decode exits 2 with one
+    `error:` line naming that file and the offset of the first bad byte."""
+    data = head + bytes([bad]) + tail
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = e.start
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        read = {str(tmp / "c.jsonl"): tmp / "c.jsonl",
+                str(tmp / "docs"): tmp / "docs" / "x.json",
+                str(tmp / "pred.json"): tmp / "pred.json"}
+        for argvs in _commands(tmp, data).values():
+            for argv in argvs:
+                code, out, err = _run(argv)
+                target = next(read[a] for a in argv if a in read)
+                assert code == 2 and out == "", argv
+                [line] = err.splitlines()
+                assert line.startswith("error: invalid UTF-8"), argv
+                assert line.endswith(f"[{target} @ byte {start}]"), argv

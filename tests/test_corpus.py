@@ -167,6 +167,14 @@ def test_span_index_enumerates_all_mentions():
     assert len(index) == sum(len(c.mentions) for c in d.clusters)
 
 
+def test_mention_is_its_begin_end_tuple():
+    d = make_doc(clusters=[("c1", [(4, 6), (0, 1)], [])])
+    assert d.clusters[0].mentions == ((0, 1), (4, 6))
+    assert hash(Mention(4, 6)) == hash((4, 6))
+    assert span_index(d)[(4, 6)] == "c1"
+    assert Mention(4, 6) < (4, 7) and ("d",) + Mention(4, 6) == ("d", 4, 6)
+
+
 def test_span_index_empty():
     assert span_index(make_doc()) == {}
 
@@ -181,7 +189,7 @@ def test_per_file_format(tmp_path):
     docs = parse_corpus(FIXTURES / "ok.jsonl")
     for d in docs:
         (tmp_path / f"{d.id}.json").write_text(json.dumps(document_to_json(d)))
-    assert load_corpus(tmp_path, fmt="per-file") == docs
+    assert load_corpus(tmp_path) == docs
 
 
 def test_schema_error_message_names_document(tmp_path):
@@ -200,7 +208,7 @@ def test_per_file_syntax_error_reports_byte_offset(tmp_path):
     raw = '{"id": "é€é€é€", "tokens": oops}'.encode("utf-8")
     (tmp_path / "d.json").write_bytes(raw)
     with pytest.raises(ParseError) as exc:
-        load_corpus(tmp_path, fmt="per-file")
+        load_corpus(tmp_path)
     assert exc.value.byte_offset == raw.index(b"oops")  # 36 bytes, 27 characters
     line = tmp_path / "d.jsonl"
     line.write_bytes(raw + b"\n")
