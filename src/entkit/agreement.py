@@ -15,16 +15,19 @@ mention pairs, and links by shared mentions. Items seen by only one annotator
 enter as disagreements against an explicit absent marker, except in the
 "conditioned" mode which restricts classification to jointly detected items.
 Each adapter counts its contingency table directly; no item list is built.
+Mentions and relation mention pairs are counted in blocks read from the
+per-document overlap table of the two annotators' clusters
+(`corpus.cluster_overlaps`), which needs each mention in exactly one
+non-empty cluster of its document.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Document, Mention, pair_documents, span_index
+from .corpus import Document, cluster_overlaps, pair_documents, span_index
 
 ABSENT = "<absent>"
 
@@ -112,8 +115,47 @@ def multilabel_kappa(pairs: Mapping[str, AnnotationPair]) -> float:
 # Corpus-level alignment
 
 
-def _mention_tags(d: Document) -> dict[Mention, frozenset[str]]:
-    return {m: c.tags for c in d.clusters for m in c.mentions}
+Labels = frozenset | None    # None: the annotator did not mark the item
+
+
+def _entity_blocks(da: Document, db: Document) -> Iterator[tuple[Labels, Labels, int]]:
+    """The mentions of one document pair in blocks of equal decisions: one
+    block per (cluster of a, cluster of b) overlap cell, holding its spans."""
+    for (i, j), n in cluster_overlaps(da, db).items():
+        yield (None if i is None else da.clusters[i].tags,
+               None if j is None else db.clusters[j].tags, n)
+
+
+def _pair_types(d: Document) -> dict[tuple[int, int], frozenset[str]]:
+    """(head, tail) cluster positions -> the types of the relations between
+    them; relations with an unknown cluster id are skipped."""
+    position = {c.id: i for i, c in enumerate(d.clusters)}
+    out: dict[tuple[int, int], set[str]] = {}
+    for r in d.relations:
+        if r.head in position and r.tail in position:
+            out.setdefault((position[r.head], position[r.tail]), set()).add(r.type)
+    return {k: frozenset(v) for k, v in out.items()}
+
+
+def _relation_blocks(da: Document, db: Document) -> Iterator[tuple[Labels, Labels, int]]:
+    """The (head mention, tail mention) pairs either annotator relates, in
+    blocks of equal decisions: a head overlap cell times a tail overlap cell,
+    holding the product of the two cells' spans."""
+    types_a, types_b = _pair_types(da), _pair_types(db)
+    cells_a: defaultdict[int, list] = defaultdict(list)
+    cells_b: defaultdict[int, list] = defaultdict(list)
+    for (i, j), n in cluster_overlaps(da, db).items():
+        cells_a[i].append((j, n))
+        cells_b[j].append((i, n))
+    for (head, tail), la in types_a.items():
+        for head_b, n_head in cells_a[head]:
+            for tail_b, n_tail in cells_a[tail]:
+                yield la, types_b.get((head_b, tail_b)), n_head * n_tail
+    for (head, tail), lb in types_b.items():
+        for head_a, n_head in cells_b[head]:
+            for tail_a, n_tail in cells_b[tail]:
+                if (head_a, tail_a) not in types_a:
+                    yield None, lb, n_head * n_tail
 
 
 def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
@@ -125,19 +167,8 @@ def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     no tags; conditioned=True restricts classification to spans both
     annotators detected.
     """
-    return _labelled_agreement(docs_a, docs_b, _mention_tags, "mention",
+    return _labelled_agreement(docs_a, docs_b, _entity_blocks, "mention",
                                conditioned)
-
-
-def _mention_pair_types(d: Document) -> dict[tuple[Mention, Mention], frozenset[str]]:
-    by_id = d.cluster_by_id()
-    out: dict[tuple[Mention, Mention], set[str]] = {}
-    for r in d.relations:
-        if r.head not in by_id or r.tail not in by_id:
-            continue
-        for key in product(by_id[r.head].mentions, by_id[r.tail].mentions):
-            out.setdefault(key, set()).add(r.type)
-    return {k: frozenset(v) for k, v in out.items()}
 
 
 def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
@@ -147,36 +178,37 @@ def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     Entity-level relations are expanded to all cross mention pairs so the two
     annotators' (possibly different) clusterings line up on shared spans.
     """
-    return _labelled_agreement(docs_a, docs_b, _mention_pair_types,
+    return _labelled_agreement(docs_a, docs_b, _relation_blocks,
                                "relation", conditioned)
 
 
 def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
-                        labels_of: Callable[[Document], Mapping],
+                        blocks_of: Callable[[Document, Document],
+                                            Iterable[tuple[Labels, Labels, int]]],
                         marker: str, conditioned: bool) -> dict:
-    """Detection kappa over the keys either annotator gave labels to, and
+    """Detection kappa over the items either annotator gave labels to, and
     per-label binary kappas over the classification items.
 
-    Each label's table counts the items where both, only annotator a or only
-    annotator b assigned it; every other classification item is a joint
-    negative.
+    `blocks_of` yields the items of one document pair as (labels of a,
+    labels of b, item count) blocks. Each mention must lie in exactly one
+    non-empty cluster of its document. Each label's table counts the items
+    where both, only annotator a or only annotator b assigned it; every other
+    classification item is a joint negative.
     """
     detect: Counter = Counter()
     tables: defaultdict[str, Counter] = defaultdict(Counter)
     n_class_items = 0
     for da, db in pair_documents(docs_a, docs_b):
-        labels_a, labels_b = labels_of(da), labels_of(db)
-        for key in labels_a.keys() | labels_b.keys():
-            in_a, in_b = key in labels_a, key in labels_b
-            detect[(marker if in_a else ABSENT,
-                    marker if in_b else ABSENT)] += 1
-            if conditioned and not (in_a and in_b):
-                continue
-            n_class_items += 1
-            la = labels_a.get(key, frozenset())
-            lb = labels_b.get(key, frozenset())
+        for la, lb, n in blocks_of(da, db):
+            detect[(ABSENT if la is None else marker,
+                    ABSENT if lb is None else marker)] += n
+            if la is None or lb is None:
+                if conditioned:
+                    continue
+                la, lb = la or frozenset(), lb or frozenset()
+            n_class_items += n
             for label in la | lb:
-                tables[label][(label in la, label in lb)] += 1
+                tables[label][(label in la, label in lb)] += n
     if not detect:
         raise ValueError(f"neither annotator produced any {marker}")
     label_pairs = {}

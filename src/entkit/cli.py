@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, selftest, stats
-from .corpus import (CorpusError, load_corpus, pair_documents, parse_corpus,
-                     read_json, serialize_corpus, validate_corpus)
+from .corpus import (CorpusError, ParseError, load_corpus, pair_documents,
+                     parse_corpus, read_json, serialize_corpus, validate_corpus)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks it up
 # on this module by name.
 from .corpus import validate_document  # noqa: F401
@@ -116,7 +116,12 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    result = decode_entity_centric(decode_input_from_json(read_json(args.pred)))
+    obj = read_json(args.pred)
+    try:
+        inp = decode_input_from_json(obj)
+    except ValueError as e:
+        raise ParseError(str(e), path=args.pred) from e
+    result = decode_entity_centric(inp)
     _emit(decode_output_to_json(result), args.out)
     return 0
 

@@ -318,6 +318,41 @@ def span_index(d: Document) -> dict[Mention, str]:
     return index
 
 
+def _cluster_positions(d: Document) -> dict[Mention, int]:
+    """Map every mention span of ``d`` to the position of its cluster in
+    ``d.clusters``. Raises MentionMultiClusterError if two clusters (even two
+    with one id) claim a span, ValueError if a cluster has no mentions."""
+    owner: dict[Mention, int] = {}
+    for i, c in enumerate(d.clusters):
+        if not c.mentions:
+            raise ValueError(f"{d.id}: cluster {c.id!r} has no mentions")
+        for m in c.mentions:
+            j = owner.setdefault(m, i)
+            if j != i:
+                raise MentionMultiClusterError(
+                    f"{d.id}: span [{m.begin},{m.end}) in clusters "
+                    f"{d.clusters[j].id!r} and {c.id!r}")
+    return owner
+
+
+def cluster_overlaps(a: Document, b: Document) -> Counter:
+    """(cluster position in ``a``, cluster position in ``b``) -> the number
+    of mention spans the two clusters share, over every span either document
+    marks; a span only one document marks has None for the other position.
+
+    Each mention must lie in exactly one non-empty cluster of its document
+    (see `_cluster_positions`): then every count over mentions, or over
+    mention pairs of two clusters, is a sum of products of these cells.
+    """
+    owner_a, owner_b = _cluster_positions(a), _cluster_positions(b)
+    cells: Counter = Counter()
+    for m, i in owner_a.items():
+        cells[i, owner_b.pop(m, None)] += 1
+    for j in owner_b.values():
+        cells[None, j] += 1
+    return cells
+
+
 # --------------------------------------------------------------------------
 # Parsing / serialization
 

@@ -4,7 +4,10 @@ All three levels share one labeled view of a (gold, predicted) document pair.
 For NER the unit of labeling is the entity cluster and its instances are the
 member mention spans. For relation extraction the unit is a directed, typed
 cluster pair and its instances are all cross-product mention pairs of the two
-clusters.
+clusters. Each unit is counted, never expanded: under the rule that every
+mention lies in exactly one non-empty cluster, the instances two units share
+are the product of their clusters' shared mentions, read from one gold x pred
+overlap table per document (`corpus.cluster_overlaps`).
 
 Levels:
   mention  - micro P/R/F1 over labeled instances, so frequently mentioned
@@ -23,11 +26,12 @@ scores 1.0 when the other side is also empty (perfect on empty documents) and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Iterator
+from operator import truediv
+from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import Document
+from .corpus import Document, cluster_overlaps
 
 TASKS = ("ner", "re")
 LEVELS = ("mention", "hard", "soft")
@@ -57,62 +61,120 @@ class PRFReport:
                 "f1": self.f1}
 
 
-@dataclass
-class LabelView:
-    """Per-label cluster units and instance sets for one document pair.
+class LabelCounts(NamedTuple):
+    """One label's counts for one document pair. Instances are mention spans
+    (NER) or head x tail mention pairs (RE); units are the labelled clusters
+    (NER) or the labelled cluster pairs (RE)."""
 
-    Instances are mention spans for NER and ordered mention-pair tuples for
-    relation extraction; each cluster unit is the frozen set of its instances.
-    """
+    shared: int          # instances in both the predicted and the gold union
+    pred_instances: int
+    gold_instances: int
+    matched: int         # predicted units whose instance set is a gold unit's
+    pred_units: int
+    gold_units: int
+    soft_pred: float     # sum over predicted units of shared / size, in order
+    soft_gold: float
 
-    pred_clusters: list[frozenset] = field(default_factory=list)
-    gold_clusters: list[frozenset] = field(default_factory=list)
 
-    @property
-    def pred_instances(self) -> frozenset:
-        return frozenset().union(*self.pred_clusters)
-
-    @property
-    def gold_instances(self) -> frozenset:
-        return frozenset().union(*self.gold_clusters)
+_NO_COUNTS = LabelCounts(0, 0, 0, 0, 0, 0, 0, 0)
 
 
 @dataclass
 class EvalView:
     task: str
-    labels: dict[str, LabelView] = field(default_factory=dict)
+    labels: dict[str, LabelCounts] = field(default_factory=dict)
 
 
-def _units(doc: Document, task: str) -> Iterator[tuple[str, frozenset]]:
-    """(label, instance set) for every labelled cluster unit of `doc`."""
+def _units(doc: Document, task: str) -> list[tuple[str, tuple[int, ...]]]:
+    """(label, cluster positions) for every labelled unit of `doc`: each
+    cluster once per tag for NER, each distinct relation triple in sorted
+    order for RE."""
     if task == "ner":
-        for c in doc.clusters:
-            instances = frozenset(c.mentions)
-            for label in c.tags:
-                yield label, instances
-        return
-    by_id = doc.cluster_by_id()
+        return [(label, (i,)) for i, c in enumerate(doc.clusters)
+                for label in c.tags]
+    position = {c.id: i for i, c in enumerate(doc.clusters)}
+    units = []
     for head_id, label, tail_id in sorted(
             {(r.head, r.type, r.tail) for r in doc.relations}):
-        if head_id not in by_id or tail_id not in by_id:
+        if head_id not in position or tail_id not in position:
             raise ValueError(f"{doc.id}: relation {label!r} references "
                              f"a missing cluster id")
-        head, tail = by_id[head_id], by_id[tail_id]
-        yield label, frozenset(product(head.mentions, tail.mentions))
+        units.append((label, (position[head_id], position[tail_id])))
+    return units
+
+
+def _unit_counts(units, sizes: list[int], other_units: set, other_sizes: list[int],
+                 overlaps: list[dict[int, int]]) -> Iterator[tuple]:
+    """(label, (hits, size, matched)) for each unit of one side, in order.
+
+    A unit's instances are the product of its clusters' mentions, and its
+    overlap with an other-side unit is the product of the cluster overlaps,
+    so only the other-side clusters that share a mention are visited. Units
+    of one label are disjoint, so the hits are the unit's instances found in
+    the other side's instance union for that label, and a unit matches
+    exactly when its overlap with an other-side unit is both units' size.
+    """
+    shapes: dict[tuple, tuple] = {}     # clusters -> (size, overlapping units)
+    for label, clusters in units:
+        if clusters not in shapes:
+            size, combos = 1, [((), 1, 1)]
+            for c in clusters:
+                size *= sizes[c]
+                combos = [(other + (k,), n * shared, other_size * other_sizes[k])
+                          for other, n, other_size in combos
+                          for k, shared in overlaps[c].items()]
+            shapes[clusters] = size, combos
+        size, combos = shapes[clusters]
+        hits = 0
+        matched = False
+        for other, n, other_size in combos:
+            if (label, other) in other_units:
+                hits += n
+                matched = matched or n == size == other_size
+        yield label, (hits, size, matched)
+
+
+def _totals(units: list[tuple]) -> tuple:
+    """(hits, sizes, matches, soft credit) summed over one side's units of
+    one label; the soft credit sums hits / size in unit order."""
+    if not units:
+        return 0, 0, 0, 0
+    hits, sizes, matched = zip(*units)
+    return sum(hits), sum(sizes), sum(matched), sum(map(truediv, hits, sizes))
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
-    """Index a document pair per label; gold and pred must share the token space."""
+    """Count each label of a document pair from the gold x pred table of
+    shared mentions; gold and pred must share the token space, and each
+    mention must lie in exactly one non-empty cluster of its document."""
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     if gold.tokens != pred.tokens:
         raise ValueError(f"token-space mismatch between gold {gold.id!r} "
                          f"and pred {pred.id!r}")
+    gold_overlaps: list[dict[int, int]] = [{} for _ in gold.clusters]
+    pred_overlaps: list[dict[int, int]] = [{} for _ in pred.clusters]
+    for (i, j), n in cluster_overlaps(gold, pred).items():
+        if i is not None and j is not None:
+            gold_overlaps[i][j] = pred_overlaps[j][i] = n
+    gold_sizes = [len(c.mentions) for c in gold.clusters]
+    pred_sizes = [len(c.mentions) for c in pred.clusters]
+    gold_units, pred_units = _units(gold, task), _units(pred, task)
+    by_label: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for side, counts in enumerate((
+            _unit_counts(gold_units, gold_sizes, set(pred_units), pred_sizes,
+                         gold_overlaps),
+            _unit_counts(pred_units, pred_sizes, set(gold_units), gold_sizes,
+                         pred_overlaps))):
+        for label, unit in counts:
+            by_label[label][side].append(unit)
     view = EvalView(task)
-    for side, doc in (("gold_clusters", gold), ("pred_clusters", pred)):
-        for label, instances in _units(doc, task):
-            lv = view.labels.setdefault(label, LabelView())
-            getattr(lv, side).append(instances)
+    for label, (g, p) in by_label.items():
+        shared, pred_instances, matched, soft_pred = _totals(p)
+        _, gold_instances, _, soft_gold = _totals(g)
+        view.labels[label] = LabelCounts(shared, pred_instances, gold_instances,
+                                         matched, len(p), len(g),
+                                         soft_pred, soft_gold)
     return view
 
 
@@ -131,14 +193,10 @@ class SoftCounts:
     fn: float
 
 
-def _soft_counts(lv: LabelView) -> SoftCounts:
-    gold_instances = lv.gold_instances
-    pred_instances = lv.pred_instances
-    tp_p = sum(len(c & gold_instances) / len(c) for c in lv.pred_clusters)
-    tp_g = sum(len(c & pred_instances) / len(c) for c in lv.gold_clusters)
-    return SoftCounts(tp_p, tp_g,
-                      len(lv.pred_clusters) - tp_p,
-                      len(lv.gold_clusters) - tp_g)
+def _soft_counts(lc: LabelCounts) -> SoftCounts:
+    return SoftCounts(lc.soft_pred, lc.soft_gold,
+                      lc.pred_units - lc.soft_pred,
+                      lc.gold_units - lc.soft_gold)
 
 
 def soft_entity_counts(view: EvalView, label: str) -> SoftCounts:
@@ -149,25 +207,21 @@ def soft_entity_counts(view: EvalView, label: str) -> SoftCounts:
     the mirror image over gold clusters. fp and fn are the cluster counts
     minus the respective weighted true positives.
     """
-    return _soft_counts(view.labels.get(label, LabelView()))
+    return _soft_counts(view.labels.get(label, _NO_COUNTS))
 
 
-def _label_counts(lv: LabelView, level: str) -> tuple:
+def _label_counts(lc: LabelCounts, level: str) -> tuple:
     """(pred-side hits, #pred units, gold-side hits, #gold units) for one label.
 
-    mention: instances in both sides over the instance sets; hard: predicted
-    clusters whose instance set equals a gold cluster's, over the cluster
+    mention: instances in both sides over the instance unions; hard:
+    predicted units whose instance set equals a gold unit's, over the unit
     counts; soft: the size-weighted true positives of `soft_entity_counts`.
     """
     if level == "mention":
-        p, g = lv.pred_instances, lv.gold_instances
-        tp = len(p & g)
-        return tp, len(p), tp, len(g)
+        return lc.shared, lc.pred_instances, lc.shared, lc.gold_instances
     if level == "hard":
-        gold_sets = set(lv.gold_clusters)
-        tp = sum(1 for c in lv.pred_clusters if c in gold_sets)
-        return tp, len(lv.pred_clusters), tp, len(lv.gold_clusters)
-    c = _soft_counts(lv)
+        return lc.matched, lc.pred_units, lc.matched, lc.gold_units
+    c = _soft_counts(lc)
     # tp_p + fp rather than the cluster count, which it equals up to rounding
     return c.tp_p, c.tp_p + c.fp, c.tp_g, c.tp_g + c.fn
 

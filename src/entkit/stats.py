@@ -17,10 +17,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import gt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Document, Mention, _resource_text
+from .corpus import Document, EntityCluster, Mention, _resource_text
 
 
 # --------------------------------------------------------------------------
@@ -62,16 +64,60 @@ def token_gap(a: Mention, b: Mention) -> int:
     return max(0, b.begin - a.end)
 
 
-def _sentence_of(sentence_begins: list[int], token: int) -> int:
-    return bisect_right(sentence_begins, token) - 1
+class _SortedSpans(NamedTuple):
+    """Spans sorted by (begin, end), each with begin <= end, as columns."""
+
+    begins: list[int]
+    ends: list[int]
+    max_ends: list[int]     # max_ends[k] = max(ends[:k + 1])
+    min_end: int
+
+
+def _cluster_columns(c: EntityCluster, sentence_begins: list[int], doc_id: str
+                     ) -> tuple[_SortedSpans | None, _SortedSpans]:
+    """The cluster's mention spans (None if one is reversed) and the
+    sentence index of each mention's begin, as (s, s) spans."""
+    if not c.mentions:
+        raise ValueError(f"{doc_id}: cluster {c.id!r} has no mentions")
+    begins, ends = map(list, zip(*c.mentions))
+    sentences = [bisect_right(sentence_begins, b) - 1 for b in begins]
+    points = _SortedSpans(sentences, sentences, sentences, sentences[0])
+    if any(map(gt, begins, ends)):
+        return None, points
+    return _SortedSpans(begins, ends, list(accumulate(ends, max)), min(ends)), points
+
+
+def _gap_range(a: _SortedSpans, b: _SortedSpans) -> tuple[int, int]:
+    """Smallest and largest `token_gap` between a span of `a` and one of `b`.
+
+    With begin <= end the gap is max(0, y.begin - x.end, x.begin - y.end),
+    so the largest comes from the last begins and the smallest ends. For the
+    smallest, each span of the shorter side meets two partners on the other:
+    among the spans that begin no later, the one ending last, and the first
+    span that begins later.
+    """
+    largest = max(0, b.begins[-1] - a.min_end, a.begins[-1] - b.min_end)
+    if len(a.begins) > len(b.begins):
+        a, b = b, a
+    begins, max_ends = b.begins, b.max_ends
+    smallest = largest
+    for begin, end in zip(a.begins, a.ends):
+        k = bisect_right(begins, begin)
+        if k and begin - max_ends[k - 1] < smallest:
+            smallest = max(0, begin - max_ends[k - 1])
+        if k < len(begins) and begins[k] - end < smallest:
+            smallest = max(0, begins[k] - end)
+    return smallest, largest
 
 
 def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
-    """One record per distinct relation triple, min/max over cross mention pairs."""
+    """One record per distinct relation triple, min/max over cross mention
+    pairs, read from sorted per-cluster columns without visiting each pair."""
     profile = DistanceProfile()
     for d in docs:
         begins = [b for b, _ in d.sentences]
         by_id = d.cluster_by_id()
+        columns: dict[str, tuple] = {}
         for head_id, rel_type, tail_id in sorted(
                 {(r.head, r.type, r.tail) for r in d.relations}):
             head, tail = by_id[head_id], by_id[tail_id]
@@ -79,14 +125,19 @@ def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
                 raise ValueError(
                     f"{d.id}: relation {rel_type!r} connects clusters "
                     f"{head_id!r} and {tail_id!r} that share a mention span")
-            gaps, dists = [], []
-            for hm in head.mentions:
-                for tm in tail.mentions:
-                    gaps.append(token_gap(hm, tm))
-                    dists.append(abs(_sentence_of(begins, hm.begin)
-                                     - _sentence_of(begins, tm.begin)))
+            for c in (head, tail):
+                if c.id not in columns:
+                    columns[c.id] = _cluster_columns(c, begins, d.id)
+            head_spans, head_points = columns[head_id]
+            tail_spans, tail_points = columns[tail_id]
+            if head_spans is not None and tail_spans is not None:
+                min_gap, max_gap = _gap_range(head_spans, tail_spans)
+            else:
+                gaps = [token_gap(hm, tm) for hm in head.mentions
+                        for tm in tail.mentions]
+                min_gap, max_gap = min(gaps), max(gaps)
             profile.records.append(DistanceRecord(
-                min(gaps), max(gaps), min(dists), max(dists)))
+                min_gap, max_gap, *_gap_range(head_points, tail_points)))
     return profile
 
 

@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from entkit.corpus import Mention
+from entkit.corpus import Document, Mention
 from entkit.dwie import _SENT_FINAL
-from entkit.metrics import PRFReport
+from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
+from entkit.stats import DistanceRecord, token_gap
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +116,116 @@ def re_units(doc):
                           for tm in by_id[tail].mentions)
         units.append((pairs, {rel_type}))
     return units
+
+
+# --------------------------------------------------------------------------
+# Labeled-cluster metrics over materialised instance sets: the per-unit
+# frozensets (every mention, every head x tail mention pair) that
+# `entkit.metrics` counts instead of building
+
+
+@dataclass
+class LabelView:
+    """Per-label cluster units and instance sets for one document pair.
+
+    Instances are mention spans for NER and ordered mention-pair tuples for
+    relation extraction; each cluster unit is the frozen set of its instances.
+    """
+
+    pred_clusters: list[frozenset] = field(default_factory=list)
+    gold_clusters: list[frozenset] = field(default_factory=list)
+
+    @property
+    def pred_instances(self) -> frozenset:
+        return frozenset().union(*self.pred_clusters)
+
+    @property
+    def gold_instances(self) -> frozenset:
+        return frozenset().union(*self.gold_clusters)
+
+
+@dataclass
+class EvalView:
+    task: str
+    labels: dict[str, LabelView] = field(default_factory=dict)
+
+
+def _units(doc: Document, task: str) -> Iterator[tuple[str, frozenset]]:
+    """(label, instance set) for every labelled cluster unit of `doc`."""
+    if task == "ner":
+        for c in doc.clusters:
+            instances = frozenset(c.mentions)
+            for label in c.tags:
+                yield label, instances
+        return
+    by_id = doc.cluster_by_id()
+    for head_id, label, tail_id in sorted(
+            {(r.head, r.type, r.tail) for r in doc.relations}):
+        if head_id not in by_id or tail_id not in by_id:
+            raise ValueError(f"{doc.id}: relation {label!r} references "
+                             f"a missing cluster id")
+        head, tail = by_id[head_id], by_id[tail_id]
+        yield label, frozenset(itertools.product(head.mentions, tail.mentions))
+
+
+def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
+    """Index a document pair per label; gold and pred must share the token space."""
+    if gold.tokens != pred.tokens:
+        raise ValueError(f"token-space mismatch between gold {gold.id!r} "
+                         f"and pred {pred.id!r}")
+    view = EvalView(task)
+    for side, doc in (("gold_clusters", gold), ("pred_clusters", pred)):
+        for label, instances in _units(doc, task):
+            lv = view.labels.setdefault(label, LabelView())
+            getattr(lv, side).append(instances)
+    return view
+
+
+def _soft_counts(lv: LabelView) -> SoftCounts:
+    gold_instances = lv.gold_instances
+    pred_instances = lv.pred_instances
+    tp_p = sum(len(c & gold_instances) / len(c) for c in lv.pred_clusters)
+    tp_g = sum(len(c & pred_instances) / len(c) for c in lv.gold_clusters)
+    return SoftCounts(tp_p, tp_g,
+                      len(lv.pred_clusters) - tp_p,
+                      len(lv.gold_clusters) - tp_g)
+
+
+def _label_counts(lv: LabelView, level: str) -> tuple:
+    """(pred-side hits, #pred units, gold-side hits, #gold units) for one label."""
+    if level == "mention":
+        p, g = lv.pred_instances, lv.gold_instances
+        tp = len(p & g)
+        return tp, len(p), tp, len(g)
+    if level == "hard":
+        gold_sets = set(lv.gold_clusters)
+        tp = sum(1 for c in lv.pred_clusters if c in gold_sets)
+        return tp, len(lv.pred_clusters), tp, len(lv.gold_clusters)
+    c = _soft_counts(lv)
+    # tp_p + fp rather than the cluster count, which it equals up to rounding
+    return c.tp_p, c.tp_p + c.fp, c.tp_g, c.tp_g + c.fn
+
+
+def _label_rows(views: list[EvalView], level: str) -> list[tuple[str, tuple]]:
+    return [(label, _label_counts(lv, level))
+            for v in views for label, lv in v.labels.items()]
+
+
+def item_list_score(views: list[EvalView], level: str) -> PRFReport:
+    """`entkit.metrics.score_level` over item-list views."""
+    task = views[0].task if views else None
+    return _reduce((counts for _label, counts in _label_rows(views, level)),
+                   level, task)
+
+
+def item_list_per_label(views: list[EvalView], level: str) -> dict[str, PRFReport]:
+    """`entkit.metrics.per_label_prf` over item-list views."""
+    task = views[0].task if views else None
+    by_label: dict[str, list[tuple]] = {}
+    for label, counts in _label_rows(views, level):
+        by_label.setdefault(label, []).append(counts)
+    return {label: _reduce(by_label[label], level, task)
+            for label in sorted(by_label)}
 
 
 # --------------------------------------------------------------------------
@@ -402,6 +515,38 @@ def naive_coverage_table(records):
              sum(1 for r in records if r.min_sentence_dist <= d) / n,
              sum(1 for r in records if r.max_sentence_dist <= d) / n)
             for d in range(top + 1)]
+
+
+# --------------------------------------------------------------------------
+# Relation distances over every cross mention pair, bisecting per pair
+
+
+def _sentence_of(sentence_begins: list[int], token: int) -> int:
+    return bisect_right(sentence_begins, token) - 1
+
+
+def pairwise_distance_records(docs: Iterable[Document]) -> list[DistanceRecord]:
+    """One record per distinct relation triple, min/max over cross mention pairs."""
+    records = []
+    for d in docs:
+        begins = [b for b, _ in d.sentences]
+        by_id = d.cluster_by_id()
+        for head_id, rel_type, tail_id in sorted(
+                {(r.head, r.type, r.tail) for r in d.relations}):
+            head, tail = by_id[head_id], by_id[tail_id]
+            if set(head.mentions) & set(tail.mentions):
+                raise ValueError(
+                    f"{d.id}: relation {rel_type!r} connects clusters "
+                    f"{head_id!r} and {tail_id!r} that share a mention span")
+            gaps, dists = [], []
+            for hm in head.mentions:
+                for tm in tail.mentions:
+                    gaps.append(token_gap(hm, tm))
+                    dists.append(abs(_sentence_of(begins, hm.begin)
+                                     - _sentence_of(begins, tm.begin)))
+            records.append(DistanceRecord(
+                min(gaps), max(gaps), min(dists), max(dists)))
+    return records
 
 
 # --------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def test_criterion_metric_oracle():
                 assert abs(got[level].f1 - f) < TOL
             for label, lv in view.labels.items():
                 counts = soft_entity_counts(view, label)
-                assert counts.tp_p + counts.fp == len(lv.pred_clusters)
-                assert counts.tp_g + counts.fn == len(lv.gold_clusters)
+                assert counts.tp_p + counts.fp == lv.pred_units
+                assert counts.tp_g + counts.fn == lv.gold_units
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
 

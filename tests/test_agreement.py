@@ -7,6 +7,7 @@ from entkit.agreement import (AnnotationPair, cohen_kappa,
                               expected_agreement, linking_agreement,
                               multilabel_kappa, observed_agreement,
                               relation_agreement)
+from entkit.corpus import MentionMultiClusterError
 from conftest import make_doc
 
 
@@ -219,3 +220,25 @@ def test_agreement_refuses_repeated_document_ids(agreement):
     doc = make_doc("d1", clusters=[("c", [(0, 1)], ["person"], "KB")])
     with pytest.raises(ValueError, match="repeats a document id"):
         agreement([doc, doc], [doc])
+
+
+@pytest.mark.parametrize("agreement", [entity_agreement, relation_agreement])
+def test_span_in_two_clusters_is_refused(agreement):
+    bad = [make_doc("d1", clusters=[("c1", [(0, 1), (2, 3)], ["person"]),
+                                    ("c2", [(2, 3)], ["gpe0"])],
+                    relations=[("c1", "in0", "c2")])]
+    ok, _ = _annotator_docs()
+    for a, b in ((bad, ok), (ok, bad)):
+        with pytest.raises(MentionMultiClusterError, match="d1: span"):
+            agreement(a, b)
+
+
+@pytest.mark.parametrize("agreement", [entity_agreement, relation_agreement])
+def test_empty_cluster_is_refused(agreement):
+    bad = [make_doc("d1", clusters=[("c1", [(0, 1)], ["person"]),
+                                    ("c2", [], ["gpe0"])],
+                    relations=[("c1", "in0", "c2")])]
+    ok, _ = _annotator_docs()
+    for a, b in ((bad, ok), (ok, bad)):
+        with pytest.raises(ValueError, match="d1: cluster 'c2' has no mentions"):
+            agreement(a, b)

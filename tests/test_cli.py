@@ -246,7 +246,9 @@ def test_decode_rejects_malformed_predictions(tmp_path, capsys, predictions,
                                               field):
     path = tmp_path / "pred.json"
     path.write_text(json.dumps(predictions))
-    assert field in _single_error_line(capsys, ["decode", "--pred", str(path)])
+    line = _single_error_line(capsys, ["decode", "--pred", str(path)])
+    assert field in line
+    assert line.endswith(f"[{path}]")
 
 
 @pytest.mark.parametrize("broken", [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from entkit.corpus import MentionMultiClusterError
 from entkit.metrics import (build_eval_view, hard_entity_prf,
                             mention_prf, per_label_prf, soft_entity_counts,
                             soft_entity_prf)
@@ -23,8 +24,8 @@ def test_re_view_uses_mention_cross_products():
     gold = make_doc(clusters=[("A", [(0, 1), (2, 3)], []), ("B", [(5, 6)], [])],
                     relations=[("A", "l", "B")])
     view = build_eval_view(gold, make_doc(), "re")
-    assert len(view.labels["l"].gold_clusters) == 1
-    assert len(view.labels["l"].gold_clusters[0]) == 2  # 2 mentions x 1 mention
+    assert view.labels["l"].gold_units == 1
+    assert view.labels["l"].gold_instances == 2  # 2 mentions x 1 mention
 
 
 def test_no_relations_means_empty_re_view():
@@ -36,8 +37,35 @@ def test_multilabel_cluster_expands_to_every_tag():
     gold = make_doc(clusters=[("A", [(0, 1), (2, 3), (4, 5)],
                                ["person", "politician"])])
     view = view_ner(gold, make_doc())
-    assert len(view.labels["person"].gold_instances) == 3
-    assert len(view.labels["politician"].gold_instances) == 3
+    assert view.labels["person"].gold_instances == 3
+    assert view.labels["politician"].gold_instances == 3
+
+
+# Documents the counts cannot score: a span in two clusters (also two
+# clusters with one id) and a cluster without mentions.
+SHARED_SPAN = [("A", [(0, 1), (2, 3)], ["person"]), ("B", [(2, 3)], ["person"])]
+SHARED_SPAN_ONE_ID = [("A", [(0, 1)], ["person"]), ("A", [(0, 1), (4, 5)], []),
+                      ("B", [(6, 7)], ["person"])]
+EMPTY_CLUSTER = [("A", [(0, 1)], ["person"]), ("B", [], ["person"])]
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+@pytest.mark.parametrize("clusters", [SHARED_SPAN, SHARED_SPAN_ONE_ID])
+def test_span_in_two_clusters_is_refused(task, clusters):
+    bad = make_doc("bad", clusters=clusters, relations=[("A", "l", "B")])
+    ok = make_doc("bad", clusters=[("A", [(0, 1)], ["person"])])
+    for gold, pred in ((bad, ok), (ok, bad)):
+        with pytest.raises(MentionMultiClusterError, match="bad: span"):
+            build_eval_view(gold, pred, task)
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_empty_cluster_is_refused(task):
+    bad = make_doc("bad", clusters=EMPTY_CLUSTER, relations=[("A", "l", "B")])
+    ok = make_doc("bad", clusters=[("A", [(0, 1)], ["person"])])
+    for gold, pred in ((bad, ok), (ok, bad)):
+        with pytest.raises(ValueError, match="bad: cluster 'B' has no mentions"):
+            build_eval_view(gold, pred, task)
 
 
 def test_token_space_mismatch_rejected():
@@ -188,10 +216,10 @@ def test_table_identities_hold_exactly(task):
         view = build_eval_view(gold, pred, task)
         for label, lv in view.labels.items():
             counts = soft_entity_counts(view, label)
-            assert counts.tp_p + counts.fp == len(lv.pred_clusters)
-            assert counts.tp_g + counts.fn == len(lv.gold_clusters)
-            assert 0.0 <= counts.tp_p <= len(lv.pred_clusters)
-            assert 0.0 <= counts.tp_g <= len(lv.gold_clusters)
+            assert counts.tp_p + counts.fp == lv.pred_units
+            assert counts.tp_g + counts.fn == lv.gold_units
+            assert 0.0 <= counts.tp_p <= lv.pred_units
+            assert 0.0 <= counts.tp_g <= lv.gold_units
 
 
 @pytest.mark.parametrize("task", ["ner", "re"])

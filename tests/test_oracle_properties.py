@@ -1,11 +1,13 @@
 """Count-based scorers against the brute-force oracles.
 
 The library computes kappa from contingency counts, coverage from sorted
-columns, the coreference scores from one cluster-overlap table and the
-per-label metrics from per-label count rows; the oracles in `oracles.py`
-write every item out, count every threshold, map every mention and fill the
-dense similarity matrix. Kappa, coverage and the coreference scores must give
-the same floats exactly, not approximately. Release alignment bisects and
+columns, the coreference scores from one cluster-overlap table, the metric
+levels from per-label count rows and relation distances from sorted cluster
+columns; the oracles in `oracles.py` write every item out, count every
+threshold, map every mention, fill the dense similarity matrix, build every
+instance set and visit every mention pair. Kappa, coverage, the coreference
+scores, the metric levels and the distance records must give the same values
+exactly, not approximately. Release alignment bisects and
 rule grounding reads a fact index, where the oracles scan every token and
 every fact; both must give the same answers.
 """
@@ -22,7 +24,7 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               relation_agreement)
 from entkit import coref, dwie, rules
 from entkit.corpus import UNANNOTATED
-from entkit.metrics import LEVELS, build_eval_view, per_label_prf
+from entkit.metrics import LEVELS, build_eval_view, per_label_prf, score_level
 from entkit.stats import (DistanceProfile, DistanceRecord,
                           relation_distance_profile)
 import oracles
@@ -182,6 +184,74 @@ def test_per_label_equals_brute_force_on_one_label(pair, task):
             got = (report.precision, report.recall, report.f1)
             assert all(abs(a - b) < TOL for a, b in zip(got, expected)), \
                 (level, label)
+
+
+# Duplicate cluster ids that share no span, and a relation from a cluster to
+# itself: the counted view must follow the item lists there too.
+ODD_GOLD = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1), (2, 4)], ["L1"]), ("c0", [(5, 6)], ["L1", "L2"]),
+    ("c1", [(7, 9)], ["L2"])],
+    relations=[("c0", "R1", "c0"), ("c0", "R1", "c1"), ("c1", "R2", "c0")])
+ODD_PRED = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(5, 6), (7, 9)], ["L1"]), ("c1", [(0, 1)], ["L2"]),
+    ("c2", [(2, 4)], ["L1"])],
+    relations=[("c0", "R1", "c0"), ("c1", "R1", "c0"), ("c2", "R2", "c1")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_pairs(), st.sampled_from(["ner", "re"]))
+@example(([], []), "ner")
+@example(([], []), "re")
+@example(([make_doc("d0", n_tokens=10)], [make_doc("d0", n_tokens=10)]), "re")
+@example(([ODD_GOLD], [ODD_PRED]), "ner")
+@example(([ODD_GOLD], [ODD_PRED]), "re")
+def test_levels_equal_item_list_oracle_exactly(pair, task):
+    golds, preds = pair
+    views = [build_eval_view(g, p, task) for g, p in zip(golds, preds)]
+    item_views = [oracles.build_eval_view(g, p, task)
+                  for g, p in zip(golds, preds)]
+    for level in LEVELS:
+        assert score_level(views, level) \
+            == oracles.item_list_score(item_views, level), level
+        assert per_label_prf(views, level) \
+            == oracles.item_list_per_label(item_views, level), level
+
+
+@st.composite
+def distance_documents(draw):
+    """A 10-token document whose clusters hold arbitrary spans: overlapping,
+    nested, empty, reversed or out of range, over any sentence split."""
+    bound = st.integers(-2, 12)
+    spans = draw(st.lists(st.tuples(bound, bound), unique=True, max_size=10))
+    owners = [draw(st.integers(0, 3)) for _ in spans]
+    ids = [f"c{k}" for k in sorted(set(owners))]
+    cuts = sorted(draw(st.sets(st.integers(1, 9))))
+    relations = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(["R1", "R2"]),
+        st.sampled_from(ids)), max_size=6)) if ids else []
+    return make_doc(
+        "d", n_tokens=10, sentences=list(zip([0] + cuts, cuts + [10])),
+        clusters=[(f"c{k}", [s for s, o in zip(spans, owners) if o == k], [])
+                  for k in sorted(set(owners))],
+        relations=relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_documents())
+@example(make_doc("d", n_tokens=10, sentences=[(0, 3), (3, 10)], clusters=[
+    ("c0", [(0, 9), (4, 5)], []), ("c1", [(2, 6), (3, 4), (8, 8)], [])],
+    relations=[("c0", "R1", "c1"), ("c1", "R1", "c0")]))
+@example(make_doc("d", n_tokens=10, clusters=[
+    ("c0", [(6, 2)], []), ("c1", [(3, 4), (0, 1)], [])],
+    relations=[("c0", "R1", "c1")]))
+def test_distance_records_equal_pairwise_oracle(doc):
+    try:
+        expected = oracles.pairwise_distance_records([doc])
+    except ValueError:
+        with pytest.raises(ValueError):
+            relation_distance_profile([doc])
+        return
+    assert relation_distance_profile([doc]).records == expected
 
 
 # --------------------------------------------------------------------------
