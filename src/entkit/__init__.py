@@ -8,7 +8,7 @@ numeric kernels behind span-graph propagation models.
 
 from .corpus import (Document, EntityCluster, Finding, Mention, RelationTriple,
                      UNANNOTATED, ValidationReport, parse_corpus,
-                     serialize_corpus, span_index, validate_document)
+                     relation_positions, serialize_corpus, validate_document)
 from .decoder import DecodeInput, DecodeOutput, decode_entity_centric
 from .metrics import (EvalView, PRFReport, build_eval_view, hard_entity_prf,
                       mention_prf, per_label_prf, soft_entity_counts,

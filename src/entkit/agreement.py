@@ -15,10 +15,11 @@ mention pairs, and links by shared mentions. Items seen by only one annotator
 enter as disagreements against an explicit absent marker, except in the
 "conditioned" mode which restricts classification to jointly detected items.
 Each adapter counts its contingency table directly; no item list is built.
-Mentions and relation mention pairs are counted in blocks read from the
-per-document overlap table of the two annotators' clusters
-(`corpus.cluster_overlaps`), which needs each mention in exactly one
-non-empty cluster of its document.
+All four read the per-document overlap table of the two annotators' clusters
+(`corpus.cluster_overlaps`) and refuse what it refuses: a span in two
+clusters of one document (MentionMultiClusterError) or an empty cluster
+(ValueError). Entity and relation agreement also refuse a relation to a
+missing cluster id (ValueError, from `corpus.relation_positions`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Document, cluster_overlaps, pair_documents, span_index
+from .corpus import (Document, cluster_overlaps, pair_documents,
+                     relation_positions)
 
 ABSENT = "<absent>"
 
@@ -128,12 +130,10 @@ def _entity_blocks(da: Document, db: Document) -> Iterator[tuple[Labels, Labels,
 
 def _pair_types(d: Document) -> dict[tuple[int, int], frozenset[str]]:
     """(head, tail) cluster positions -> the types of the relations between
-    them; relations with an unknown cluster id are skipped."""
-    position = {c.id: i for i, c in enumerate(d.clusters)}
+    them."""
     out: dict[tuple[int, int], set[str]] = {}
-    for r in d.relations:
-        if r.head in position and r.tail in position:
-            out.setdefault((position[r.head], position[r.tail]), set()).add(r.type)
+    for head, label, tail in relation_positions(d):
+        out.setdefault((head, tail), set()).add(label)
     return {k: frozenset(v) for k, v in out.items()}
 
 
@@ -222,6 +222,13 @@ def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     }
 
 
+def _shared_cells(da: Document, db: Document) -> dict[tuple[int, int], int]:
+    """The overlap cells of one document pair whose spans both annotators
+    marked: (cluster of a, cluster of b) -> shared spans."""
+    return {(i, j): n for (i, j), n in cluster_overlaps(da, db).items()
+            if i is not None and j is not None}
+
+
 def _pairs_within(cluster_sizes: Iterable[int]) -> int:
     return sum(n * (n - 1) // 2 for n in cluster_sizes)
 
@@ -230,22 +237,24 @@ def coref_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
                     ) -> dict:
     """Binary same-cluster agreement over pairs of jointly detected spans.
 
-    The pair counts follow from cluster sizes restricted to the shared spans:
-    pairs inside one (cluster a, cluster b) cell are same-cluster for both
-    annotators, pairs inside one cluster of a only for a, and so on.
+    The pair counts follow from the overlap cells of the shared spans: pairs
+    inside one cell are same-cluster for both annotators, pairs inside one
+    row (a cluster of a) for a, pairs inside one column for b.
     """
     counts: Counter = Counter()
     for da, db in pair_documents(docs_a, docs_b):
-        idx_a, idx_b = span_index(da), span_index(db)
-        shared = idx_a.keys() & idx_b.keys()
-        both = _pairs_within(
-            Counter((idx_a[s], idx_b[s]) for s in shared).values())
-        same_a = _pairs_within(Counter(idx_a[s] for s in shared).values())
-        same_b = _pairs_within(Counter(idx_b[s] for s in shared).values())
+        cells = _shared_cells(da, db)
+        rows, cols = Counter(), Counter()
+        for (i, j), n in cells.items():
+            rows[i] += n
+            cols[j] += n
+        both = _pairs_within(cells.values())
+        same_a = _pairs_within(rows.values())
+        same_b = _pairs_within(cols.values())
         counts[(True, True)] += both
         counts[(True, False)] += same_a - both
         counts[(False, True)] += same_b - both
-        counts[(False, False)] += (_pairs_within([len(shared)])
+        counts[(False, False)] += (_pairs_within([sum(cells.values())])
                                    - same_a - same_b + both)
     if not sum(counts.values()):
         raise ValueError("no shared mention pairs to compare")
@@ -264,10 +273,9 @@ def linking_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
 
     counts: Counter = Counter()
     for da, db in pair_documents(docs_a, docs_b):
-        links_a = {m: link_label(c.link) for c in da.clusters for m in c.mentions}
-        links_b = {m: link_label(c.link) for c in db.clusters for m in c.mentions}
-        counts.update((links_a[span], links_b[span])
-                      for span in links_a.keys() & links_b.keys())
+        for (i, j), n in _shared_cells(da, db).items():
+            counts[link_label(da.clusters[i].link),
+                   link_label(db.clusters[j].link)] += n
     if not counts:
         raise ValueError("no shared mentions to compare links on")
     return _kappa_summary(AnnotationPair(counts))

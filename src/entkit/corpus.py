@@ -126,32 +126,24 @@ class EntityCluster:
         return len(self.mentions) == 1
 
 
-@dataclass(frozen=True)
-class RelationTriple:
-    """Directed, typed relation between two entity clusters."""
+class RelationTriple(NamedTuple):
+    """Directed, typed relation between two entity clusters. It is the
+    ``(head, type, tail)`` tuple, so it keys dicts and sets as one."""
 
     head: str
     type: str
     tail: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
+    """One tokenized document; sentences, clusters and relations are tuples."""
+
     id: str
     tokens: tuple[str, ...]
     sentences: tuple[Mention, ...]
     clusters: tuple[EntityCluster, ...]
     relations: tuple[RelationTriple, ...]
     split: str = "unsplit"
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "sentences", tuple(self.sentences))
-        object.__setattr__(self, "clusters", tuple(self.clusters))
-        object.__setattr__(self, "relations", tuple(self.relations))
-
-    def cluster_by_id(self) -> dict[str, EntityCluster]:
-        return {c.id: c for c in self.clusters}
 
 
 @dataclass(frozen=True)
@@ -302,22 +294,6 @@ def pair_documents(docs_a: Sequence[Document], docs_b: Sequence[Document]
     return [(by_id_a[i], by_id_b[i]) for i in sorted(by_id_a)]
 
 
-def span_index(d: Document) -> dict[Mention, str]:
-    """Map every mention span of ``d`` to its owning cluster id.
-
-    Raises MentionMultiClusterError if a span is claimed twice.
-    """
-    index: dict[Mention, str] = {}
-    for c in d.clusters:
-        for m in c.mentions:
-            if m in index and index[m] != c.id:
-                raise MentionMultiClusterError(
-                    f"{d.id}: span [{m.begin},{m.end}) in clusters "
-                    f"{index[m]!r} and {c.id!r}")
-            index[m] = c.id
-    return index
-
-
 def _cluster_positions(d: Document) -> dict[Mention, int]:
     """Map every mention span of ``d`` to the position of its cluster in
     ``d.clusters``. Raises MentionMultiClusterError if two clusters (even two
@@ -351,6 +327,20 @@ def cluster_overlaps(a: Document, b: Document) -> Counter:
     for j in owner_b.values():
         cells[None, j] += 1
     return cells
+
+
+def relation_positions(d: Document) -> list[tuple[int, str, int]]:
+    """The distinct relation triples of ``d`` as (head position, type, tail
+    position) in ``d.clusters``, sorted by (head id, type, tail id). Raises
+    ValueError if a relation names a cluster id that ``d`` lacks."""
+    position = {c.id: i for i, c in enumerate(d.clusters)}
+    out = []
+    for head, label, tail in sorted(set(d.relations)):
+        if head not in position or tail not in position:
+            raise ValueError(f"{d.id}: relation {label!r} references "
+                             f"a missing cluster id")
+        out.append((position[head], label, position[tail]))
+    return out
 
 
 # --------------------------------------------------------------------------

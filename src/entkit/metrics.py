@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from operator import truediv
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import Document, cluster_overlaps
+from .corpus import Document, cluster_overlaps, relation_positions
 
 TASKS = ("ner", "re")
 LEVELS = ("mention", "hard", "soft")
@@ -87,20 +87,12 @@ class EvalView:
 
 def _units(doc: Document, task: str) -> list[tuple[str, tuple[int, ...]]]:
     """(label, cluster positions) for every labelled unit of `doc`: each
-    cluster once per tag for NER, each distinct relation triple in sorted
-    order for RE."""
+    cluster once per tag for NER, each distinct relation triple in
+    `relation_positions` order for RE."""
     if task == "ner":
         return [(label, (i,)) for i, c in enumerate(doc.clusters)
                 for label in c.tags]
-    position = {c.id: i for i, c in enumerate(doc.clusters)}
-    units = []
-    for head_id, label, tail_id in sorted(
-            {(r.head, r.type, r.tail) for r in doc.relations}):
-        if head_id not in position or tail_id not in position:
-            raise ValueError(f"{doc.id}: relation {label!r} references "
-                             f"a missing cluster id")
-        units.append((label, (position[head_id], position[tail_id])))
-    return units
+    return [(label, (head, tail)) for head, label, tail in relation_positions(doc)]
 
 
 def _unit_counts(units, sizes: list[int], other_units: set, other_sizes: list[int],

@@ -94,8 +94,7 @@ def facts_from_document(d: Document) -> FactBase:
     Tags of the form ``category::value`` also ground the bare value, so
     namespaced tag schemes still satisfy unary predicates."""
     facts = FactBase()
-    for r in d.relations:
-        facts.binary.add((r.head, r.type, r.tail))
+    facts.binary.update(d.relations)
     for c in d.clusters:
         for tag in c.tags:
             facts.unary.add((tag, c.id))

@@ -10,6 +10,9 @@ strictly between them (0 for adjacent or overlapping spans); the sentence
 distance is the absolute difference of the sentence indices containing the
 spans' begin tokens. Per relation, the minimum is taken over the closest
 cross mention pair and the maximum over the farthest.
+
+The relation statistics find clusters through `corpus.relation_positions`,
+so a relation to a missing cluster id raises ValueError naming the document.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from operator import gt
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Document, EntityCluster, Mention, _resource_text
+from .corpus import (Document, EntityCluster, Mention, _resource_text,
+                     relation_positions)
 
 
 # --------------------------------------------------------------------------
@@ -116,20 +120,18 @@ def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
     profile = DistanceProfile()
     for d in docs:
         begins = [b for b, _ in d.sentences]
-        by_id = d.cluster_by_id()
-        columns: dict[str, tuple] = {}
-        for head_id, rel_type, tail_id in sorted(
-                {(r.head, r.type, r.tail) for r in d.relations}):
-            head, tail = by_id[head_id], by_id[tail_id]
+        columns: dict[int, tuple] = {}
+        for i, rel_type, j in relation_positions(d):
+            head, tail = d.clusters[i], d.clusters[j]
             if set(head.mentions) & set(tail.mentions):
                 raise ValueError(
                     f"{d.id}: relation {rel_type!r} connects clusters "
-                    f"{head_id!r} and {tail_id!r} that share a mention span")
-            for c in (head, tail):
-                if c.id not in columns:
-                    columns[c.id] = _cluster_columns(c, begins, d.id)
-            head_spans, head_points = columns[head_id]
-            tail_spans, tail_points = columns[tail_id]
+                    f"{head.id!r} and {tail.id!r} that share a mention span")
+            for k in (i, j):
+                if k not in columns:
+                    columns[k] = _cluster_columns(d.clusters[k], begins, d.id)
+            head_spans, head_points = columns[i]
+            tail_spans, tail_points = columns[j]
             if head_spans is not None and tail_spans is not None:
                 min_gap, max_gap = _gap_range(head_spans, tail_spans)
             else:
@@ -237,8 +239,8 @@ def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
     total_pairs = 0
     total_mention_pairs = 0
     for d in docs:
-        sizes = {c.id: len(c.mentions) for c in d.clusters}
-        triples = {(r.head, r.type, r.tail) for r in d.relations}
+        sizes = [len(c.mentions) for c in d.clusters]
+        triples = relation_positions(d)
         for head, rel_type, tail in triples:
             product = sizes[head] * sizes[tail]
             per_type[rel_type][0] += 1
@@ -260,12 +262,11 @@ def multilabel_relation_histogram(docs: Iterable[Document]
     bucket 4 holds four or more."""
     buckets: dict[int, list[int]] = defaultdict(lambda: [0, 0])
     for d in docs:
-        sizes = {c.id: len(c.mentions) for c in d.clusters}
-        types_per_pair: dict[tuple[str, str], set[str]] = defaultdict(set)
-        for r in d.relations:
-            types_per_pair[(r.head, r.tail)].add(r.type)
-        for (head, tail), types in types_per_pair.items():
-            bucket = min(len(types), 4)
+        sizes = [len(c.mentions) for c in d.clusters]
+        types_per_pair = Counter((head, tail)
+                                 for head, _, tail in relation_positions(d))
+        for (head, tail), n_types in types_per_pair.items():
+            bucket = min(n_types, 4)
             buckets[bucket][0] += 1
             buckets[bucket][1] += sizes[head] * sizes[tail]
     return {b: (e, m) for b, (e, m) in sorted(buckets.items())}
@@ -300,7 +301,7 @@ def corpus_summary(docs: Iterable[Document]) -> CorpusSummary:
     total_labels = 0
     for d in docs:
         s.tokens += len(d.tokens)
-        s.relation_triples += len({(r.head, r.type, r.tail) for r in d.relations})
+        s.relation_triples += len(set(d.relations))
         rel_types |= {r.type for r in d.relations}
         for c in d.clusters:
             s.clusters += 1

@@ -158,7 +158,7 @@ def _units(doc: Document, task: str) -> Iterator[tuple[str, frozenset]]:
             for label in c.tags:
                 yield label, instances
         return
-    by_id = doc.cluster_by_id()
+    by_id = {c.id: c for c in doc.clusters}
     for head_id, label, tail_id in sorted(
             {(r.head, r.type, r.tail) for r in doc.relations}):
         if head_id not in by_id or tail_id not in by_id:
@@ -530,7 +530,7 @@ def pairwise_distance_records(docs: Iterable[Document]) -> list[DistanceRecord]:
     records = []
     for d in docs:
         begins = [b for b, _ in d.sentences]
-        by_id = d.cluster_by_id()
+        by_id = {c.id: c for c in d.clusters}
         for head_id, rel_type, tail_id in sorted(
                 {(r.head, r.type, r.tail) for r in d.relations}):
             head, tail = by_id[head_id], by_id[tail_id]

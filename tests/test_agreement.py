@@ -214,26 +214,40 @@ def test_conditioned_mode_ignores_one_sided_spans():
     assert conditioned["detection"] == unconditioned["detection"]
 
 
-@pytest.mark.parametrize("agreement", [entity_agreement, relation_agreement,
-                                       coref_agreement, linking_agreement])
+ADAPTERS = [entity_agreement, relation_agreement, coref_agreement,
+            linking_agreement]
+
+
+@pytest.mark.parametrize("agreement", ADAPTERS)
 def test_agreement_refuses_repeated_document_ids(agreement):
     doc = make_doc("d1", clusters=[("c", [(0, 1)], ["person"], "KB")])
     with pytest.raises(ValueError, match="repeats a document id"):
         agreement([doc, doc], [doc])
 
 
-@pytest.mark.parametrize("agreement", [entity_agreement, relation_agreement])
-def test_span_in_two_clusters_is_refused(agreement):
-    bad = [make_doc("d1", clusters=[("c1", [(0, 1), (2, 3)], ["person"]),
-                                    ("c2", [(2, 3)], ["gpe0"])],
-                    relations=[("c1", "in0", "c2")])]
+def _assert_refuses_span_in_two_clusters(agreement, bad):
     ok, _ = _annotator_docs()
     for a, b in ((bad, ok), (ok, bad)):
         with pytest.raises(MentionMultiClusterError, match="d1: span"):
             agreement(a, b)
 
 
-@pytest.mark.parametrize("agreement", [entity_agreement, relation_agreement])
+@pytest.mark.parametrize("agreement", ADAPTERS)
+def test_span_in_two_clusters_is_refused(agreement):
+    bad = [make_doc("d1", clusters=[("c1", [(0, 1), (2, 3)], ["person"]),
+                                    ("c2", [(2, 3)], ["gpe0"])],
+                    relations=[("c1", "in0", "c2")])]
+    _assert_refuses_span_in_two_clusters(agreement, bad)
+
+
+@pytest.mark.parametrize("agreement", ADAPTERS)
+def test_span_in_two_clusters_with_one_id_is_refused(agreement):
+    bad = [make_doc("d1", clusters=[("c", [(0, 1)], ["person"]),
+                                    ("c", [(0, 1), (2, 3)], ["person"])])]
+    _assert_refuses_span_in_two_clusters(agreement, bad)
+
+
+@pytest.mark.parametrize("agreement", ADAPTERS)
 def test_empty_cluster_is_refused(agreement):
     bad = [make_doc("d1", clusters=[("c1", [(0, 1)], ["person"]),
                                     ("c2", [], ["gpe0"])],

@@ -7,7 +7,12 @@ from entkit.corpus import (CorpusValidationError, Mention,
                            MentionMultiClusterError, ParseError,
                            UNANNOTATED, document_from_json,
                            document_to_json, load_corpus, parse_corpus,
-                           serialize_corpus, span_index, validate_document)
+                           cluster_overlaps, relation_positions,
+                           serialize_corpus, validate_document)
+from entkit.agreement import relation_agreement
+from entkit.metrics import build_eval_view
+from entkit.stats import (corpus_summary, multilabel_relation_histogram,
+                          relation_distance_profile, relation_type_histogram)
 from conftest import make_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,35 +159,72 @@ def test_namespaced_tag_with_known_value_does_not_warn():
     assert any("type::nonsense" in m for m in warned)
 
 
-def test_span_index_minimal():
+def test_cluster_overlaps_minimal():
     d = make_doc(clusters=[("c1", [(0, 1)], [])])
-    assert span_index(d) == {Mention(0, 1): "c1"}
+    assert cluster_overlaps(d, make_doc()) == {(0, None): 1}
+    assert cluster_overlaps(make_doc(), d) == {(None, 0): 1}
 
 
-def test_span_index_enumerates_all_mentions():
+def test_cluster_overlaps_counts_every_mention():
     d = make_doc(clusters=[("c1", [(0, 1), (4, 6)], []), ("c2", [(2, 3)], [])])
-    index = span_index(d)
-    assert index == {Mention(0, 1): "c1", Mention(4, 6): "c1",
-                     Mention(2, 3): "c2"}
-    assert len(index) == sum(len(c.mentions) for c in d.clusters)
+    other = make_doc(clusters=[("x", [(0, 1), (2, 3)], []), ("y", [(7, 8)], [])])
+    cells = cluster_overlaps(d, other)
+    assert cells == {(0, 0): 1, (0, None): 1, (1, 0): 1, (None, 1): 1}
+    assert sum(n for (i, _), n in cells.items() if i is not None) == \
+        sum(len(c.mentions) for c in d.clusters)
 
 
 def test_mention_is_its_begin_end_tuple():
     d = make_doc(clusters=[("c1", [(4, 6), (0, 1)], [])])
     assert d.clusters[0].mentions == ((0, 1), (4, 6))
     assert hash(Mention(4, 6)) == hash((4, 6))
-    assert span_index(d)[(4, 6)] == "c1"
+    assert (4, 6) in set(d.clusters[0].mentions)
     assert Mention(4, 6) < (4, 7) and ("d",) + Mention(4, 6) == ("d", 4, 6)
 
 
-def test_span_index_empty():
-    assert span_index(make_doc()) == {}
+def test_cluster_overlaps_empty():
+    assert cluster_overlaps(make_doc(), make_doc()) == {}
 
 
-def test_span_index_raises_on_shared_span():
+def test_cluster_overlaps_raises_on_shared_span():
     d = make_doc(clusters=[("c1", [(0, 2)], []), ("c2", [(0, 2)], [])])
     with pytest.raises(MentionMultiClusterError):
-        span_index(d)
+        cluster_overlaps(d, make_doc())
+
+
+def test_relation_triple_is_its_head_type_tail_tuple():
+    d = make_doc(clusters=[("b", [(0, 1)], []), ("a", [(2, 3)], [])],
+                 relations=[("b", "r", "a"), ("a", "r", "b"), ("b", "r", "a")])
+    assert d.relations[0] == ("b", "r", "a") and d.relations[0].tail == "a"
+    assert relation_positions(d) == [(1, "r", 0), (0, "r", 1)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda d: relation_type_histogram([d]),
+    lambda d: multilabel_relation_histogram([d]),
+    lambda d: relation_distance_profile([d]),
+    lambda d: relation_agreement([d], [d]),
+    lambda d: build_eval_view(d, d, "re"),
+], ids=["relation_type_histogram", "multilabel_relation_histogram",
+        "relation_distance_profile", "relation_agreement", "build_eval_view"])
+def test_relation_to_missing_cluster_id_is_refused(run):
+    d = make_doc("d", clusters=[("c", [(0, 1)], ["person"])],
+                 relations=[("c", "r", "zz")])
+    with pytest.raises(ValueError,
+                       match="^d: relation 'r' references a missing cluster id$"):
+        run(d)
+
+
+def test_cluster_mentions_load_sorted_and_distinct(tmp_path):
+    path = tmp_path / "repeated.jsonl"
+    path.write_text(json.dumps({
+        "id": "d", "tokens": list("abcdefg"), "sentences": [[0, 7]],
+        "clusters": [{"id": "c", "mentions": [[4, 6], [0, 1], [4, 6]],
+                      "tags": []}],
+    }) + "\n")
+    docs = parse_corpus(path)
+    assert docs[0].clusters[0].mentions == ((0, 1), (4, 6))
+    assert corpus_summary(docs).mentions == 2
 
 
 def test_per_file_format(tmp_path):

@@ -58,7 +58,7 @@ def test_convert_annotation_field_mapping():
     doc = convert_annotation(RELEASE_DOC, report)
     assert doc.id == "DW_001"
     assert doc.split == "train"
-    by_id = doc.cluster_by_id()
+    by_id = {c.id: c for c in doc.clusters}
     assert set(by_id) == {"c0", "c1", "c2"}  # mention-less c3 dropped
     assert by_id["c0"].tags == frozenset({"type::person"})
     assert by_id["c0"].link == "Anna_Smith"
@@ -97,3 +97,14 @@ def test_release_schema_error_is_parse_error(tmp_path):
     (tmp_path / "DW_001.json").write_text(json.dumps(broken))
     with pytest.raises(ParseError, match="DW_001.json"):
         convert_release(tmp_path)
+
+
+def test_mentions_aligning_to_one_token_span_become_one_mention(tmp_path):
+    # characters [1, 9) lie inside "Anna Smith" and snap to its two tokens
+    extra = {"begin": 1, "end": 9, "text": "nna Smit", "concept": 0}
+    release = dict(RELEASE_DOC, mentions=RELEASE_DOC["mentions"] + [extra])
+    (tmp_path / "a.json").write_text(json.dumps(release))
+    [doc], _report = convert_release(tmp_path)
+    c0 = next(c for c in doc.clusters if c.id == "c0")
+    assert c0.mentions == (Mention(0, 2), Mention(5, 6))
+    assert validate_document(doc).ok
