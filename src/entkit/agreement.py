@@ -15,21 +15,24 @@ mention pairs, and links by shared mentions. Items seen by only one annotator
 enter as disagreements against an explicit absent marker, except in the
 "conditioned" mode which restricts classification to jointly detected items.
 Each adapter counts its contingency table directly; no item list is built.
-All four read the per-document overlap table of the two annotators' clusters
-(`corpus.cluster_overlaps`) and refuse what it refuses: a span in two
-clusters of one document (MentionMultiClusterError) or an empty cluster
-(ValueError). Entity and relation agreement also refuse a relation to a
-missing cluster id (ValueError, from `corpus.relation_positions`).
+Entity and relation agreement read the unit-overlap table of each document
+pair (`corpus.unit_overlaps`, which the NER and RE scores read too), coref
+and linking agreement the cluster-overlap table under it. All four refuse
+the corpora `corpus.pair_documents` refuses (a repeated or unmatched
+document id, a document the two tokenize differently), a span in two
+clusters of one document (MentionMultiClusterError) and an empty cluster
+(ValueError). Relation agreement alone reads relations, so it alone refuses
+a relation to a cluster id the document lacks or two clusters carry
+(ValueError, from `corpus.relation_positions`).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from .corpus import (Document, cluster_overlaps, pair_documents,
-                     relation_positions)
+from .corpus import Document, cluster_overlaps, pair_documents, unit_overlaps
 
 ABSENT = "<absent>"
 
@@ -117,47 +120,6 @@ def multilabel_kappa(pairs: Mapping[str, AnnotationPair]) -> float:
 # Corpus-level alignment
 
 
-Labels = frozenset | None    # None: the annotator did not mark the item
-
-
-def _entity_blocks(da: Document, db: Document) -> Iterator[tuple[Labels, Labels, int]]:
-    """The mentions of one document pair in blocks of equal decisions: one
-    block per (cluster of a, cluster of b) overlap cell, holding its spans."""
-    for (i, j), n in cluster_overlaps(da, db).items():
-        yield (None if i is None else da.clusters[i].tags,
-               None if j is None else db.clusters[j].tags, n)
-
-
-def _pair_types(d: Document) -> dict[tuple[int, int], frozenset[str]]:
-    """(head, tail) cluster positions -> the types of the relations between
-    them."""
-    out: dict[tuple[int, int], set[str]] = {}
-    for head, label, tail in relation_positions(d):
-        out.setdefault((head, tail), set()).add(label)
-    return {k: frozenset(v) for k, v in out.items()}
-
-
-def _relation_blocks(da: Document, db: Document) -> Iterator[tuple[Labels, Labels, int]]:
-    """The (head mention, tail mention) pairs either annotator relates, in
-    blocks of equal decisions: a head overlap cell times a tail overlap cell,
-    holding the product of the two cells' spans."""
-    types_a, types_b = _pair_types(da), _pair_types(db)
-    cells_a: defaultdict[int, list] = defaultdict(list)
-    cells_b: defaultdict[int, list] = defaultdict(list)
-    for (i, j), n in cluster_overlaps(da, db).items():
-        cells_a[i].append((j, n))
-        cells_b[j].append((i, n))
-    for (head, tail), la in types_a.items():
-        for head_b, n_head in cells_a[head]:
-            for tail_b, n_tail in cells_a[tail]:
-                yield la, types_b.get((head_b, tail_b)), n_head * n_tail
-    for (head, tail), lb in types_b.items():
-        for head_a, n_head in cells_b[head]:
-            for tail_a, n_tail in cells_b[tail]:
-                if (head_a, tail_a) not in types_a:
-                    yield None, lb, n_head * n_tail
-
-
 def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
                      conditioned: bool = False) -> dict:
     """Mention detection kappa plus multi-label tag classification kappa.
@@ -167,8 +129,7 @@ def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     no tags; conditioned=True restricts classification to spans both
     annotators detected.
     """
-    return _labelled_agreement(docs_a, docs_b, _entity_blocks, "mention",
-                               conditioned)
+    return _labelled_agreement(docs_a, docs_b, "ner", conditioned)
 
 
 def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
@@ -178,28 +139,29 @@ def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     Entity-level relations are expanded to all cross mention pairs so the two
     annotators' (possibly different) clusterings line up on shared spans.
     """
-    return _labelled_agreement(docs_a, docs_b, _relation_blocks,
-                               "relation", conditioned)
+    return _labelled_agreement(docs_a, docs_b, "re", conditioned)
 
 
 def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
-                        blocks_of: Callable[[Document, Document],
-                                            Iterable[tuple[Labels, Labels, int]]],
-                        marker: str, conditioned: bool) -> dict:
+                        task: str, conditioned: bool) -> dict:
     """Detection kappa over the items either annotator gave labels to, and
     per-label binary kappas over the classification items.
 
-    `blocks_of` yields the items of one document pair as (labels of a,
-    labels of b, item count) blocks. Each mention must lie in exactly one
-    non-empty cluster of its document. Each label's table counts the items
-    where both, only annotator a or only annotator b assigned it; every other
-    classification item is a joint negative.
+    The items of one document pair are the instances of the blocks of
+    `corpus.unit_overlaps` for `task`: a block's items carry the labels of
+    its unit of a and of its unit of b (None where there is no unit). Each
+    label's table counts the items where both, only annotator a or only
+    annotator b assigned it; every other classification item is a joint
+    negative.
     """
+    marker = "mention" if task == "ner" else "relation"
     detect: Counter = Counter()
     tables: defaultdict[str, Counter] = defaultdict(Counter)
     n_class_items = 0
     for da, db in pair_documents(docs_a, docs_b):
-        for la, lb, n in blocks_of(da, db):
+        units_a, units_b, blocks = unit_overlaps(da, db, task)
+        for (ua, ub), n in blocks.items():
+            la, lb = units_a.get(ua), units_b.get(ub)
             detect[(ABSENT if la is None else marker,
                     ABSENT if lb is None else marker)] += n
             if la is None or lb is None:

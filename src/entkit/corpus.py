@@ -196,20 +196,14 @@ def builtin_relation_vocabulary() -> frozenset[str]:
 # Validation
 
 
-def validate_document(d: Document,
-                      tag_vocab: frozenset[str] | None = None,
-                      relation_vocab: frozenset[str] | None = None,
-                      ) -> ValidationReport:
+def validate_document(d: Document) -> ValidationReport:
     """Check every structural invariant of ``d``; never raises.
 
-    Hard invariants become errors, unknown labels become warnings. The report
-    is deterministic for a given input.
+    Hard invariants become errors, labels outside the built-in vocabularies
+    become warnings. The report is deterministic for a given input.
     """
-    if tag_vocab is None:
-        tag_vocab = builtin_tag_vocabulary()
-    if relation_vocab is None:
-        relation_vocab = builtin_relation_vocabulary()
-
+    tag_vocab = builtin_tag_vocabulary()
+    relation_vocab = builtin_relation_vocabulary()
     report = ValidationReport()
     err = lambda code, msg: report.errors.append(Finding(d.id, code, msg))
     warn = lambda code, msg: report.warnings.append(Finding(d.id, code, msg))
@@ -281,7 +275,7 @@ def validate_corpus(docs: Sequence[Document]) -> ValidationReport:
 def pair_documents(docs_a: Sequence[Document], docs_b: Sequence[Document]
                    ) -> list[tuple[Document, Document]]:
     """The documents of two corpora paired by id, in id order. Both must hold
-    each id once and cover the same ids."""
+    each id once, cover the same ids and tokenize each document alike."""
     by_id_a = {d.id: d for d in docs_a}
     by_id_b = {d.id: d for d in docs_b}
     if len(by_id_a) != len(docs_a) or len(by_id_b) != len(docs_b):
@@ -291,7 +285,11 @@ def pair_documents(docs_a: Sequence[Document], docs_b: Sequence[Document]
         only_b = sorted(by_id_b.keys() - by_id_a.keys())[:3]
         raise ValueError(f"the corpora cover different document ids "
                          f"(only in the first: {only_a}, only in the second: {only_b})")
-    return [(by_id_a[i], by_id_b[i]) for i in sorted(by_id_a)]
+    pairs = [(by_id_a[i], by_id_b[i]) for i in sorted(by_id_a)]
+    for a, b in pairs:
+        if a.tokens != b.tokens:
+            raise ValueError(f"token-space mismatch in document {a.id!r}")
+    return pairs
 
 
 def _cluster_positions(d: Document) -> dict[Mention, int]:
@@ -332,15 +330,73 @@ def cluster_overlaps(a: Document, b: Document) -> Counter:
 def relation_positions(d: Document) -> list[tuple[int, str, int]]:
     """The distinct relation triples of ``d`` as (head position, type, tail
     position) in ``d.clusters``, sorted by (head id, type, tail id). Raises
-    ValueError if a relation names a cluster id that ``d`` lacks."""
+    ValueError if a relation names a cluster id that ``d`` lacks or that two
+    of its clusters carry."""
     position = {c.id: i for i, c in enumerate(d.clusters)}
+    repeated = {c.id for i, c in enumerate(d.clusters) if position[c.id] != i}
     out = []
     for head, label, tail in sorted(set(d.relations)):
         if head not in position or tail not in position:
             raise ValueError(f"{d.id}: relation {label!r} references "
                              f"a missing cluster id")
+        if head in repeated or tail in repeated:
+            cid = head if head in repeated else tail
+            raise ValueError(f"{d.id}: relation {label!r} references cluster "
+                             f"id {cid!r}, which two clusters carry")
         out.append((position[head], label, position[tail]))
     return out
+
+
+def _labelled_units(d: Document, task: str) -> dict[tuple[int, ...], frozenset[str]]:
+    """Unit -> labels: every cluster ``(i,)`` with its tags for "ner", every
+    related pair ``(head, tail)`` with its relation types for "re"."""
+    if task == "ner":
+        return {(i,): c.tags for i, c in enumerate(d.clusters)}
+    if task != "re":
+        raise ValueError(f"task must be 'ner' or 're', got {task!r}")
+    types: dict[tuple[int, int], set[str]] = {}
+    for head, label, tail in relation_positions(d):
+        types.setdefault((head, tail), set()).add(label)
+    return {pair: frozenset(labels) for pair, labels in types.items()}
+
+
+def unit_overlaps(a: Document, b: Document, task: str
+                  ) -> tuple[dict, dict, dict]:
+    """The labelled units of ``a`` and of ``b`` (see `_labelled_units`) and
+    the blocks (unit of ``a`` or None, unit of ``b`` or None) -> n.
+
+    A unit's instances are its mention spans (NER) or its head x tail
+    mention pairs (RE). Every instance of every unit lies in exactly one
+    block, the one naming the unit of each document that holds it (None if
+    none does), so a block of related pairs sums products of a head and a
+    tail cell of `cluster_overlaps`.
+    """
+    cells = cluster_overlaps(a, b)
+    units_a, units_b = _labelled_units(a, task), _labelled_units(b, task)
+    if task == "ner":
+        return units_a, units_b, {
+            (None if i is None else (i,), None if j is None else (j,)): n
+            for (i, j), n in cells.items()}
+    rows: dict[int | None, list] = {}
+    cols: dict[int | None, list] = {}
+    for (i, j), n in cells.items():
+        rows.setdefault(i, []).append((j, n))
+        cols.setdefault(j, []).append((i, n))
+    blocks: dict = {}
+    for unit in units_a:
+        head, tail = unit
+        for head_b, n_head in rows[head]:
+            for tail_b, n_tail in rows[tail]:
+                key = unit, (pair if (pair := (head_b, tail_b)) in units_b else None)
+                blocks[key] = blocks.get(key, 0) + n_head * n_tail
+    for unit in units_b:
+        head, tail = unit
+        for head_a, n_head in cols[head]:
+            for tail_a, n_tail in cols[tail]:
+                if (head_a, tail_a) not in units_a:
+                    key = None, unit
+                    blocks[key] = blocks.get(key, 0) + n_head * n_tail
+    return units_a, units_b, blocks
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,9 @@ All three levels share one labeled view of a (gold, predicted) document pair.
 For NER the unit of labeling is the entity cluster and its instances are the
 member mention spans. For relation extraction the unit is a directed, typed
 cluster pair and its instances are all cross-product mention pairs of the two
-clusters. Each unit is counted, never expanded: under the rule that every
-mention lies in exactly one non-empty cluster, the instances two units share
-are the product of their clusters' shared mentions, read from one gold x pred
-overlap table per document (`corpus.cluster_overlaps`).
+clusters. Each unit is counted, never expanded: the instances of every unit
+lie in blocks of the gold x pred unit-overlap table of the document
+(`corpus.unit_overlaps`), the one table entity and relation kappa read too.
 
 Levels:
   mention  - micro P/R/F1 over labeled instances, so frequently mentioned
@@ -29,9 +28,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import truediv
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .corpus import Document, cluster_overlaps, relation_positions
+from .corpus import Document, relation_positions, unit_overlaps
 
 TASKS = ("ner", "re")
 LEVELS = ("mention", "hard", "soft")
@@ -95,37 +94,6 @@ def _units(doc: Document, task: str) -> list[tuple[str, tuple[int, ...]]]:
     return [(label, (head, tail)) for head, label, tail in relation_positions(doc)]
 
 
-def _unit_counts(units, sizes: list[int], other_units: set, other_sizes: list[int],
-                 overlaps: list[dict[int, int]]) -> Iterator[tuple]:
-    """(label, (hits, size, matched)) for each unit of one side, in order.
-
-    A unit's instances are the product of its clusters' mentions, and its
-    overlap with an other-side unit is the product of the cluster overlaps,
-    so only the other-side clusters that share a mention are visited. Units
-    of one label are disjoint, so the hits are the unit's instances found in
-    the other side's instance union for that label, and a unit matches
-    exactly when its overlap with an other-side unit is both units' size.
-    """
-    shapes: dict[tuple, tuple] = {}     # clusters -> (size, overlapping units)
-    for label, clusters in units:
-        if clusters not in shapes:
-            size, combos = 1, [((), 1, 1)]
-            for c in clusters:
-                size *= sizes[c]
-                combos = [(other + (k,), n * shared, other_size * other_sizes[k])
-                          for other, n, other_size in combos
-                          for k, shared in overlaps[c].items()]
-            shapes[clusters] = size, combos
-        size, combos = shapes[clusters]
-        hits = 0
-        matched = False
-        for other, n, other_size in combos:
-            if (label, other) in other_units:
-                hits += n
-                matched = matched or n == size == other_size
-        yield label, (hits, size, matched)
-
-
 def _totals(units: list[tuple]) -> tuple:
     """(hits, sizes, matches, soft credit) summed over one side's units of
     one label; the soft credit sums hits / size in unit order."""
@@ -136,36 +104,46 @@ def _totals(units: list[tuple]) -> tuple:
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
-    """Count each label of a document pair from the gold x pred table of
-    shared mentions; gold and pred must share the token space, and each
-    mention must lie in exactly one non-empty cluster of its document."""
+    """Count each label of a document pair from the blocks of
+    `corpus.unit_overlaps`; gold and pred must share the token space, and
+    each mention must lie in exactly one non-empty cluster of its document.
+
+    A unit's size is the sum of its blocks. Units of one label are disjoint,
+    so a unit's hits for a label are its instances in blocks whose
+    other-side unit carries the label too, and a predicted unit matches
+    exactly when one such block is both units' size.
+    """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
     if gold.tokens != pred.tokens:
         raise ValueError(f"token-space mismatch between gold {gold.id!r} "
                          f"and pred {pred.id!r}")
-    gold_overlaps: list[dict[int, int]] = [{} for _ in gold.clusters]
-    pred_overlaps: list[dict[int, int]] = [{} for _ in pred.clusters]
-    for (i, j), n in cluster_overlaps(gold, pred).items():
-        if i is not None and j is not None:
-            gold_overlaps[i][j] = pred_overlaps[j][i] = n
-    gold_sizes = [len(c.mentions) for c in gold.clusters]
-    pred_sizes = [len(c.mentions) for c in pred.clusters]
-    gold_units, pred_units = _units(gold, task), _units(pred, task)
+    gold_units, pred_units, blocks = unit_overlaps(gold, pred, task)
+    sizes: tuple[dict, dict] = ({}, {})     # per side: unit -> instances
+    hits: tuple[dict, dict] = ({}, {})      # per side: (unit, label) -> hits
+    for (g, p), n in blocks.items():
+        sizes[0][g] = sizes[0].get(g, 0) + n
+        sizes[1][p] = sizes[1].get(p, 0) + n
+    matched = set()                         # (unit, label) of matched preds
+    for (g, p), n in blocks.items():
+        if g is not None and p is not None:
+            for label in gold_units[g] & pred_units[p]:
+                hits[0][g, label] = hits[0].get((g, label), 0) + n
+                hits[1][p, label] = hits[1].get((p, label), 0) + n
+                if n == sizes[0][g] == sizes[1][p]:
+                    matched.add((p, label))
     by_label: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for side, counts in enumerate((
-            _unit_counts(gold_units, gold_sizes, set(pred_units), pred_sizes,
-                         gold_overlaps),
-            _unit_counts(pred_units, pred_sizes, set(gold_units), gold_sizes,
-                         pred_overlaps))):
-        for label, unit in counts:
-            by_label[label][side].append(unit)
+    for side, doc in enumerate((gold, pred)):
+        for label, unit in _units(doc, task):
+            key = unit, label
+            by_label[label][side].append((hits[side].get(key, 0), sizes[side][unit],
+                                          side == 1 and key in matched))
     view = EvalView(task)
     for label, (g, p) in by_label.items():
-        shared, pred_instances, matched, soft_pred = _totals(p)
+        shared, pred_instances, matched_units, soft_pred = _totals(p)
         _, gold_instances, _, soft_gold = _totals(g)
         view.labels[label] = LabelCounts(shared, pred_instances, gold_instances,
-                                         matched, len(p), len(g),
+                                         matched_units, len(p), len(g),
                                          soft_pred, soft_gold)
     return view
 

@@ -199,8 +199,7 @@ def iter_groundings(facts: FactBase, rules: Iterable[Rule]
                 yield rule, subst, _ground_head(rule.head, subst)
 
 
-def closure(facts: FactBase, rules: Iterable[Rule] | None = None,
-            max_rounds: int | None = None) -> FactBase:
+def closure(facts: FactBase, rules: Iterable[Rule] | None = None) -> FactBase:
     """Least fixpoint of `facts` under `rules`; the input is not mutated.
 
     Only binary facts are ever derived (heads are binary). Terminates because
@@ -214,8 +213,7 @@ def closure(facts: FactBase, rules: Iterable[Rule] | None = None,
     rule_constants = {t for r in rules for a in (*r.body, r.head)
                       for t in a.args if not is_variable(t)}
     n_entities = len(result.entities() | rule_constants)
-    if max_rounds is None:
-        max_rounds = len(predicates) * n_entities * n_entities + 2
+    max_rounds = len(predicates) * n_entities * n_entities + 2
     for _ in range(max_rounds):
         new_facts = set()
         for _rule, _subst, head in iter_groundings(result, rules):

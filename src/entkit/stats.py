@@ -22,7 +22,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import gt
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (Document, EntityCluster, Mention, _resource_text,
@@ -147,16 +146,12 @@ def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
 # Entity type histogram with hierarchy rollup
 
 
-def load_type_hierarchy(path: str | Path | None = None) -> dict[str, str | None]:
+def load_type_hierarchy() -> dict[str, str | None]:
     """Parse the indented hierarchy resource into a tag -> parent map
     (top-level tags map to None). Two spaces per level."""
-    if path is None:
-        text = _resource_text("type_hierarchy.txt")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
     parents: dict[str, str | None] = {}
     stack: list[tuple[int, str]] = []
-    for line in text.splitlines():
+    for line in _resource_text("type_hierarchy.txt").splitlines():
         if not line.strip() or line.strip().startswith("#"):
             continue
         depth = (len(line) - len(line.lstrip(" "))) // 2
@@ -188,14 +183,11 @@ class TypeHistogram:
     total_mentions: int
 
 
-def entity_type_histogram(docs: Iterable[Document],
-                          hierarchy: dict[str, str | None] | None = None
-                          ) -> TypeHistogram:
+def entity_type_histogram(docs: Iterable[Document]) -> TypeHistogram:
     """Cluster and mention counts per tag, plus counts rolled up to each
-    ancestor (a cluster counts once per ancestor node that covers any of its
-    tags)."""
-    if hierarchy is None:
-        hierarchy = load_type_hierarchy()
+    ancestor in the shipped type hierarchy (a cluster counts once per
+    ancestor node that covers any of its tags)."""
+    hierarchy = load_type_hierarchy()
     direct: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     rollup: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     total_clusters = total_mentions = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -116,6 +117,36 @@ def re_units(doc):
                           for tm in by_id[tail].mentions)
         units.append((pairs, {rel_type}))
     return units
+
+
+# --------------------------------------------------------------------------
+# Unit overlaps by instance expansion
+
+
+def unit_overlaps(a: Document, b: Document, task: str):
+    """`entkit.corpus.unit_overlaps` with every instance written out: each
+    mention (NER) or head x tail mention pair of a related cluster pair (RE)
+    is grouped under (the unit of a holding it, the unit of b holding it)."""
+
+    def units(d: Document) -> dict:
+        if task == "ner":
+            return {(i,): c.tags for i, c in enumerate(d.clusters)}
+        position = {c.id: i for i, c in enumerate(d.clusters)}
+        out: dict = {}
+        for r in d.relations:
+            out.setdefault((position[r.head], position[r.tail]), set()).add(r.type)
+        return {pair: frozenset(types) for pair, types in out.items()}
+
+    def holders(d: Document, units: dict) -> dict:
+        return {instance: unit for unit in units
+                for instance in itertools.product(
+                    *(d.clusters[i].mentions for i in unit))}
+
+    units_a, units_b = units(a), units(b)
+    held_a, held_b = holders(a, units_a), holders(b, units_b)
+    blocks = Counter((held_a.get(x), held_b.get(x))
+                     for x in held_a.keys() | held_b.keys())
+    return units_a, units_b, blocks
 
 
 # --------------------------------------------------------------------------

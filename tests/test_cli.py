@@ -364,6 +364,26 @@ def test_consuming_commands_refuse_duplicate_document_ids(tmp_path, capsys,
     assert line.endswith(f"[{paths['bad']}]")
 
 
+def _related_doc(n_tokens):
+    return {"id": "d1", "split": "train", "tokens": ["w"] * n_tokens,
+            "sentences": [[0, n_tokens]],
+            "clusters": [{"id": "c", "mentions": [[0, 1]], "tags": ["person"]},
+                         {"id": "t", "mentions": [[2, 3]], "tags": ["location"]}],
+            "relations": [{"head": "c", "type": "in0", "tail": "t"}]}
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--task", task, "--gold", "{a}", "--pred", "{b}"]
+    for task in ("coref", "ner", "re")] + [
+    ["kappa", "--a", "{a}", "--b", "{b}", "--task", task]
+    for task in ("entity", "relation", "coref", "linking")])
+def test_paired_commands_refuse_token_mismatch(tmp_path, capsys, command):
+    paths = {"a": _write_corpus(tmp_path / "a.jsonl", [_related_doc(4)]),
+             "b": _write_corpus(tmp_path / "b.jsonl", [_related_doc(6)])}
+    line = _single_error_line(capsys, [a.format(**paths) for a in command])
+    assert line == "error: token-space mismatch in document 'd1'"
+
+
 # A JSON boolean is not an integer, although Python's bool is an int.
 BOOLEAN_SPANS = {"id": "d", "split": "train", "tokens": ["a", "b"],
                  "sentences": [[False, 2]],

@@ -199,7 +199,7 @@ def test_relation_triple_is_its_head_type_tail_tuple():
     assert relation_positions(d) == [(1, "r", 0), (0, "r", 1)]
 
 
-@pytest.mark.parametrize("run", [
+RELATION_READERS = pytest.mark.parametrize("run", [
     lambda d: relation_type_histogram([d]),
     lambda d: multilabel_relation_histogram([d]),
     lambda d: relation_distance_profile([d]),
@@ -207,11 +207,25 @@ def test_relation_triple_is_its_head_type_tail_tuple():
     lambda d: build_eval_view(d, d, "re"),
 ], ids=["relation_type_histogram", "multilabel_relation_histogram",
         "relation_distance_profile", "relation_agreement", "build_eval_view"])
+
+
+@RELATION_READERS
 def test_relation_to_missing_cluster_id_is_refused(run):
     d = make_doc("d", clusters=[("c", [(0, 1)], ["person"])],
                  relations=[("c", "r", "zz")])
     with pytest.raises(ValueError,
                        match="^d: relation 'r' references a missing cluster id$"):
+        run(d)
+
+
+@RELATION_READERS
+def test_relation_to_repeated_cluster_id_is_refused(run):
+    d = make_doc("d", clusters=[("c", [(0, 1)], ["person"]),
+                                ("c", [(2, 3)], ["person"]),
+                                ("t", [(5, 6)], ["location"])],
+                 relations=[("c", "r", "t")])
+    with pytest.raises(ValueError, match="^d: relation 'r' references "
+                                         "cluster id 'c', which two clusters carry$"):
         run(d)
 
 

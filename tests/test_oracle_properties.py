@@ -1,15 +1,16 @@
 """Count-based scorers against the brute-force oracles.
 
 The library computes kappa from contingency counts, coverage from sorted
-columns, the coreference scores from one cluster-overlap table, the metric
-levels from per-label count rows and relation distances from sorted cluster
-columns; the oracles in `oracles.py` write every item out, count every
-threshold, map every mention, fill the dense similarity matrix, build every
-instance set and visit every mention pair. Kappa, coverage, the coreference
-scores, the metric levels and the distance records must give the same values
-exactly, not approximately. Release alignment bisects and
-rule grounding reads a fact index, where the oracles scan every token and
-every fact; both must give the same answers.
+columns, the coreference scores from one cluster-overlap table, the unit
+overlaps from products of its cells, the metric levels from per-label count
+rows and relation distances from sorted cluster columns; the oracles in
+`oracles.py` write every item out, count every threshold, map every mention,
+fill the dense similarity matrix, expand every unit into its instances,
+build every instance set and visit every mention pair. Kappa, coverage, the
+coreference scores, the unit overlaps, the metric levels and the distance
+records must give the same values exactly, not approximately. Release
+alignment bisects and rule grounding reads a fact index, where the oracles
+scan every token and every fact; both must give the same answers.
 """
 
 from collections import Counter
@@ -23,7 +24,7 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               linking_agreement, observed_agreement,
                               relation_agreement)
 from entkit import coref, dwie, rules
-from entkit.corpus import UNANNOTATED
+from entkit.corpus import UNANNOTATED, unit_overlaps
 from entkit.metrics import LEVELS, build_eval_view, per_label_prf, score_level
 from entkit.stats import (DistanceProfile, DistanceRecord,
                           relation_distance_profile)
@@ -187,9 +188,15 @@ def test_per_label_equals_brute_force_on_one_label(pair, task):
 
 
 # Duplicate cluster ids that share no span, and a relation from a cluster to
-# itself: the counted view must follow the item lists there too.
+# itself: the counted view must follow the item lists there too. A relation
+# may not name an id two clusters carry, so for RE the first of the two
+# clusters is renamed, which leaves every relation on the cluster it names.
 ODD_GOLD = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
     ("c0", [(0, 1), (2, 4)], ["L1"]), ("c0", [(5, 6)], ["L1", "L2"]),
+    ("c1", [(7, 9)], ["L2"])],
+    relations=[("c0", "R1", "c0"), ("c0", "R1", "c1"), ("c1", "R2", "c0")])
+ODD_GOLD_RE = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c3", [(0, 1), (2, 4)], ["L1"]), ("c0", [(5, 6)], ["L1", "L2"]),
     ("c1", [(7, 9)], ["L2"])],
     relations=[("c0", "R1", "c0"), ("c0", "R1", "c1"), ("c1", "R2", "c0")])
 ODD_PRED = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
@@ -204,7 +211,7 @@ ODD_PRED = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
 @example(([], []), "re")
 @example(([make_doc("d0", n_tokens=10)], [make_doc("d0", n_tokens=10)]), "re")
 @example(([ODD_GOLD], [ODD_PRED]), "ner")
-@example(([ODD_GOLD], [ODD_PRED]), "re")
+@example(([ODD_GOLD_RE], [ODD_PRED]), "re")
 def test_levels_equal_item_list_oracle_exactly(pair, task):
     golds, preds = pair
     views = [build_eval_view(g, p, task) for g, p in zip(golds, preds)]
@@ -215,6 +222,34 @@ def test_levels_equal_item_list_oracle_exactly(pair, task):
             == oracles.item_list_score(item_views, level), level
         assert per_label_prf(views, level) \
             == oracles.item_list_per_label(item_views, level), level
+
+
+# A pair whose related cluster pairs differ, including pairs only one side
+# relates and spans only one side marks.
+ONE_SIDED_A = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1), (2, 3)], ["L1"]), ("c1", [(4, 5)], ["L2"]),
+    ("c2", [(8, 9)], [])],
+    relations=[("c0", "R1", "c1"), ("c2", "R2", "c0"), ("c2", "R1", "c0")])
+ONE_SIDED_B = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1)], ["L1"]), ("c1", [(2, 3), (4, 5)], ["L2", "L3"]),
+    ("c3", [(6, 7)], ["L3"])],
+    relations=[("c1", "R1", "c0"), ("c3", "R2", "c1"), ("c0", "R1", "c1")])
+EMPTY_DOC = make_doc("d0", n_tokens=10, sentences=SENTENCES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_pairs(), st.sampled_from(["ner", "re"]))
+@example(([ODD_GOLD_RE], [ODD_PRED]), "re")
+@example(([ODD_PRED], [ODD_GOLD_RE]), "re")
+@example(([ONE_SIDED_A], [ONE_SIDED_B]), "ner")
+@example(([ONE_SIDED_A], [ONE_SIDED_B]), "re")
+@example(([ONE_SIDED_A], [EMPTY_DOC]), "re")
+@example(([EMPTY_DOC], [ONE_SIDED_B]), "ner")
+@example(([EMPTY_DOC], [EMPTY_DOC]), "ner")
+@example(([EMPTY_DOC], [EMPTY_DOC]), "re")
+def test_unit_overlaps_equals_instance_expansion(pair, task):
+    for a, b in zip(*pair):
+        assert unit_overlaps(a, b, task) == oracles.unit_overlaps(a, b, task)
 
 
 @st.composite
