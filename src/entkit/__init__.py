@@ -25,8 +25,7 @@ from .stats import (CorpusSummary, DistanceProfile, corpus_summary,
                     relation_type_histogram)
 from .kernels import (GateTransform, ScoreSet, SpanVectors,
                       attention_propagation, augment_with_pruner,
-                      coref_confidence, coref_marginal_loss,
-                      coref_update_vector, gated_span_update, joint_loss,
-                      multilabel_bce_loss, relation_update_vector, span_count)
+                      coref_confidence, coref_marginal_loss, gated_span_update,
+                      joint_loss, multilabel_bce_loss, span_count)
 
 __version__ = "0.1.0"

@@ -6,8 +6,10 @@ gate layer is an explicit weight/bias parameter. Nothing here trains.
 
 Conventions: span-pair matrices are indexed [antecedent i, target j]; the
 coreference support of span j is the prefix 0..j inclusive (the diagonal
-entry encodes self-coreference, i.e. a singleton or invalid span); attention
-rows normalize over all spans. Losses are non-negative.
+entry encodes self-coreference, i.e. a singleton or invalid span), so column
+j of the coreference confidences holds span j's distribution; attention rows
+normalize over all spans. Update vectors come one row per span and every
+propagation step updates all spans at once. Losses are non-negative.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ class SpanVectors:
 
     def __post_init__(self):
         self.vectors = _as_array(self.vectors, "span vectors", ndim=2)
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
 
 @dataclass
@@ -104,12 +98,16 @@ class ScoreSet:
                         "differs from the full span count")
                 self.pruned_indices = np.arange(n_pruned)
             else:
-                self.pruned_indices = np.asarray(self.pruned_indices, dtype=int)
+                given = np.asarray(self.pruned_indices)
+                self.pruned_indices = given.astype(int)
                 if self.pruned_indices.shape != (n_pruned,):
                     raise ValueError("pruned_indices must list one position "
                                      "per pruned span")
-                if n_spans is not None and self.pruned_indices.size \
-                        and self.pruned_indices.max() >= n_spans:
+                if np.any(self.pruned_indices != given):
+                    raise ValueError("pruned_indices must be integers")
+                if self.pruned_indices.size and (
+                        self.pruned_indices.min() < 0 or n_spans is not None
+                        and self.pruned_indices.max() >= n_spans):
                     raise ValueError("pruned_indices out of range")
 
     @property
@@ -174,8 +172,7 @@ def select_top_spans(pruner_scores, keep: int) -> np.ndarray:
     scores = _as_array(pruner_scores, "pruner scores", ndim=1)
     if not 0 <= keep <= scores.shape[0]:
         raise ValueError(f"keep must be in [0, {scores.shape[0]}]")
-    order = sorted(range(scores.shape[0]), key=lambda i: (-scores[i], i))
-    return np.array(sorted(order[:keep]), dtype=int)
+    return np.sort(np.argsort(-scores, kind="stable")[:keep])
 
 
 # --------------------------------------------------------------------------
@@ -258,54 +255,51 @@ def joint_loss(mention_loss: float, coref_loss: float, relation_loss: float,
 # Propagation updates
 
 
-def coref_confidence(augmented_coref, j: int) -> np.ndarray:
-    """Softmax over the antecedent scores of span j (prefix 0..j, self
-    included); entries past j are exactly zero."""
+def _vectors(span_vectors) -> np.ndarray:
+    return span_vectors.vectors if isinstance(span_vectors, SpanVectors) \
+        else _as_array(span_vectors, "span vectors", ndim=2)
+
+
+def coref_confidence(augmented_coref) -> np.ndarray:
+    """Antecedent softmax of every span: column j normalizes span j's scores
+    over the prefix 0..j (self included); entries below the diagonal are
+    exactly zero."""
     scores = _as_array(augmented_coref, "coreference scores", ndim=2)
     n = scores.shape[0]
-    if not 0 <= j < n:
-        raise ValueError(f"span index {j} out of range for {n} spans")
-    column = scores[: j + 1, j]
-    shifted = np.exp(column - column.max())
-    out = np.zeros(n)
-    out[: j + 1] = shifted / shifted.sum()
-    return out
+    if scores.shape != (n, n):
+        raise ValueError("coreference scores must be square")
+    prefix = np.where(np.tri(n, dtype=bool).T, scores, -np.inf)
+    shifted = np.exp(prefix - prefix.max(axis=0))
+    return shifted / shifted.sum(axis=0)
 
 
-def coref_update_vector(confidences, span_vectors, j: int) -> np.ndarray:
-    """Confidence-weighted average of the antecedent representations of span
-    j; lands inside their convex hull."""
-    conf = _as_array(confidences, "confidences", ndim=1)
-    g = span_vectors.vectors if isinstance(span_vectors, SpanVectors) \
-        else _as_array(span_vectors, "span vectors", ndim=2)
+def coref_update_vectors(augmented_coref, span_vectors) -> np.ndarray:
+    """Confidence-weighted averages of the antecedent representations, one
+    row per span; row j lands inside the convex hull of spans 0..j."""
+    g = _vectors(span_vectors)
+    conf = coref_confidence(augmented_coref)
     if conf.shape[0] != g.shape[0]:
-        raise ValueError("confidence vector and span vectors disagree")
-    if not np.isclose(conf.sum(), 1.0, atol=1e-9):
-        raise ValueError("confidences must sum to 1")
-    if np.any(conf[j + 1:] != 0):
-        raise ValueError(f"confidences must be zero past span {j}")
-    return conf[: j + 1] @ g[: j + 1]
+        raise ValueError("coreference scores and span vectors disagree")
+    return conf.T @ g
 
 
-def relation_update_vector(relation_scores, projection, span_vectors, j: int
-                           ) -> np.ndarray:
-    """Relation-driven update for span j: each span i contributes its
+def relation_update_vectors(relation_scores, projection, span_vectors
+                            ) -> np.ndarray:
+    """Relation-driven updates, one row per span: row j sums every span i's
     representation gated elementwise by the projected, rectified relation
     scores of the pair (i, j)."""
     rel = _as_array(relation_scores, "relation scores", ndim=3)
     a = _as_array(projection, "projection", ndim=2)
-    g = span_vectors.vectors if isinstance(span_vectors, SpanVectors) \
-        else _as_array(span_vectors, "span vectors", ndim=2)
+    g = _vectors(span_vectors)
     n, n2, n_types = rel.shape
     if n != n2 or n != g.shape[0]:
         raise ValueError("relation scores and span vectors disagree")
     if a.shape != (g.shape[1], n_types):
         raise ValueError(f"projection must be ({g.shape[1]}, {n_types}), "
                          f"got {a.shape}")
-    if not 0 <= j < n:
-        raise ValueError(f"span index {j} out of range")
-    weights = np.maximum(rel[:, j, :], 0.0) @ a.T  # (n, dim)
-    return np.sum(weights * g, axis=0)
+    # (span j, type, dim) sums of rectified scores times representations
+    per_type = np.einsum("ijl,id->jld", np.maximum(rel, 0.0), g, optimize=True)
+    return np.einsum("jld,dl->jd", per_type, a)
 
 
 def attention_confidence(attention_scores) -> np.ndarray:
@@ -320,8 +314,7 @@ def attention_confidence(attention_scores) -> np.ndarray:
 
 def attention_update_vectors(attention_scores, span_vectors) -> np.ndarray:
     """Attention-weighted sums of all span representations, one row per span."""
-    g = span_vectors.vectors if isinstance(span_vectors, SpanVectors) \
-        else _as_array(span_vectors, "span vectors", ndim=2)
+    g = _vectors(span_vectors)
     conf = attention_confidence(attention_scores)
     if conf.shape[0] != g.shape[0]:
         raise ValueError("attention scores and span vectors disagree")
@@ -342,33 +335,32 @@ def gated_span_update(g, u, gate: GateTransform) -> np.ndarray:
     return f * g_arr + (1.0 - f) * u_arr
 
 
+def _step(span_vectors: SpanVectors, u, gate: GateTransform) -> SpanVectors:
+    """The gated mix of every span with its update row; next iteration."""
+    return SpanVectors(gated_span_update(span_vectors.vectors, u, gate),
+                       span_vectors.iteration + 1)
+
+
 def attention_propagation(span_vectors: SpanVectors, attention_scores,
                           gate: GateTransform) -> SpanVectors:
     """One attention propagation step: attention-weighted update vectors
     followed by the gated mix; returns the next-iteration span vectors."""
-    u = attention_update_vectors(attention_scores, span_vectors)
-    updated = gated_span_update(span_vectors.vectors, u, gate)
-    return SpanVectors(updated, span_vectors.iteration + 1)
+    return _step(span_vectors,
+                 attention_update_vectors(attention_scores, span_vectors), gate)
 
 
 def coref_propagation(span_vectors: SpanVectors, augmented_coref,
                       gate: GateTransform) -> SpanVectors:
     """One coreference propagation step over every span."""
-    g = span_vectors.vectors
-    u = np.vstack([
-        coref_update_vector(coref_confidence(augmented_coref, j), g, j)
-        for j in range(g.shape[0])])
-    return SpanVectors(gated_span_update(g, u, gate), span_vectors.iteration + 1)
+    return _step(span_vectors,
+                 coref_update_vectors(augmented_coref, span_vectors), gate)
 
 
 def relation_propagation(span_vectors: SpanVectors, relation_scores, projection,
                          gate: GateTransform) -> SpanVectors:
     """One relation propagation step over every span."""
-    g = span_vectors.vectors
-    u = np.vstack([
-        relation_update_vector(relation_scores, projection, g, j)
-        for j in range(g.shape[0])])
-    return SpanVectors(gated_span_update(g, u, gate), span_vectors.iteration + 1)
+    return _step(span_vectors, relation_update_vectors(
+        relation_scores, projection, span_vectors), gate)
 
 
 def iterate_propagation(span_vectors: SpanVectors, steps: int, step_fn

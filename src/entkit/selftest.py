@@ -200,25 +200,31 @@ def run_selftest(trials: int = 200, seed: int = 20240, max_spans: int = 4,
               kernels.coref_marginal_loss(np.array(pair), gold_sets),
               ref_coref_loss(pair, [sorted(s) for s in gold_sets]))
 
-        j = rng.randrange(n)
-        conf = kernels.coref_confidence(np.array(pair), j)
-        track("coref_confidence", conf, ref_coref_confidence(pair, j))
+        # every span j: column j of the confidences, row j of the updates
+        conf = [ref_coref_confidence(pair, j) for j in range(n)]
+        coref_u = [ref_coref_update(conf[j], vectors, j) for j in range(n)]
+        relation_u = [ref_relation_update(relation, projection, vectors, j)
+                      for j in range(n)]
+        pair_a, relation_a, projection_a = (
+            np.array(pair), np.array(relation), np.array(projection))
+        track("coref_confidence", kernels.coref_confidence(pair_a).T, conf)
         track("coref_update_vector",
-              kernels.coref_update_vector(conf, spans, j),
-              ref_coref_update(list(conf), vectors, j))
-        track("relation_update_vector",
-              kernels.relation_update_vector(np.array(relation),
-                                             np.array(projection), spans, j),
-              ref_relation_update(relation, projection, vectors, j))
-        track("attention_confidence",
-              kernels.attention_confidence(np.array(pair)),
+              kernels.coref_update_vectors(pair_a, spans), coref_u)
+        track("relation_update_vector", kernels.relation_update_vectors(
+            relation_a, projection_a, spans), relation_u)
+        track("attention_confidence", kernels.attention_confidence(pair_a),
               ref_attention_confidence(pair))
 
-        u_ref = ref_attention_update(pair, vectors)
-        stepped = kernels.attention_propagation(spans, np.array(pair), gate)
-        expected = [ref_gated_update(vectors[i], u_ref[i], weight, bias)
-                    for i in range(n)]
-        track("attention_propagation", stepped.vectors, expected)
+        for name, stepped, updates in (
+                ("attention_propagation", kernels.attention_propagation(
+                    spans, pair_a, gate), ref_attention_update(pair, vectors)),
+                ("coref_propagation",
+                 kernels.coref_propagation(spans, pair_a, gate), coref_u),
+                ("relation_propagation", kernels.relation_propagation(
+                    spans, relation_a, projection_a, gate), relation_u)):
+            track(name, stepped.vectors,
+                  [ref_gated_update(vectors[i], updates[i], weight, bias)
+                   for i in range(n)])
 
         g_vec = [rng.uniform(-3, 3) for _ in range(dim)]
         u_vec = [rng.uniform(-3, 3) for _ in range(dim)]

@@ -232,7 +232,7 @@ def test_criterion_kernels():
             assert np.all(np.abs(att.sum(axis=1) - 1.0) < TOL)
             scores = rng.normal(size=(n, n)) * 4
             for j in range(n):
-                conf = coref_confidence(scores, j)
+                conf = coref_confidence(scores)[:, j]
                 assert abs(conf.sum() - 1.0) < TOL
                 assert np.all(conf[j + 1:] == 0.0)
 

@@ -23,14 +23,17 @@ def _evaluate(case):
             np.array(case["scores"]),
             [set(g) for g in case["gold_antecedents"]])
     if op == "coref_confidence":
-        return kernels.coref_confidence(np.array(case["scores"]), case["j"])
+        return kernels.coref_confidence(np.array(case["scores"]))[:, case["j"]]
     if op == "coref_update_vector":
-        return kernels.coref_update_vector(
-            np.array(case["confidences"]), np.array(case["vectors"]), case["j"])
+        # the confidences enter as column j's log-scores, whose softmax they are
+        conf, j = np.array(case["confidences"]), case["j"]
+        scores = np.zeros((len(conf), len(conf)))
+        scores[: j + 1, j] = np.log(conf[: j + 1])
+        return kernels.coref_update_vectors(scores, np.array(case["vectors"]))[j]
     if op == "relation_update_vector":
-        return kernels.relation_update_vector(
+        return kernels.relation_update_vectors(
             np.array(case["relation_scores"]), np.array(case["projection"]),
-            np.array(case["vectors"]), case["j"])
+            np.array(case["vectors"]))[case["j"]]
     if op == "attention_update_vectors":
         return kernels.attention_update_vectors(
             np.array(case["scores"]), np.array(case["vectors"]))

@@ -8,17 +8,28 @@ from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
                             attention_confidence, attention_propagation,
                             attention_update_vectors, augment_with_pruner,
                             coref_confidence, coref_marginal_loss,
-                            coref_propagation, coref_update_vector,
+                            coref_propagation, coref_update_vectors,
                             gated_span_update, iterate_propagation, joint_loss,
                             multilabel_bce_loss, relation_propagation,
-                            relation_update_vector, select_top_spans,
+                            relation_update_vectors, select_top_spans,
                             span_count)
+from entkit.selftest import (ref_coref_confidence, ref_coref_update,
+                             ref_gated_update, ref_relation_update)
 
 TOL = 1e-9
 
 
 def zero_gate(n):
     return GateTransform(np.zeros((n, 2 * n)), np.zeros(n))
+
+
+def column_scores(conf, j):
+    """Coreference scores whose column j softmaxes to `conf`; a zero
+    confidence becomes a score of -1000, whose exponential underflows to 0."""
+    scores = np.zeros((len(conf), len(conf)))
+    scores[: j + 1, j] = [math.log(c) if c > 0 else -1000.0
+                          for c in conf[: j + 1]]
+    return scores
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +117,15 @@ def test_shape_mismatch_rejected():
                  pruned_indices=None, mention=np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("indices", [[-1], [0.9]])
+def test_pruned_indices_must_be_non_negative_integers(indices):
+    # -1 would wrap around to the last span's pruner score; 0.9 would
+    # truncate to span 0
+    with pytest.raises(ValueError):
+        ScoreSet(pruner=[1.0, 2.0, 3.0], coref=np.zeros((1, 1)),
+                 pruned_indices=indices)
+
+
 # --------------------------------------------------------------------------
 # Losses
 
@@ -178,7 +198,7 @@ def test_joint_loss_weighted_sum():
 
 
 def test_coref_confidence_uniform():
-    conf = coref_confidence(np.zeros((4, 4)), 2)
+    conf = coref_confidence(np.zeros((4, 4)))[:, 2]
     assert np.allclose(conf[:3], 1 / 3)
     assert conf[3] == 0.0
 
@@ -186,61 +206,70 @@ def test_coref_confidence_uniform():
 def test_coref_confidence_hand_softmax():
     scores = np.zeros((2, 2))
     scores[0, 1] = math.log(3)
-    conf = coref_confidence(scores, 1)
+    conf = coref_confidence(scores)[:, 1]
     assert np.allclose(conf, [0.75, 0.25], atol=TOL)
 
 
 def test_coref_confidence_first_span():
-    assert np.allclose(coref_confidence(np.zeros((3, 3)), 0), [1.0, 0.0, 0.0])
+    assert np.allclose(coref_confidence(np.zeros((3, 3)))[:, 0],
+                       [1.0, 0.0, 0.0])
 
 
 def test_coref_confidence_rows_sum_to_one():
     rng = np.random.default_rng(4)
     scores = rng.normal(size=(6, 6)) * 4
     for j in range(6):
-        conf = coref_confidence(scores, j)
+        conf = coref_confidence(scores)[:, j]
         assert abs(conf.sum() - 1.0) < TOL
         assert np.all(conf[: j + 1] > 0)
         assert np.all(conf[j + 1:] == 0.0)
 
 
+def test_coref_confidence_rejects_non_square():
+    with pytest.raises(ValueError):
+        coref_confidence(np.zeros((2, 3)))
+
+
 def test_coref_update_all_mass_on_self():
     g = np.array([[1.0, 0.0], [3.0, 4.0]])
     conf = np.array([0.0, 1.0])
-    assert np.allclose(coref_update_vector(conf, g, 1), [3.0, 4.0])
+    assert np.allclose(coref_update_vectors(column_scores(conf, 1), g)[1],
+                       [3.0, 4.0])
 
 
 def test_coref_update_convex_combination():
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
     conf = np.array([0.5, 0.5])
-    assert np.allclose(coref_update_vector(conf, g, 1), [0.5, 0.5])
+    assert np.allclose(coref_update_vectors(column_scores(conf, 1), g)[1],
+                       [0.5, 0.5])
 
 
 def test_coref_update_identical_vectors_invariant():
     g = np.tile([2.0, -1.0], (3, 1))
     conf = np.array([0.2, 0.5, 0.3])
-    assert np.allclose(coref_update_vector(conf, g, 2), [2.0, -1.0])
+    assert np.allclose(coref_update_vectors(column_scores(conf, 2), g)[2],
+                       [2.0, -1.0])
 
 
 def test_relation_update_zero_projection():
     rel = np.ones((2, 2, 3))
     g = np.ones((2, 2))
     assert np.allclose(
-        relation_update_vector(rel, np.zeros((2, 3)), g, 0), 0.0)
+        relation_update_vectors(rel, np.zeros((2, 3)), g)[0], 0.0)
 
 
 def test_relation_update_negative_scores_die():
     rel = -np.ones((2, 2, 3))
     g = np.random.default_rng(5).normal(size=(2, 2))
     proj = np.ones((2, 3))
-    assert np.allclose(relation_update_vector(rel, proj, g, 1), 0.0)
+    assert np.allclose(relation_update_vectors(rel, proj, g)[1], 0.0)
 
 
 def test_relation_update_hand_value():
     rel = np.full((1, 1, 1), 2.0)
     proj = np.ones((2, 1))
     g = np.array([[1.0, 2.0]])
-    assert np.allclose(relation_update_vector(rel, proj, g, 0), [2.0, 4.0])
+    assert np.allclose(relation_update_vectors(rel, proj, g)[0], [2.0, 4.0])
 
 
 def test_attention_uniform_scores_average():
@@ -335,10 +364,57 @@ def test_coref_and_relation_propagation_shapes():
     assert out_r.vectors.shape == (3, 2) and out_r.iteration == 1
 
 
+def test_coref_and_relation_propagation_values():
+    rng = np.random.default_rng(9)
+    dim, n_types = 3, 2
+    for n in range(1, 7):
+        vectors = rng.normal(size=(n, dim))
+        pair = rng.normal(size=(n, n)) * 3
+        relation = rng.normal(size=(n, n, n_types)) * 3
+        projection = rng.normal(size=(dim, n_types))
+        weight, bias = rng.normal(size=(dim, 2 * dim)), rng.normal(size=dim)
+        gate = GateTransform(weight, bias)
+        spans = SpanVectors(vectors)
+        g = vectors.tolist()
+
+        def expected(updates):
+            return [ref_gated_update(g[j], updates[j], weight.tolist(),
+                                     bias.tolist()) for j in range(n)]
+
+        out = coref_propagation(spans, pair, gate)
+        assert out.iteration == 1
+        assert np.allclose(out.vectors, expected(
+            [ref_coref_update(ref_coref_confidence(pair.tolist(), j), g, j)
+             for j in range(n)]), atol=TOL, rtol=0)
+        out = relation_propagation(spans, relation, projection, gate)
+        assert out.iteration == 1
+        assert np.allclose(out.vectors, expected(
+            [ref_relation_update(relation.tolist(), projection.tolist(), g, j)
+             for j in range(n)]), atol=TOL, rtol=0)
+
+        with pytest.raises(ValueError):  # scores of the wrong size
+            coref_propagation(spans, np.zeros((n + 1, n)), gate)
+        with pytest.raises(ValueError):
+            relation_propagation(spans, np.zeros((n, n + 1, n_types)),
+                                 projection, gate)
+        with pytest.raises(ValueError):  # projection of the wrong shape
+            relation_propagation(spans, relation,
+                                 np.zeros((dim, n_types + 1)), gate)
+        with pytest.raises(ValueError):  # scores over another span count
+            coref_propagation(spans, np.zeros((n + 1, n + 1)), gate)
+        with pytest.raises(ValueError):
+            relation_propagation(spans, np.zeros((n + 1, n + 1, n_types)),
+                                 projection, gate)
+
+
 def test_select_top_spans():
     scores = [0.1, 5.0, 3.0, 5.0]
     assert select_top_spans(scores, 2).tolist() == [1, 3]
     assert select_top_spans(scores, 0).tolist() == []
+    assert select_top_spans([2.0, 1.0, 2.0, 2.0, 1.0], 2).tolist() == [0, 2]
+    assert select_top_spans([1.0, 1.0, 3.0, 1.0], 3).tolist() == [0, 1, 2]
+    assert select_top_spans([0.0, -0.0, 0.0], 2).tolist() == [0, 1]
+    assert select_top_spans([-0.0, 0.0, -1.0], 1).tolist() == [0]
     with pytest.raises(ValueError):
         select_top_spans(scores, 9)
 
