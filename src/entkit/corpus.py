@@ -25,7 +25,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -241,10 +241,9 @@ def validate_document(d: Document) -> ValidationReport:
                 err(MENTION_MULTI_CLUSTER,
                     f"span [{m.begin},{m.end}) belongs to clusters {span_owner[m]!r} and {c.id!r}")
             span_owner[m] = c.id
-        for tag in sorted(c.tags):
+        for tag in sorted(c.tags - tag_vocab):
             # namespaced tags ("type::person") count as known via their value
-            bare = tag.rsplit("::", 1)[-1]
-            if tag not in tag_vocab and bare not in tag_vocab:
+            if tag.rsplit("::", 1)[-1] not in tag_vocab:
                 warn(UNKNOWN_TAG, f"cluster {c.id!r}: tag {tag!r} not in vocabulary")
 
     for r in d.relations:
@@ -410,18 +409,47 @@ def _require(cond: bool, msg: str, *args) -> None:
         raise ValueError(msg % args if args else msg)
 
 
+def _every(items: Iterable, cls) -> bool:
+    """Whether every item is an instance of `cls` (a type or a tuple of them)."""
+    return all(map(isinstance, items, repeat(cls)))
+
+
+def _are_spans(pairs: list) -> bool:
+    """Whether every item of the JSON list `pairs` is a `[begin, end]`
+    integer pair. Types are checked exactly, so a JSON boolean is not an
+    integer."""
+    return (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int})
+
+
+def _are_string_lists(lists: list) -> bool:
+    """Whether every item of `lists` is exactly a list of exactly strings."""
+    return (set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= {str})
+
+
+# Mention._make and RelationTriple._make without their length check, for
+# items whose length the schema check has fixed; these run in C
+_new_mention = functools.partial(tuple.__new__, Mention)
+_new_relation = functools.partial(tuple.__new__, RelationTriple)
+
+
 def spans_from_json(pairs: list, where: str, what: str) -> list[Mention]:
     """The `[begin, end]` integer pairs of the JSON list `pairs` as Mentions.
     Types are checked exactly, so a JSON boolean is not an integer; a schema
     error says "<where>: <what> must be [begin, end] integer pairs"."""
-    _require(set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-             and set(map(type, chain.from_iterable(pairs))) <= {int},
+    _require(_are_spans(pairs),
              "%s: %s must be [begin, end] integer pairs", where, what)
-    return list(map(Mention._make, pairs))
+    return list(map(_new_mention, pairs))
 
 
 def document_from_json(obj: dict) -> Document:
-    """Build a Document from one decoded JSON object; raises ValueError on schema errors."""
+    """Build a Document from one decoded JSON object; raises ValueError on schema errors.
+
+    The clusters and relations are checked in bulk (`_entity_fields`); only
+    a document that fails that check is walked item by item
+    (`_raise_entity_error`), to name its first bad item.
+    """
     _require(isinstance(obj, dict), "document must be a JSON object")
     _require(isinstance(obj.get("id"), str), "field 'id' must be a string")
     doc_id = obj["id"]
@@ -431,33 +459,63 @@ def document_from_json(obj: dict) -> Document:
     sentences = obj.get("sentences")
     _require(isinstance(sentences, list), "%s: field 'sentences' must be a list", doc_id)
     sents = spans_from_json(sentences, doc_id, "sentence entries")
-    clusters = []
+    fields = _entity_fields(obj)
+    if fields is None:
+        _raise_entity_error(obj, doc_id)
+    ids, mentions, tags, links, relations = fields
+    split = obj.get("split", "unsplit")
+    _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
+    clusters = map(EntityCluster, ids,
+                   [tuple(map(_new_mention, pairs)) for pairs in mentions],
+                   map(frozenset, tags), links)
+    return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
+                    tuple(map(_new_relation, relations)), split)
+
+
+def _entity_fields(obj: dict) -> tuple | None:
+    """The ids, mention lists, tag lists and links of the clusters of `obj`
+    and the (head, type, tail) of each relation, each field gathered across
+    all items and checked at once; None if any item breaks the schema.
+    Accepts exactly the items `_raise_entity_error` accepts."""
+    clusters = obj.get("clusters", [])
+    relations = obj.get("relations", [])
+    if not (isinstance(clusters, list) and isinstance(relations, list)
+            and _every(clusters, dict) and _every(relations, dict)):
+        return None
+    ids = [c.get("id") for c in clusters]
+    mentions = [c.get("mentions", []) for c in clusters]
+    tags = [c.get("tags", []) for c in clusters]
+    triples = [(r.get("head"), r.get("type"), r.get("tail")) for r in relations]
+    if not (_every(ids, str) and _every(mentions, list)
+            and _are_spans(list(chain.from_iterable(mentions)))
+            and _are_string_lists(tags)
+            and _every([c.get("link") for c in clusters], (str, type(None)))
+            and _every(chain.from_iterable(triples), str)):
+        return None
+    # an absent and a null link both pass the check; only the built
+    # cluster tells them apart
+    links = [c.get("link", UNANNOTATED) for c in clusters]
+    return ids, mentions, tags, links, triples
+
+
+def _raise_entity_error(obj: dict, doc_id: str) -> None:
+    """Raise the schema error of the first bad cluster or relation of `obj`,
+    walking them in order."""
     for c in _list_field(obj, "clusters", doc_id):
         _require(isinstance(c, dict) and isinstance(c.get("id"), str),
                  "%s: cluster entries must be objects with a string 'id'", doc_id)
-        mentions = spans_from_json(_list_field(c, "mentions", doc_id), doc_id,
-                                   "mention entries")
-        tags = c.get("tags", [])
-        _require(type(tags) is list and set(map(type, tags)) <= {str},
+        spans_from_json(_list_field(c, "mentions", doc_id), doc_id,
+                        "mention entries")
+        _require(_are_string_lists([c.get("tags", [])]),
                  "%s: cluster 'tags' must be a list of strings", doc_id)
-        if "link" in c:
-            link = c["link"]
-            _require(link is None or isinstance(link, str),
-                     "%s: cluster 'link' must be a string or null", doc_id)
-        else:
-            link = UNANNOTATED
-        clusters.append(EntityCluster(c["id"], tuple(mentions), frozenset(tags), link))
-    relations = []
+        link = c.get("link")
+        _require(link is None or isinstance(link, str),
+                 "%s: cluster 'link' must be a string or null", doc_id)
     for r in _list_field(obj, "relations", doc_id):
         _require(isinstance(r, dict)
                  and all(isinstance(r.get(k), str) for k in ("head", "type", "tail")),
                  "%s: relation entries must be objects with string head/type/tail",
                  doc_id)
-        relations.append(RelationTriple(r["head"], r["type"], r["tail"]))
-    split = obj.get("split", "unsplit")
-    _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
-    return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
-                    tuple(relations), split)
 
 
 def _list_field(obj: dict, key: str, doc_id: str) -> list:

@@ -48,8 +48,9 @@ class ScoreSet:
     mention: (num_spans, num_tags); pruner: (num_spans,);
     coref/attention: (num_pruned, num_pruned);
     relation: (num_pruned, num_pruned, num_relation_types);
-    pruned_indices: positions of the pruned spans inside the full span list
-    (defaults to the identity when the counts coincide).
+    pruned_indices: positions of the pruned spans inside the full span list,
+    strictly increasing, so the pruned spans keep document order (defaults
+    to the identity when the counts coincide).
     """
 
     mention: np.ndarray | None = None
@@ -90,25 +91,15 @@ class ScoreSet:
                 raise ValueError(f"{name} disagrees on the pruned span count")
             n_pruned = value.shape[0]
 
-        if n_pruned is not None:
-            if self.pruned_indices is None:
-                if n_spans is not None and n_spans != n_pruned:
-                    raise ValueError(
-                        "pruned_indices required when the pruned span count "
-                        "differs from the full span count")
-                self.pruned_indices = np.arange(n_pruned)
-            else:
-                given = np.asarray(self.pruned_indices)
-                self.pruned_indices = given.astype(int)
-                if self.pruned_indices.shape != (n_pruned,):
-                    raise ValueError("pruned_indices must list one position "
-                                     "per pruned span")
-                if np.any(self.pruned_indices != given):
-                    raise ValueError("pruned_indices must be integers")
-                if self.pruned_indices.size and (
-                        self.pruned_indices.min() < 0 or n_spans is not None
-                        and self.pruned_indices.max() >= n_spans):
-                    raise ValueError("pruned_indices out of range")
+        if self.pruned_indices is not None:
+            self.pruned_indices = _span_positions(self.pruned_indices, n_pruned,
+                                                  n_spans)
+        elif n_pruned is not None:
+            if n_spans is not None and n_spans != n_pruned:
+                raise ValueError(
+                    "pruned_indices required when the pruned span count "
+                    "differs from the full span count")
+            self.pruned_indices = np.arange(n_pruned)
 
     @property
     def num_pruned(self) -> int | None:
@@ -116,6 +107,26 @@ class ScoreSet:
             if value is not None:
                 return value.shape[0]
         return None
+
+
+def _span_positions(given, n_pruned: int | None, n_spans: int | None) -> np.ndarray:
+    """`given` as the positions of the pruned spans in the full span list:
+    strictly increasing integers in [0, n_spans), one per pruned span."""
+    positions = np.asarray(given)
+    if positions.dtype.kind not in "iuf" or positions.ndim != 1:
+        raise ValueError("pruned_indices must be a list of integers")
+    if n_pruned is not None and positions.shape[0] != n_pruned:
+        raise ValueError("pruned_indices must list one position per pruned span")
+    if positions.dtype.kind == "f" and not (
+            np.isfinite(positions).all() and (positions == np.round(positions)).all()):
+        raise ValueError("pruned_indices must be integers")
+    limit = np.iinfo(np.intp).max if n_spans is None else n_spans
+    if positions.size and (positions.min() < 0 or positions.max() >= limit):
+        raise ValueError("pruned_indices out of range")
+    positions = positions.astype(np.intp)
+    if np.any(np.diff(positions) <= 0):
+        raise ValueError("pruned_indices must be strictly increasing")
+    return positions
 
 
 @dataclass

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import truediv
 from typing import Iterable, NamedTuple
 
-from .corpus import Document, relation_positions, unit_overlaps
+from .corpus import Document, unit_overlaps
 
 TASKS = ("ner", "re")
 LEVELS = ("mention", "hard", "soft")
@@ -84,14 +84,17 @@ class EvalView:
     labels: dict[str, LabelCounts] = field(default_factory=dict)
 
 
-def _units(doc: Document, task: str) -> list[tuple[str, tuple[int, ...]]]:
-    """(label, cluster positions) for every labelled unit of `doc`: each
-    cluster once per tag for NER, each distinct relation triple in
-    `relation_positions` order for RE."""
+def _units(doc: Document, units: dict, task: str) -> list[tuple[str, tuple[int, ...]]]:
+    """(label, cluster positions) for every labelled unit of `doc`, from its
+    `unit_overlaps` table `units`: each cluster once per tag for NER, each
+    distinct relation triple in `relation_positions` order (by head id,
+    type, tail id) for RE. That order is a sort of the table's rows because
+    `relation_positions`, which built them, refuses an id two clusters carry."""
+    rows = [(label, unit) for unit, labels in units.items() for label in labels]
     if task == "ner":
-        return [(label, (i,)) for i, c in enumerate(doc.clusters)
-                for label in c.tags]
-    return [(label, (head, tail)) for head, label, tail in relation_positions(doc)]
+        return rows
+    ids = [c.id for c in doc.clusters]
+    return sorted(rows, key=lambda row: (ids[row[1][0]], row[0], ids[row[1][1]]))
 
 
 def _totals(units: list[tuple]) -> tuple:
@@ -133,8 +136,8 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
                 if n == sizes[0][g] == sizes[1][p]:
                     matched.add((p, label))
     by_label: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for side, doc in enumerate((gold, pred)):
-        for label, unit in _units(doc, task):
+    for side, (doc, units) in enumerate(((gold, gold_units), (pred, pred_units))):
+        for label, unit in _units(doc, units, task):
             key = unit, label
             by_label[label][side].append((hits[side].get(key, 0), sizes[side][unit],
                                           side == 1 and key in matched))

@@ -17,11 +17,76 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from entkit.corpus import Document, Mention
+from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
+                           RelationTriple)
 from entkit.dwie import _SENT_FINAL
 from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
 from entkit.stats import DistanceRecord, token_gap
+
+
+# --------------------------------------------------------------------------
+# Corpus loading
+
+
+def _require(cond: bool, msg: str, *args) -> None:
+    if not cond:
+        raise ValueError(msg % args if args else msg)
+
+
+def _spans(pairs: list, where: str, what: str) -> list[Mention]:
+    _require(set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+             and set(map(type, itertools.chain.from_iterable(pairs))) <= {int},
+             "%s: %s must be [begin, end] integer pairs", where, what)
+    return list(map(Mention._make, pairs))
+
+
+def _list_field(obj: dict, key: str, doc_id: str) -> list:
+    value = obj.get(key, [])
+    _require(isinstance(value, list), "%s: field %r must be a list", doc_id, key)
+    return value
+
+
+def per_item_document_from_json(obj: dict) -> Document:
+    """The document loader that checks and builds one cluster and one
+    relation at a time, in file order: the reference for which inputs are
+    accepted, the Document built and the first schema error's message."""
+    _require(isinstance(obj, dict), "document must be a JSON object")
+    _require(isinstance(obj.get("id"), str), "field 'id' must be a string")
+    doc_id = obj["id"]
+    tokens = obj.get("tokens")
+    _require(type(tokens) is list and set(map(type, tokens)) <= {str},
+             "%s: field 'tokens' must be a list of strings", doc_id)
+    sentences = obj.get("sentences")
+    _require(isinstance(sentences, list), "%s: field 'sentences' must be a list", doc_id)
+    sents = _spans(sentences, doc_id, "sentence entries")
+    clusters = []
+    for c in _list_field(obj, "clusters", doc_id):
+        _require(isinstance(c, dict) and isinstance(c.get("id"), str),
+                 "%s: cluster entries must be objects with a string 'id'", doc_id)
+        mentions = _spans(_list_field(c, "mentions", doc_id), doc_id,
+                          "mention entries")
+        tags = c.get("tags", [])
+        _require(type(tags) is list and set(map(type, tags)) <= {str},
+                 "%s: cluster 'tags' must be a list of strings", doc_id)
+        if "link" in c:
+            link = c["link"]
+            _require(link is None or isinstance(link, str),
+                     "%s: cluster 'link' must be a string or null", doc_id)
+        else:
+            link = UNANNOTATED
+        clusters.append(EntityCluster(c["id"], tuple(mentions), frozenset(tags), link))
+    relations = []
+    for r in _list_field(obj, "relations", doc_id):
+        _require(isinstance(r, dict)
+                 and all(isinstance(r.get(k), str) for k in ("head", "type", "tail")),
+                 "%s: relation entries must be objects with string head/type/tail",
+                 doc_id)
+        relations.append(RelationTriple(r["head"], r["type"], r["tail"]))
+    split = obj.get("split", "unsplit")
+    _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
+    return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
+                    tuple(relations), split)
 
 
 # --------------------------------------------------------------------------

@@ -150,6 +150,19 @@ def test_unknown_labels_warn_not_fail():
     assert codes == {"UNKNOWN_TAG", "UNKNOWN_RELATION_TYPE"}
 
 
+def test_unknown_tag_warnings_in_sorted_tag_order():
+    # a tag is known as itself or through the value after its last "::"
+    d = make_doc(clusters=[("c1", [(0, 1)], ["zz", "type::person", "actor",
+                                             "type::nonsense", "a::b::actor",
+                                             "actor::zz"]),
+                           ("c2", [(2, 3)], ["yy"])])
+    assert [(f.code, f.message) for f in validate_document(d).warnings] == [
+        ("UNKNOWN_TAG", "cluster 'c1': tag 'actor::zz' not in vocabulary"),
+        ("UNKNOWN_TAG", "cluster 'c1': tag 'type::nonsense' not in vocabulary"),
+        ("UNKNOWN_TAG", "cluster 'c1': tag 'zz' not in vocabulary"),
+        ("UNKNOWN_TAG", "cluster 'c2': tag 'yy' not in vocabulary")]
+
+
 def test_namespaced_tag_with_known_value_does_not_warn():
     d = make_doc(clusters=[("c1", [(0, 1)], ["type::person"]),
                            ("c2", [(2, 3)], ["type::nonsense"])])

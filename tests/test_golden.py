@@ -6,7 +6,10 @@ relations, NIL and unannotated links, multi-sentence relation distances and
 a document with no mentions. `tests/fixtures/rules_multi.jsonl` has two
 violations of one rule in one document and relations the closure derives.
 The files under `tests/fixtures/golden/` hold the stdout (and the
-`--plot-data` TSV) that these commands must reproduce exactly.
+`--plot-data` TSV) that these commands must reproduce exactly, and the one
+`error:` line on stderr with which `validate` refuses
+`tests/fixtures/bad_schema.jsonl` (a boolean span bound in the third cluster
+of its second document).
 """
 
 import os
@@ -60,6 +63,17 @@ def test_rules_check_matches_golden(capsys):
     assert run(RULES_ARGV) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / "rules_check.json").read_bytes()
+
+
+def test_schema_error_matches_golden(monkeypatch, capsys):
+    # run from the repository root with a relative path, as the CI step does,
+    # so the file name in the message is the golden's
+    monkeypatch.chdir(FIXTURES.parent.parent)
+    assert run(["validate", "tests/fixtures/bad_schema.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode("utf-8") == (
+        GOLDEN / "validate_bad_schema.err").read_bytes()
 
 
 def test_rules_check_output_ignores_hash_seed():

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
                             attention_confidence, attention_propagation,
@@ -13,7 +15,8 @@ from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
                             multilabel_bce_loss, relation_propagation,
                             relation_update_vectors, select_top_spans,
                             span_count)
-from entkit.selftest import (ref_coref_confidence, ref_coref_update,
+from entkit.selftest import (ref_augment_mention, ref_augment_pair,
+                             ref_coref_confidence, ref_coref_update,
                              ref_gated_update, ref_relation_update)
 
 TOL = 1e-9
@@ -124,6 +127,67 @@ def test_pruned_indices_must_be_non_negative_integers(indices):
     with pytest.raises(ValueError):
         ScoreSet(pruner=[1.0, 2.0, 3.0], coref=np.zeros((1, 1)),
                  pruned_indices=indices)
+
+
+@pytest.mark.parametrize("indices", [[1, 1], [2, 0]])
+def test_pruned_indices_must_be_strictly_increasing(indices):
+    # [1, 1] would give both pruned spans span 1's pruner score; [2, 0]
+    # would put span 2 before span 0 in the antecedent order
+    with pytest.raises(ValueError):
+        ScoreSet(pruner=[1.0, 2.0, 3.0], coref=np.zeros((2, 2)),
+                 pruned_indices=indices)
+
+
+def test_pruned_indices_checked_without_pair_scores():
+    with pytest.raises(ValueError):
+        ScoreSet(pruner=[1.0, 2.0, 3.0], pruned_indices=[-7, 0.5])
+    with pytest.raises(ValueError):  # a mask is not a list of positions
+        ScoreSet(pruner=[1.0, 2.0, 3.0], pruned_indices=[False, True])
+    assert ScoreSet(pruner=[1.0, 2.0, 3.0], pruned_indices=[0, 2]
+                    ).pruned_indices.tolist() == [0, 2]
+
+
+INDEX_ITEMS = st.one_of(st.integers(-2, 5), st.floats(-2, 5), st.booleans(),
+                        st.none(), st.text(max_size=1),
+                        st.just(2 ** 64), st.lists(st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_spans=st.integers(0, 4), n_pruned=st.integers(0, 4),
+       parts=st.sets(st.sampled_from(["mention", "pruner", "coref", "relation",
+                                      "attention"])),
+       indices=st.none() | st.lists(INDEX_ITEMS, max_size=5) | INDEX_ITEMS,
+       seed=st.integers(0, 2 ** 16))
+def test_score_set_raises_value_error_or_augments_like_loop(n_spans, n_pruned, parts,
+                                                           indices, seed):
+    rng = np.random.default_rng(seed)
+    shapes = {"mention": (n_spans, 2), "pruner": (n_spans,),
+              "coref": (n_pruned, n_pruned), "relation": (n_pruned, n_pruned, 2),
+              "attention": (n_pruned, n_pruned)}
+    arrays = {name: rng.normal(size=shapes[name]) for name in parts}
+    try:
+        scores = ScoreSet(pruned_indices=indices, **arrays)
+        out = augment_with_pruner(scores)
+    except ValueError:
+        return
+    pruner = arrays["pruner"].tolist()
+    if n_spans and "mention" in arrays:
+        assert out.mention.tolist() == ref_augment_mention(
+            arrays["mention"].tolist(), pruner)
+    if scores.pruned_indices is None:
+        return
+    positions = scores.pruned_indices.tolist()
+    assert positions == sorted(set(positions))
+    assert all(0 <= i < n_spans for i in positions)
+    if indices is not None:
+        assert positions == [float(i) for i in indices]
+    for name in ("coref", "relation"):
+        if name in arrays:
+            for t in range(2 if name == "relation" else 1):
+                pair = arrays[name].tolist() if name == "coref" else \
+                    arrays[name][:, :, t].tolist()
+                got = out.coref if name == "coref" else out.relation[:, :, t]
+                assert got.tolist() == ref_augment_pair(pair, pruner, positions)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,10 @@ build every instance set and visit every mention pair. Kappa, coverage, the
 coreference scores, the unit overlaps, the metric levels and the distance
 records must give the same values exactly, not approximately. Release
 alignment bisects and rule grounding reads a fact index, where the oracles
-scan every token and every fact; both must give the same answers.
+scan every token and every fact; both must give the same answers. The
+corpus loader checks each field of a document's clusters and relations in
+bulk, where the oracle checks one item at a time; both must accept the same
+documents, build the same Document and give the same first schema error.
 """
 
 from collections import Counter
@@ -24,7 +27,7 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               linking_agreement, observed_agreement,
                               relation_agreement)
 from entkit import coref, dwie, rules
-from entkit.corpus import UNANNOTATED, unit_overlaps
+from entkit.corpus import UNANNOTATED, document_from_json, unit_overlaps
 from entkit.metrics import LEVELS, build_eval_view, per_label_prf, score_level
 from entkit.stats import (DistanceProfile, DistanceRecord,
                           relation_distance_profile)
@@ -380,3 +383,124 @@ def test_groundings_equal_fact_scan(facts, rule_list):
     rebuilt = rules.FactBase(set(sorted(facts.binary, reverse=True)),
                              set(sorted(facts.unary, reverse=True)))
     assert list(rules.iter_groundings(rebuilt, rule_list)) == got
+
+
+# --------------------------------------------------------------------------
+# Corpus loading
+
+
+class DictSub(dict):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+# arbitrary JSON, plus the replacements a schema check must catch: booleans
+# and floats as span bounds, 1- and 3-element spans, non-lists and non-strings
+ODD_VALUES = st.sampled_from([True, False, 1.0, 0.5, -1, [0], [0, 1, 2], [True, 1],
+                              "x", None, {}, [], [[0, 1]], ["a"]])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(-2, 8) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "mentions", "tags", "link", "head", "type", "tail"]),
+        inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def well_formed_documents(draw):
+    n_clusters = draw(st.integers(0, 4))
+    clusters = []
+    for k in range(n_clusters):
+        cluster = {"id": f"c{k}",
+                   "mentions": [[b, b + 1] for b in draw(st.sets(st.integers(0, 5), max_size=3))],
+                   "tags": sorted(draw(st.sets(st.sampled_from(["L1", "L2"]))))}
+        link = draw(st.sampled_from([UNANNOTATED, None, "K1"]))
+        if link is not UNANNOTATED:
+            cluster["link"] = link
+        clusters.append(cluster)
+    ids = [c["id"] for c in clusters] or ["c0"]
+    relations = [{"head": h, "type": t, "tail": tl} for h, t, tl in draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(["R1", "R2"]),
+                  st.sampled_from(ids)), max_size=3))]
+    return {"id": "d", "split": "train", "tokens": list("abcdef"),
+            "sentences": [[0, 3], [3, 6]], "clusters": clusters,
+            "relations": relations}
+
+
+def _paths(value, path=()):
+    """Every position inside a decoded JSON value, the value itself first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+DROP = object()  # marker: remove the item instead of replacing it
+
+
+def _replace(value, path, new):
+    """A copy of `value` with the item at `path` replaced by `new`, or
+    removed from its object or list when `new` is DROP."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    out = type(value)(value) if isinstance(value, dict) else list(value)
+    if rest or new is not DROP:
+        out[key] = _replace(value[key], rest, new)
+    else:
+        del out[key]
+    return out
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def mutated_documents(draw):
+    """A well-formed document with up to three items replaced by arbitrary
+    JSON, dropped from their object, or wrapped in a dict or str subclass."""
+    doc = draw(well_formed_documents())
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if draw(st.integers(0, 3)):  # mostly inside the clusters and relations
+            paths = [p for p in paths if p[:1] in (("clusters",), ("relations",))] or paths
+        path = draw(st.sampled_from(paths))
+        old = _at(doc, path)
+        options = [ODD_VALUES, JSON_VALUES, st.just(DROP)]
+        if isinstance(old, dict):
+            options.append(st.just(DictSub(old)))
+        if isinstance(old, str):
+            options.append(st.just(StrSub(old)))
+        doc = _replace(doc, path, draw(st.one_of(options)))
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_documents())
+@example({"id": "d", "tokens": ["a", "b"], "sentences": [[0, 2]],
+          "clusters": [{"id": "c0", "mentions": [[0, 1]]},
+                       {"id": "c1", "mentions": [[1, 2], [True, 2]]}]})
+@example(DictSub(id=StrSub("d"), tokens=["a"], sentences=[[0, 1]],
+                 clusters=[DictSub(id=StrSub("c"), mentions=[[0, 1]],
+                                   link=StrSub("K"))],
+                 relations=[DictSub(head=StrSub("c"), type="R1", tail="c")]))
+@example({"id": "d", "tokens": [], "sentences": [],
+          "clusters": [{"id": "c", "tags": ["L1"], "link": UNANNOTATED}]})
+@example({"id": "d", "tokens": [], "sentences": [], "clusters": [{"id": 1}],
+          "relations": 5})
+def test_bulk_loader_equals_per_item_oracle(obj):
+    try:
+        want = oracles.per_item_document_from_json(obj)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            document_from_json(obj)
+        assert str(got.value) == str(e)
+    else:
+        assert document_from_json(obj) == want
