@@ -16,7 +16,7 @@ from .metrics import (EvalView, PRFReport, build_eval_view, hard_entity_prf,
 from .coref import (avg_coref_f1, b_cubed, ceaf_e, corpus_partition,
                     make_partition, muc, partition_from_document)
 from .rules import (Atom, FactBase, Rule, builtin_ruleset, check_violations,
-                    closure, facts_from_document, load_ruleset)
+                    closure, facts_from_document, ground, load_ruleset)
 from .agreement import (AnnotationPair, cohen_kappa, expected_agreement,
                         multilabel_kappa, observed_agreement)
 from .stats import (CorpusSummary, DistanceProfile, corpus_summary,

@@ -132,10 +132,20 @@ def _cmd_rules_check(args) -> int:
         else rules.builtin_ruleset()
     violations = []
     firings = 0
+    closed = []
     for d in docs:
-        firings += rules.count_firings(d, ruleset)
-        for v in rules.check_violations(d, ruleset):
-            violations.append({"doc": d.id, **v.to_json()})
+        facts = rules.facts_from_document(d)
+        n, found = rules.ground(facts, ruleset)
+        firings += n
+        violations += [{"doc": d.id, **v.to_json()} for v in found]
+        if args.closure:
+            delta = {v.head for v in found}
+            derived = rules.closure(facts, ruleset, delta).binary - facts.binary
+            closed.append({
+                "doc": d.id,
+                "derived": [{"head": h, "type": p, "tail": t}
+                            for h, p, t in sorted(derived)],
+            })
     payload = {
         "rules": len(ruleset),
         "firings": firings,
@@ -143,15 +153,6 @@ def _cmd_rules_check(args) -> int:
         "violation_rate": len(violations) / firings if firings else 0.0,
     }
     if args.closure:
-        closed = []
-        for d in docs:
-            facts = rules.facts_from_document(d)
-            derived = rules.closure(facts, ruleset).binary - facts.binary
-            closed.append({
-                "doc": d.id,
-                "derived": [{"head": h, "type": p, "tail": t}
-                            for h, p, t in sorted(derived)],
-            })
         payload["closure"] = closed
     _emit(payload, args.out)
     return 1 if violations and args.strict else 0

@@ -28,14 +28,14 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import accumulate
 from pathlib import Path
 
 from .corpus import (Document, EntityCluster, Mention, ParseError,
                      RelationTriple, UNANNOTATED, _require, read_json)
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-_SENT_FINAL = {".", "!", "?"}
+_TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
+_BREAK_RE = re.compile(r"[.!?]|\n")
 
 
 @dataclass
@@ -47,37 +47,43 @@ class ConversionReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _tokenize(text: str) -> tuple[list[str], list[int], list[int]]:
+    """Tokens with their begin and end offsets. The split alternates gap and
+    token; every gap is whitespace, since a token takes any other character."""
+    parts = _TOKEN_SPLIT.split(text)
+    offsets = list(accumulate(map(len, parts)))
+    return parts[1::2], offsets[:-1:2], offsets[1::2]
+
+
+def _sentences(text: str, begins: list[int]) -> list[Mention]:
+    """Break after sentence-final punctuation and at newline gaps; always a
+    contiguous cover of the token range."""
+    breaks = {bisect_right(begins, m.start()) for m in _BREAK_RE.finditer(text)}
+    stops = sorted((breaks | {len(begins)}) - {0})
+    return [Mention(b, e) for b, e in zip([0, *stops], stops)]
+
+
+def _token_span(begins: list[int], ends: list[int], begin: int, end: int
+                ) -> Mention | None:
+    """The tokens overlapping the character span [begin, end), or None: the
+    suffix of tokens ending after `begin` meets the prefix starting before `end`."""
+    first, stop = bisect_right(ends, begin), bisect_left(begins, end)
+    return Mention(first, stop) if first < stop else None
+
+
 def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    return [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+    return list(zip(*_tokenize(text)))
 
 
 def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
                        ) -> list[Mention]:
-    """Break after sentence-final punctuation or a newline gap; always a
-    contiguous cover of the token range."""
-    intervals = []
-    begin = 0
-    for i, (tok, _b, e) in enumerate(tokens):
-        if i == len(tokens) - 1 or tok in _SENT_FINAL \
-                or "\n" in text[e:tokens[i + 1][1]]:
-            intervals.append(Mention(begin, i + 1))
-            begin = i + 1
-    return intervals
+    return _sentences(text, [b for _t, b, _e in tokens])
 
 
 def char_span_to_token_span(tokens: list[tuple[str, int, int]],
                             begin: int, end: int) -> Mention | None:
-    """The tokens overlapping the character span [begin, end), or None.
-
-    `tokens` must be non-empty, non-overlapping and in text order, as
-    `tokenize_with_offsets` returns them: then both their begin and end
-    offsets strictly increase, the tokens ending after `begin` are a suffix
-    and the tokens starting before `end` a prefix, and the span is where the
-    two meet.
-    """
-    first = bisect_right(tokens, begin, key=itemgetter(2))
-    stop = bisect_left(tokens, end, key=itemgetter(1))
-    return Mention(first, stop) if first < stop else None
+    return _token_span([b for _t, b, _e in tokens], [e for _t, _b, e in tokens],
+                       begin, end)
 
 
 def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
@@ -106,12 +112,11 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
     if not content:
         report.notes.append(f"{doc_id}: no article content; run the release's "
                             "content-fetch step first")
-    tokens = tokenize_with_offsets(content)
-    sentences = sentence_intervals(content, tokens)
+    words, begins, ends = _tokenize(content)
 
     mentions_by_concept: dict[int, list[Mention]] = {}
     for m in _records(obj, "mentions", {"begin": int, "end": int, "concept": int}):
-        span = char_span_to_token_span(tokens, m["begin"], m["end"])
+        span = _token_span(begins, ends, m["begin"], m["end"])
         if span is None:
             report.unaligned_mentions += 1
             continue
@@ -150,8 +155,8 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
     split = "train" if "train" in doc_tags else \
         "test" if "test" in doc_tags else "unsplit"
     report.documents += 1
-    return Document(doc_id, tuple(t for t, _b, _e in tokens),
-                    tuple(sentences), tuple(clusters), tuple(relations), split)
+    return Document(doc_id, tuple(words), tuple(_sentences(content, begins)),
+                    tuple(clusters), tuple(relations), split)
 
 
 def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionReport]:

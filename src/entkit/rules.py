@@ -10,9 +10,9 @@ diffable:
     C.29: agency_of(X, Y) & gpe0(Y) => based_in0(X, Y)
 
 Terms starting with an uppercase letter are variables; two distinct constants
-never unify. `closure` computes the least fixpoint of a fact base under a
-rule set; `check_violations` reports satisfied rule bodies whose grounded
-head is missing from a document's annotated relations.
+never unify. `ground` counts the satisfied rule bodies of a fact base and
+reports those whose grounded head is missing from its relations; `closure`
+computes the least fixpoint of a fact base under a rule set.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class Atom:
     def is_binary(self) -> bool:
         return len(self.args) == 2
 
-    def __str__(self) -> str:
-        return f"{self.predicate}({', '.join(self.args)})"
-
 
 def is_variable(term: str) -> bool:
     return bool(term) and term[0].isupper()
@@ -65,9 +62,6 @@ class Rule:
             raise ValueError(f"rule {self.id}: head variables "
                              f"{sorted(head_vars - body_vars)} not bound by body")
 
-    def __str__(self) -> str:
-        return f"{self.id}: {' & '.join(map(str, self.body))} => {self.head}"
-
 
 @dataclass
 class FactBase:
@@ -76,17 +70,6 @@ class FactBase:
 
     binary: set[tuple[str, str, str]] = field(default_factory=set)
     unary: set[tuple[str, str]] = field(default_factory=set)
-
-    def copy(self) -> "FactBase":
-        return FactBase(set(self.binary), set(self.unary))
-
-    def entities(self) -> set[str]:
-        out: set[str] = set()
-        for h, _, t in self.binary:
-            out.add(h)
-            out.add(t)
-        out |= {e for _, e in self.unary}
-        return out
 
 
 def facts_from_document(d: Document) -> FactBase:
@@ -182,47 +165,24 @@ def _ground_head(head: Atom, subst: dict[str, str]) -> tuple[str, str, str]:
     return (h, head.predicate, t)
 
 
-def iter_groundings(facts: FactBase, rules: Iterable[Rule]
-                    ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
-    """Every satisfied rule body, with its substitution and grounded head, in
-    rule order and then in sorted fact order.
-
-    A substitution binds every term of the body, so it grounds each body atom
-    to exactly one fact: distinct fact pairs give distinct firings, and none
-    repeats.
-    """
-    index = _index(facts)
+def _groundings(rules: Iterable[Rule], first: dict, index: dict
+                ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
+    """Ground each rule's first body atom in `first`, the second in `index`."""
     for rule in rules:
-        for s1 in _match_atom(rule.body[0], index, {}):
+        for s1 in _match_atom(rule.body[0], first, {}):
             rest = _match_atom(rule.body[1], index, s1) if len(rule.body) == 2 else (s1,)
             for subst in rest:
                 yield rule, subst, _ground_head(rule.head, subst)
 
 
-def closure(facts: FactBase, rules: Iterable[Rule] | None = None) -> FactBase:
-    """Least fixpoint of `facts` under `rules`; the input is not mutated.
-
-    Only binary facts are ever derived (heads are binary). Terminates because
-    the derivable universe is bounded by #predicates x #entities^2; a hard cap
-    on rounds guards against engine bugs and raises if exceeded.
-    """
-    rules = list(builtin_ruleset() if rules is None else rules)
-    result = facts.copy()
-    predicates = {r.head.predicate for r in rules}
-    predicates |= {p for _, p, _ in result.binary}
-    rule_constants = {t for r in rules for a in (*r.body, r.head)
-                      for t in a.args if not is_variable(t)}
-    n_entities = len(result.entities() | rule_constants)
-    max_rounds = len(predicates) * n_entities * n_entities + 2
-    for _ in range(max_rounds):
-        new_facts = set()
-        for _rule, _subst, head in iter_groundings(result, rules):
-            if head not in result.binary:
-                new_facts.add(head)
-        if not new_facts:
-            return result
-        result.binary |= new_facts
-    raise RuntimeError(f"closure did not converge within {max_rounds} rounds")
+def iter_groundings(facts: FactBase, rules: Iterable[Rule]
+                    ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
+    """Every satisfied rule body, with its substitution and grounded head, in
+    rule order and then in sorted fact order. A substitution binds every term
+    of the body, so it grounds each body atom to exactly one fact: distinct
+    fact pairs give distinct firings, and none repeats."""
+    index = _index(facts)
+    return _groundings(rules, index, index)
 
 
 @dataclass(frozen=True)
@@ -238,20 +198,55 @@ class Violation:
                 "substitution": dict(self.substitution)}
 
 
+def ground(facts: FactBase, rules: Iterable[Rule] | None = None
+           ) -> tuple[int, list[Violation]]:
+    """The number of satisfied rule bodies, and the violations: those whose
+    grounded head is not a fact, in `iter_groundings` order."""
+    firings, violations = 0, []
+    rules = builtin_ruleset() if rules is None else rules
+    for rule, subst, head in iter_groundings(facts, rules):
+        firings += 1
+        if head not in facts.binary:
+            violations.append(Violation(rule.id, head, tuple(sorted(subst.items()))))
+    return firings, violations
+
+
+def closure(facts: FactBase, rules: Iterable[Rule] | None = None,
+            delta: set[tuple[str, str, str]] | None = None) -> FactBase:
+    """Least fixpoint of `facts` under `rules`; the input is not mutated.
+
+    Semi-naive: round one derives `delta`, by default the violation heads of
+    `ground(facts, rules)`; a later round grounds one body atom in the facts
+    the round before derived (each two-atom body is also tried reversed)
+    and the other in all facts. Every round but the last derives one of
+    #rules x #entities^2 facts; more rounds mean an engine bug and raise.
+    """
+    rules = list(builtin_ruleset() if rules is None else rules)
+    result = FactBase(set(facts.binary), set(facts.unary))
+    if delta is None:
+        delta = {v.head for v in ground(result, rules)[1]}
+    if not delta:
+        return result
+    entities = {e for h, _, t in result.binary for e in (h, t)}
+    entities |= {e for _, e in result.unary}
+    entities |= {t for r in rules for t in r.head.args if not is_variable(t)}
+    max_rounds = len(rules) * len(entities) ** 2 + 2
+    rules += [Rule(r.id, r.body[::-1], r.head) for r in rules if len(r.body) == 2]
+    for _ in range(max_rounds):
+        result.binary |= delta
+        groundings = _groundings(rules, _index(FactBase(delta)), _index(result))
+        delta = {head for *_, head in groundings if head not in result.binary}
+        if not delta:
+            return result
+    raise RuntimeError(f"closure did not converge within {max_rounds} rounds")
+
+
 def check_violations(d: Document, rules: Iterable[Rule] | None = None
                      ) -> list[Violation]:
-    """Report each rule body satisfied by the document's annotations whose
-    grounded head relation is not annotated, in `iter_groundings` order."""
-    rules = list(builtin_ruleset() if rules is None else rules)
-    facts = facts_from_document(d)
-    out = []
-    for rule, subst, head in iter_groundings(facts, rules):
-        if head not in facts.binary:
-            out.append(Violation(rule.id, head, tuple(sorted(subst.items()))))
-    return out
+    """The rule violations of the document's annotations, as `ground` lists them."""
+    return ground(facts_from_document(d), rules)[1]
 
 
 def count_firings(d: Document, rules: Iterable[Rule] | None = None) -> int:
     """Number of satisfied rule-body groundings in the document."""
-    rules = list(builtin_ruleset() if rules is None else rules)
-    return sum(1 for _ in iter_groundings(facts_from_document(d), rules))
+    return ground(facts_from_document(d), rules)[0]

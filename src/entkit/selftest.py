@@ -37,9 +37,7 @@ def ref_span_count(num_tokens: int, max_width: int) -> int:
 
 
 def ref_augment_mention(mention, pruner):
-    rows = len(mention)
-    cols = len(mention[0])
-    return [[mention[i][l] + pruner[i] for l in range(cols)] for i in range(rows)]
+    return [[score + pruner[i] for score in row] for i, row in enumerate(mention)]
 
 
 def ref_augment_pair(pair, pruner, indices):

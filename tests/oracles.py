@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 
 from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
                            RelationTriple)
-from entkit.dwie import _SENT_FINAL
 from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
 from entkit.stats import DistanceRecord, token_gap
@@ -646,7 +646,14 @@ def pairwise_distance_records(docs: Iterable[Document]) -> list[DistanceRecord]:
 
 
 # --------------------------------------------------------------------------
-# Release alignment by scanning every token
+# Release conversion by scanning every token
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_SENT_FINAL = {".", "!", "?"}
+
+
+def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
+    return [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
 def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
@@ -683,6 +690,45 @@ def char_span_to_token_span(tokens: list[tuple[str, int, int]],
     if first is None:
         return None
     return Mention(first, last + 1)
+
+
+def convert_annotation(obj: dict) -> tuple[Document, dict]:
+    """A well-formed release file with list tags, through the token scan;
+    with the fields a `ConversionReport` of this one file holds."""
+    doc_id = str(obj.get("id", "unknown"))
+    text = obj.get("content") or ""
+    tokens = tokenize_with_offsets(text)
+    counts = dict(documents=1, dropped_concepts=0, dropped_relations=0,
+                  unaligned_mentions=0, notes=[] if text else [
+                      f"{doc_id}: no article content; run the release's "
+                      "content-fetch step first"])
+    spans: dict[int, list[Mention]] = {}
+    for m in obj.get("mentions", []):
+        span = char_span_to_token_span(tokens, m["begin"], m["end"])
+        if span is None:
+            counts["unaligned_mentions"] += 1
+        else:
+            spans.setdefault(m["concept"], []).append(span)
+    clusters = []
+    for c in obj.get("concepts", []):
+        if c["concept"] not in spans:
+            counts["dropped_concepts"] += 1
+            continue
+        clusters.append(EntityCluster(f"c{c['concept']}", tuple(spans[c["concept"]]),
+                                      frozenset(c.get("tags", [])),
+                                      c.get("link", UNANNOTATED)))
+    relations = []
+    for r in obj.get("relations", []):
+        if r["s"] in spans and r["o"] in spans:
+            relations.append(RelationTriple(f"c{r['s']}", r["p"], f"c{r['o']}"))
+        else:
+            counts["dropped_relations"] += 1
+    tags = obj.get("tags", [])
+    split = "train" if "train" in tags else "test" if "test" in tags else "unsplit"
+    doc = Document(doc_id, tuple(t for t, _b, _e in tokens),
+                   tuple(Mention(*s) for s in sentence_intervals(text, tokens)),
+                   tuple(clusters), tuple(relations), split)
+    return doc, counts
 
 
 # --------------------------------------------------------------------------

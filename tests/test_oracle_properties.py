@@ -293,10 +293,11 @@ def test_distance_records_equal_pairwise_oracle(doc):
 
 
 # --------------------------------------------------------------------------
-# Release alignment: bisection against the token scan
+# Release conversion: regex split and bisection against the token scan
 
 PIECES = ["Anna", "Köln", "x", "42", "naïve", "€", ".", "!", "?", ",", "-",
-          "(", " ", "  ", "\n", "\n\n", "\t"]
+          "(", "_", "e\u0301", "\u0663", " ", "  ", "\u00a0", "\u2028", "\n",
+          "\n\n", "\r\n", "\t"]
 
 
 @st.composite
@@ -313,14 +314,31 @@ def texts_and_spans(draw):
 @given(texts_and_spans())
 @example(("", [(0, 0), (-1, 1)]))
 @example(("One two. Three!", [(0, 15), (5, 2), (7, 7), (-2, 3), (14, 18)]))
+@example(("\nA_b e\u0301 \u0663\u00a0\u20ac...\r\nC!?\u2028d\n", [(0, 3), (5, 7)]))
 def test_alignment_equals_token_scan(case):
     text, spans = case
     tokens = dwie.tokenize_with_offsets(text)
+    assert tokens == oracles.tokenize_with_offsets(text)
     assert dwie.sentence_intervals(text, tokens) \
         == oracles.sentence_intervals(text, tokens)
     for begin, end in spans:
         assert dwie.char_span_to_token_span(tokens, begin, end) \
             == oracles.char_span_to_token_span(tokens, begin, end)
+    # the whole conversion: concept 3 has no mention, and a relation to it
+    # is dropped with it
+    release = {
+        "id": "D", "content": text, "tags": ["test"],
+        "mentions": [{"begin": b, "end": e, "concept": i % 3}
+                     for i, (b, e) in enumerate(spans)],
+        "concepts": [{"concept": 0, "tags": ["person"], "link": "P"},
+                     {"concept": 1, "link": None}, {"concept": 2, "tags": []},
+                     {"concept": 3}],
+        "relations": [{"s": 0, "p": "r", "o": 1}, {"s": 2, "p": "r", "o": 3}]}
+    report = dwie.ConversionReport()
+    doc = dwie.convert_annotation(release, report)
+    want, counts = oracles.convert_annotation(release)
+    assert doc == want
+    assert {k: getattr(report, k) for k in counts} == counts
 
 
 # --------------------------------------------------------------------------
@@ -383,6 +401,25 @@ def test_groundings_equal_fact_scan(facts, rule_list):
     rebuilt = rules.FactBase(set(sorted(facts.binary, reverse=True)),
                              set(sorted(facts.unary, reverse=True)))
     assert list(rules.iter_groundings(rebuilt, rule_list)) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(FACT_BASES, rule_lists())
+@example(rules.FactBase({("a", "gpe0", "a"), ("a", "gpe0", "b")},
+                        {("gpe0", "a"), ("t", "b")}), TAG_AND_RELATION)
+@example(rules.FactBase({("a", "r", "b"), ("b", "r", "c")}),
+         [rules.parse_rule("R0: r(X, Y) & r(Y, Z) => r(X, Z)"),
+          rules.parse_rule("R1: s(X, Y) => r(Y, X)")])
+def test_one_grounding_pass_equals_oracles(facts, rule_list):
+    firings, violations = rules.ground(facts, rule_list)
+    oracle = list(oracles.iter_groundings(facts, rule_list))
+    assert firings == len(oracle)
+    assert Counter((v.rule_id, v.substitution, v.head) for v in violations) \
+        == _firings(g for g in oracle if g[2] not in facts.binary)
+    expected = oracles.naive_closure(facts.binary, facts.unary, rule_list)
+    assert rules.closure(facts, rule_list).binary == expected
+    delta = {v.head for v in violations}
+    assert rules.closure(facts, rule_list, delta).binary == expected
 
 
 # --------------------------------------------------------------------------
