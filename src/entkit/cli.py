@@ -86,7 +86,8 @@ def _cmd_stats(args) -> int:
 
 
 def _score_task(pairs, task: str, levels: list[str], per_label: bool) -> dict:
-    views = [metrics.build_eval_view(g, p, task) for g, p in pairs]
+    # `pair_documents` has compared each pair's tokens already
+    views = [metrics._eval_view(g, p, task) for g, p in pairs]
     out: dict = {}
     for level in levels:
         out[level] = metrics.score_level(views, level).to_json()

@@ -32,7 +32,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .corpus import (Document, EntityCluster, Mention, ParseError,
-                     RelationTriple, UNANNOTATED, _require, read_json)
+                     RelationTriple, UNANNOTATED, _every, _require, read_json)
 
 _TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
 _BREAK_RE = re.compile(r"[.!?]|\n")
@@ -93,10 +93,10 @@ def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
     entries = obj.get(key, [])
     _require(isinstance(entries, list), "field %r must be a list", key)
     shape = ", ".join(f"{kind.__name__} {name!r}" for name, kind in kinds.items())
-    for e in entries:
-        _require(isinstance(e, dict) and all(type(e.get(name)) is kind
-                                             for name, kind in kinds.items()),
-                 "%s entries must be objects with %s", key, shape)
+    _require(_every(entries, dict)
+             and all({type(e.get(name)) for e in entries} <= {kind}
+                     for name, kind in kinds.items()),
+             "%s entries must be objects with %s", key, shape)
     return entries
 
 

@@ -14,7 +14,8 @@ propagation step updates all spans at once. Losses are non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -158,9 +159,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_softmax_denominator(scores: np.ndarray) -> float:
-    m = scores.max()
-    return m + np.log(np.exp(scores - m).sum())
+def _prefix_mask(n: int) -> np.ndarray:
+    """The (n, n) mask whose column j marks the antecedent candidates 0..j."""
+    return np.tri(n, dtype=bool).T
+
+
+def _column_exp(scores: np.ndarray, mask: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """exp(score - column max) where `mask` holds and 0 elsewhere, with the
+    maxima of the masked columns; every column must hold a masked entry."""
+    masked = np.where(mask, scores, -np.inf)
+    top = masked.max(axis=0)
+    masked -= top
+    return np.exp(masked, out=masked), top
+
+
+def _column_logsumexp(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """log of the summed exponentials of each column's masked scores."""
+    shifted, top = _column_exp(scores, mask)
+    return top + np.log(shifted.sum(axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +213,7 @@ def augment_with_pruner(scores: ScoreSet) -> ScoreSet:
     antecedent span (first index)."""
     if scores.pruner is None:
         raise ValueError("augmentation needs pruner scores")
-    out = replace(scores)
+    out = copy(scores)
     if scores.mention is not None:
         out.mention = scores.mention + scores.pruner[:, None]
     if scores.num_pruned is not None:
@@ -222,17 +239,52 @@ def multilabel_bce_loss(scores, indicators) -> float:
         raise ValueError(f"scores {s.shape} and indicators {i.shape} differ")
     if not np.all((i == 0) | (i == 1)):
         raise ValueError("indicators must be 0 or 1")
-    # cell loss = log(1 + exp(s)) - i*s, the stable form of -[i log(sig) + ...]
-    return float(np.sum(np.logaddexp(0.0, s) - i * s))
+    # cell loss = softplus(s) - i*s, the stable form of -[i log(sig) + ...],
+    # with softplus(s) = max(s, 0) + log1p(exp(-|s|)) as whole-array ufuncs
+    # into two buffers
+    cells = np.abs(s, out=np.empty_like(s))
+    np.negative(cells, out=cells)
+    np.exp(cells, out=cells)
+    np.log1p(cells, out=cells)
+    scratch = np.maximum(s, 0.0, out=np.empty_like(s))
+    cells += scratch
+    np.multiply(i, s, out=scratch)
+    cells -= scratch
+    return float(cells.sum())
+
+
+def _gold_mask(gold_antecedents: Sequence[set[int]], n: int) -> np.ndarray:
+    """The (n, n) mask whose column j marks span j's gold antecedents. Raises
+    ValueError for the first span whose set is empty, holds anything but
+    integers (a bool or a float included) or leaves 0..j."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for j, gold in enumerate(gold_antecedents):
+        if not gold:
+            raise ValueError(f"span {j} has an empty gold antecedent set")
+        kinds = sorted(kind.__name__ for kind in set(map(type, gold))
+                       if kind is bool or not issubclass(kind, (int, np.integer)))
+        if kinds:
+            raise ValueError(f"span {j}: gold antecedents must be integers, "
+                             f"got {', '.join(kinds)}")
+        if min(gold) < 0 or max(gold) > j:
+            raise ValueError(f"span {j}: gold antecedents {sorted(gold)} "
+                             f"outside 0..{j}")
+        rows.extend(gold)
+        cols.extend([j] * len(gold))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows, cols] = True
+    return mask
 
 
 def coref_marginal_loss(augmented_coref, gold_antecedents: Sequence[set[int]]
                         ) -> float:
     """Negative log marginal probability of the gold antecedents.
 
-    For each span j the probability mass of its gold antecedent set (indices
-    within 0..j, the diagonal meaning self) is normalized over all antecedent
-    candidates 0..j. Empty gold sets are invalid.
+    For each span j the probability mass of its gold antecedent set (integer
+    indices within 0..j, the diagonal meaning self) is normalized over all
+    antecedent candidates 0..j. Empty gold sets, and booleans or floats
+    used as indices, are invalid.
     """
     scores = _as_array(augmented_coref, "coreference scores", ndim=2)
     n = scores.shape[0]
@@ -240,18 +292,10 @@ def coref_marginal_loss(augmented_coref, gold_antecedents: Sequence[set[int]]
         raise ValueError("coreference scores must be square")
     if len(gold_antecedents) != n:
         raise ValueError(f"need one gold set per span, got {len(gold_antecedents)}")
-    total = 0.0
-    for j in range(n):
-        gold = sorted(gold_antecedents[j])
-        if not gold:
-            raise ValueError(f"span {j} has an empty gold antecedent set")
-        if gold[0] < 0 or gold[-1] > j:
-            raise ValueError(f"span {j}: gold antecedents {gold} outside 0..{j}")
-        column = scores[: j + 1, j]
-        log_num = _log_softmax_denominator(column[gold])
-        log_den = _log_softmax_denominator(column)
-        total += log_den - log_num
-    return float(total)
+    if n == 0:
+        return 0.0
+    return float(np.sum(_column_logsumexp(scores, _prefix_mask(n))
+                        - _column_logsumexp(scores, _gold_mask(gold_antecedents, n))))
 
 
 def joint_loss(mention_loss: float, coref_loss: float, relation_loss: float,
@@ -279,8 +323,7 @@ def coref_confidence(augmented_coref) -> np.ndarray:
     n = scores.shape[0]
     if scores.shape != (n, n):
         raise ValueError("coreference scores must be square")
-    prefix = np.where(np.tri(n, dtype=bool).T, scores, -np.inf)
-    shifted = np.exp(prefix - prefix.max(axis=0))
+    shifted, _ = _column_exp(scores, _prefix_mask(n))
     return shifted / shifted.sum(axis=0)
 
 

@@ -20,6 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
                            RelationTriple)
+from entkit.kernels import _as_array
 from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
 from entkit.stats import DistanceRecord, token_gap
@@ -692,6 +693,18 @@ def char_span_to_token_span(tokens: list[tuple[str, int, int]],
     return Mention(first, last + 1)
 
 
+def per_entry_records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
+    """The release entries under `key`, each checked on its own."""
+    entries = obj.get(key, [])
+    _require(isinstance(entries, list), "field %r must be a list", key)
+    shape = ", ".join(f"{kind.__name__} {name!r}" for name, kind in kinds.items())
+    for e in entries:
+        _require(isinstance(e, dict) and all(type(e.get(name)) is kind
+                                             for name, kind in kinds.items()),
+                 "%s entries must be objects with %s", key, shape)
+    return entries
+
+
 def convert_annotation(obj: dict) -> tuple[Document, dict]:
     """A well-formed release file with list tags, through the token scan;
     with the fields a `ConversionReport` of this one file holds."""
@@ -729,6 +742,47 @@ def convert_annotation(obj: dict) -> tuple[Document, dict]:
                    tuple(Mention(*s) for s in sentence_intervals(text, tokens)),
                    tuple(clusters), tuple(relations), split)
     return doc, counts
+
+
+# --------------------------------------------------------------------------
+# Losses cell by cell and span by span
+
+
+def logaddexp_bce_loss(scores, indicators) -> float:
+    """Summed binary cross-entropy with softplus as `np.logaddexp(0, s)`."""
+    s = _as_array(scores, "scores")
+    i = np.asarray(indicators, dtype=float)
+    if s.shape != i.shape:
+        raise ValueError(f"scores {s.shape} and indicators {i.shape} differ")
+    if not np.all((i == 0) | (i == 1)):
+        raise ValueError("indicators must be 0 or 1")
+    return float(np.sum(np.logaddexp(0.0, s) - i * s))
+
+
+def _log_sum_exp(scores: np.ndarray) -> float:
+    m = scores.max()
+    return m + np.log(np.exp(scores - m).sum())
+
+
+def per_span_coref_loss(augmented_coref, gold_antecedents) -> float:
+    """Negative log marginal probability of the gold antecedents, with two
+    reductions over each span's column."""
+    scores = _as_array(augmented_coref, "coreference scores", ndim=2)
+    n = scores.shape[0]
+    if scores.shape != (n, n):
+        raise ValueError("coreference scores must be square")
+    if len(gold_antecedents) != n:
+        raise ValueError(f"need one gold set per span, got {len(gold_antecedents)}")
+    total = 0.0
+    for j in range(n):
+        gold = sorted(gold_antecedents[j])
+        if not gold:
+            raise ValueError(f"span {j} has an empty gold antecedent set")
+        if gold[0] < 0 or gold[-1] > j:
+            raise ValueError(f"span {j}: gold antecedents {gold} outside 0..{j}")
+        column = scores[: j + 1, j]
+        total += _log_sum_exp(column) - _log_sum_exp(column[gold])
+    return float(total)
 
 
 # --------------------------------------------------------------------------

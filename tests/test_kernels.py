@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
                             attention_confidence, attention_propagation,
@@ -18,6 +19,7 @@ from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
 from entkit.selftest import (ref_augment_mention, ref_augment_pair,
                              ref_coref_confidence, ref_coref_update,
                              ref_gated_update, ref_relation_update)
+from oracles import logaddexp_bce_loss, per_span_coref_loss
 
 TOL = 1e-9
 
@@ -104,6 +106,23 @@ def test_augment_is_broadcast_of_pruner_exactly():
     assert np.allclose(out.mention - scores.mention, pruner[:, None])
     assert np.allclose(out.coref - scores.coref, pruner[:, None])
     assert np.allclose(out.relation - scores.relation, pruner[:, None, None])
+
+
+def test_augment_leaves_its_input_unchanged():
+    rng = np.random.default_rng(5)
+    scores = ScoreSet(mention=rng.normal(size=(4, 2)), pruner=rng.normal(size=4),
+                      coref=rng.normal(size=(2, 2)), relation=rng.normal(size=(2, 2, 3)),
+                      attention=rng.normal(size=(2, 2)), pruned_indices=[1, 3])
+    fields = ("mention", "pruner", "coref", "relation", "attention", "pruned_indices")
+    before = {name: getattr(scores, name) for name in fields}
+    values = {name: value.copy() for name, value in before.items()}
+    out = augment_with_pruner(scores)
+    assert out is not scores
+    for name in fields:
+        assert getattr(scores, name) is before[name]
+        assert np.array_equal(before[name], values[name])
+    assert out.attention is scores.attention
+    assert out.pruned_indices is scores.pruned_indices
 
 
 def test_augment_with_pruned_subset():
@@ -249,6 +268,109 @@ def test_coref_loss_nonnegative_random():
         gold = [set(rng.choice(j + 1, size=rng.integers(1, j + 2),
                                replace=False).tolist()) for j in range(n)]
         assert coref_marginal_loss(scores, gold) >= -1e-12
+
+
+def test_coref_loss_counts_a_repeated_antecedent_once():
+    # a list with a repeat is the set it holds, so the loss stays non-negative
+    assert coref_marginal_loss(np.zeros((2, 2)), [[0, 0], [0, 0, 1]]) \
+        == coref_marginal_loss(np.zeros((2, 2)), [{0}, {0, 1}]) == 0.0
+
+
+def test_coref_loss_refuses_bool_and_float_antecedents():
+    scores = np.zeros((3, 3))
+    for bad, kind in (({True}, "bool"), ({False}, "bool"), ({1.0}, "float"),
+                      ({0, np.float64(1.0)}, "float64"), ({np.bool_(True)}, "bool")):
+        with pytest.raises(ValueError, match=rf"^span 1: gold antecedents must "
+                                             rf"be integers, got {kind}$"):
+            coref_marginal_loss(scores, [{0}, bad, {0}])
+    # Python and numpy integers stay indices
+    assert coref_marginal_loss(scores, [{0}, {np.int32(1)}, {np.int64(0), 2}]) \
+        == pytest.approx(coref_marginal_loss(scores, [{0}, {1}, {0, 2}]))
+
+
+# Scores at the ends of the float range, both zeros and ordinary values.
+LOSS_SCORES = st.one_of(st.sampled_from([700.0, -700.0, 0.0, -0.0, 1e300, -1e300]),
+                        st.floats(-50, 50))
+
+
+@st.composite
+def bce_cases(draw):
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    return (draw(hnp.arrays(float, shape, elements=LOSS_SCORES)),
+            draw(hnp.arrays(float, shape, elements=st.sampled_from([0.0, 1.0]))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bce_cases())
+@example((np.array(700.0), np.array(1.0)))
+@example((np.array([1e300, -1e300, -0.0]), np.array([1.0, 0.0, 1.0])))
+@example((np.zeros((2, 0, 3)), np.zeros((2, 0, 3))))
+def test_bce_equals_logaddexp_oracle(case):
+    scores, indicators = case
+    before = scores.copy(), indicators.copy()
+    got = multilabel_bce_loss(scores, indicators)
+    assert math.isclose(got, logaddexp_bce_loss(scores, indicators),
+                        rel_tol=1e-12, abs_tol=1e-12)
+    assert np.array_equal(scores, before[0]) and np.array_equal(indicators, before[1])
+
+
+@st.composite
+def coref_cases(draw, max_spans=6):
+    n = draw(st.integers(0, max_spans))
+    scores = draw(hnp.arrays(float, (n, n), elements=LOSS_SCORES))
+    gold = [draw(st.sets(st.integers(0, j), min_size=1)) for j in range(n)]
+    return scores, gold
+
+
+@settings(max_examples=400, deadline=None)
+@given(coref_cases())
+@example((np.array([[1e300, -1e300], [-1e300, 1e300]]), [{0}, {0}]))
+@example((np.array([[-700.0, 700.0], [700.0, -0.0]]), [{0}, {1}]))
+def test_coref_loss_equals_per_span_oracle(case):
+    scores, gold = case
+    got = coref_marginal_loss(scores, gold)
+    assert math.isclose(got, per_span_coref_loss(scores, gold),
+                        rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_coref_loss_equals_per_span_oracle_on_long_documents():
+    rng = np.random.default_rng(11)
+    for n in (8, 40, 171):
+        scores = 5 * rng.standard_normal((n, n))
+        gold = [set(rng.choice(j + 1, size=rng.integers(1, min(j, 4) + 2),
+                               replace=False).tolist()) for j in range(n)]
+        assert math.isclose(coref_marginal_loss(scores, gold),
+                            per_span_coref_loss(scores, gold), rel_tol=1e-12)
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(0, 5), data=st.data())
+def test_coref_loss_errors_equal_per_span_oracle(n, data):
+    gold = [data.draw(st.sets(st.integers(-2, n + 1), max_size=3)) for _ in range(n)]
+    scores = np.zeros((n, n))
+    want = _error(per_span_coref_loss, scores, gold)
+    assert _error(coref_marginal_loss, scores, gold) == want
+
+
+@pytest.mark.parametrize("gold", [
+    [{0}, {2}, set()],              # the earlier span's error comes first
+    [{0}, set(), {5}],
+    [{0}, {-1, 1}, {0}],
+    [{0}, {0}, {np.int64(3)}],
+    [{2 ** 70}, {0}, {0}],
+])
+def test_coref_loss_reports_the_first_bad_span_like_the_oracle(gold):
+    scores = np.zeros((3, 3))
+    want = _error(per_span_coref_loss, scores, gold)
+    assert want is not None and _error(coref_marginal_loss, scores, gold) == want
 
 
 def test_joint_loss_weighted_sum():

@@ -14,6 +14,8 @@ scan every token and every fact; both must give the same answers. The
 corpus loader checks each field of a document's clusters and relations in
 bulk, where the oracle checks one item at a time; both must accept the same
 documents, build the same Document and give the same first schema error.
+The release converter checks each field of a file's entries in bulk too,
+and must accept and refuse the entries the per-entry check does.
 """
 
 from collections import Counter
@@ -339,6 +341,28 @@ def test_alignment_equals_token_scan(case):
     want, counts = oracles.convert_annotation(release)
     assert doc == want
     assert {k: getattr(report, k) for k in counts} == counts
+
+
+RELEASE_FIELD = st.one_of(st.integers(-2, 3), st.booleans(), st.none(),
+                          st.sampled_from(["r", 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.one_of(
+           st.dictionaries(st.sampled_from(["s", "p", "o", "x"]), RELEASE_FIELD,
+                           max_size=4),
+           RELEASE_FIELD), max_size=4), RELEASE_FIELD))
+def test_release_records_checked_in_bulk_like_each_entry(entries):
+    obj = {"relations": entries}
+    kinds = {"s": int, "p": str, "o": int}
+
+    def outcome(records):
+        try:
+            return records(obj, "relations", kinds)
+        except ValueError as e:
+            return str(e)
+
+    assert outcome(dwie._records) == outcome(oracles.per_entry_records)
 
 
 # --------------------------------------------------------------------------
