@@ -176,6 +176,9 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_kernels_selftest(args) -> int:
+    if args.trials < 1:
+        # with no trials only span_count is compared, which proves nothing
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     deviations = selftest.run_selftest(trials=args.trials, seed=args.seed)
     worst = max(deviations.values())
     for name in sorted(deviations):

@@ -14,6 +14,10 @@ match gold spans):
 `avg_coref_f1` is the arithmetic mean of the three F1 values. The 0/0 -> 0
 convention applies throughout (never 0/0 -> 1), matching the behavior of the
 standard reference scorer on degenerate partitions.
+
+scipy is imported inside `ceaf_e`, the only scorer that needs it, so only
+CEAF-e (`score --task coref|all`) loads it; every other entkit command
+starts without it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ from collections import Counter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .corpus import Document
 from .metrics import PRFReport
@@ -104,6 +105,12 @@ def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
     """Clusters that share no mention have similarity 0, so the optimal
     alignment is solved exactly on each connected component of the overlap
     graph; no similarity matrix is larger than one component."""
+    # imported here, not at module load: scipy.optimize outweighs most commands
+    # and no other scorer or command needs it
+    from scipy.optimize import linear_sum_assignment
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if not gold or not pred:
         return PRFReport.from_pr(0.0, 0.0)
     cells = _overlaps(gold, pred)

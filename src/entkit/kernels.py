@@ -167,9 +167,10 @@ def _prefix_mask(n: int) -> np.ndarray:
 def _column_exp(scores: np.ndarray, mask: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """exp(score - column max) where `mask` holds and 0 elsewhere, with the
-    maxima of the masked columns; every column must hold a masked entry."""
+    maxima of the masked columns; every column must hold a masked entry.
+    Zero columns give an empty result."""
     masked = np.where(mask, scores, -np.inf)
-    top = masked.max(axis=0)
+    top = masked.max(axis=0, initial=-np.inf)
     masked -= top
     return np.exp(masked, out=masked), top
 
@@ -362,7 +363,7 @@ def attention_confidence(attention_scores) -> np.ndarray:
     scores = _as_array(attention_scores, "attention scores", ndim=2)
     if scores.shape[0] != scores.shape[1]:
         raise ValueError("attention scores must be square")
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True, initial=-np.inf))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 

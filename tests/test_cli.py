@@ -142,6 +142,12 @@ def test_kernels_selftest(capsys):
     assert payload["worst"] < 1e-9
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_kernels_selftest_refuses_no_trials(trials, capsys):
+    line = _single_error_line(capsys, ["kernels", "selftest", "--trials", trials])
+    assert "--trials" in line
+
+
 def test_stats_payload_and_plot_data(tmp_path, capsys):
     out_tsv = tmp_path / "dist.tsv"
     code, payload = run_json(capsys, [
@@ -419,3 +425,36 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
                            "--strict"], env=env, capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert [e["code"] for e in json.loads(proc.stdout)["errors"]] == ["SPAN_ORDER"]
+
+
+SCIPY_PROBE = """
+import contextlib, io, sys
+import entkit
+from entkit.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(code, sorted(m for m in ("scipy.optimize", "scipy.sparse")
+                   if m in sys.modules))
+"""
+
+
+def _scipy_modules_after(argv):
+    """Run one command in a fresh interpreter and name the scipy modules it
+    loaded; the pytest process has scipy already, through the oracles."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    code, modules = proc.stdout.split(" ", 1)
+    assert code == "0"
+    return modules.strip()
+
+
+def test_scipy_is_imported_only_when_ceaf_e_runs():
+    assert _scipy_modules_after(
+        ["validate", str(FIXTURES / "ok.jsonl")]) == "[]"
+    assert _scipy_modules_after(
+        ["score", "--task", "coref", "--gold", str(FIXTURES / "annotator_a.jsonl"),
+         "--pred", str(FIXTURES / "annotator_b.jsonl")]) == \
+        "['scipy.optimize', 'scipy.sparse']"

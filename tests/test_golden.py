@@ -15,6 +15,8 @@ no-break and line-separator spaces, a combining mark, non-ASCII digits and
 symbols and runs of sentence-final punctuation; it also has an empty
 article, an unaligned mention, a mention-less concept with relations and
 `;`-joined tag strings. `convert` must reproduce its corpus and report.
+`golden/decode.json` holds what `decode` prints for
+`tests/fixtures/predictions.json`.
 """
 
 import os
@@ -77,6 +79,12 @@ def test_convert_matches_golden(tmp_path, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / "convert_report.json").read_bytes()
     assert corpus.read_bytes() == (GOLDEN / "convert_corpus.jsonl").read_bytes()
+
+
+def test_decode_matches_golden(capsys):
+    assert run(["decode", "--pred", str(FIXTURES / "predictions.json")]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "decode.json").read_bytes()
 
 
 def test_schema_error_matches_golden(monkeypatch, capsys):

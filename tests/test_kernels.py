@@ -593,6 +593,29 @@ def test_coref_and_relation_propagation_values():
                                  projection, gate)
 
 
+def test_confidences_of_zero_pruned_spans_are_empty():
+    kept = select_top_spans(np.zeros(4), 0)
+    pair = np.zeros((4, 4))[np.ix_(kept, kept)]
+    assert coref_confidence(pair).shape == (0, 0)
+    assert attention_confidence(pair).shape == (0, 0)
+
+
+def test_propagation_over_zero_pruned_spans_keeps_the_width():
+    dim = 3
+    spans = SpanVectors(np.zeros((0, dim)))
+    gate = GateTransform(np.ones((dim, 2 * dim)), np.ones(dim))
+    outs = [coref_propagation(spans, np.zeros((0, 0)), gate),
+            attention_propagation(spans, np.zeros((0, 0)), gate),
+            relation_propagation(spans, np.zeros((0, 0, 2)),
+                                 np.ones((dim, 2)), gate)]
+    for out in outs:
+        assert out.vectors.shape == (0, dim) and out.iteration == 1
+    assert coref_update_vectors(np.zeros((0, 0)), spans).shape == (0, dim)
+    assert attention_update_vectors(np.zeros((0, 0)), spans).shape == (0, dim)
+    with pytest.raises(ValueError):  # scores over one span, vectors over none
+        coref_propagation(spans, np.zeros((1, 1)), gate)
+
+
 def test_select_top_spans():
     scores = [0.1, 5.0, 3.0, 5.0]
     assert select_top_spans(scores, 2).tolist() == [1, 3]
