@@ -14,7 +14,7 @@ from .metrics import (EvalView, PRFReport, build_eval_view, hard_entity_prf,
                       mention_prf, per_label_prf, soft_entity_counts,
                       soft_entity_prf)
 from .coref import (avg_coref_f1, b_cubed, ceaf_e, corpus_partition,
-                    make_partition, muc, partition_from_document)
+                    make_partition, muc)
 from .rules import (Atom, FactBase, Rule, builtin_ruleset, check_violations,
                     closure, facts_from_document, ground, load_ruleset)
 from .agreement import (AnnotationPair, cohen_kappa, expected_agreement,

@@ -44,22 +44,18 @@ def make_partition(clusters: Iterable[Iterable[Hashable]]) -> Partition:
         if not c:
             raise ValueError("empty cluster in partition")
         if seen & c:
-            raise ValueError(f"clusters overlap on {sorted(seen & c)[:3]}")
+            # ordered by repr: the keys need not be mutually comparable
+            raise ValueError(f"clusters overlap on {sorted(seen & c, key=repr)[:3]}")
         seen |= c
         out.append(c)
     return tuple(out)
 
 
-def partition_from_document(d: Document, namespace: str | None = None) -> Partition:
-    """Cluster the document's mention spans; `namespace` prefixes every
-    mention so partitions of different documents can be unioned."""
-    prefix = () if namespace is None else (namespace,)
-    return make_partition([prefix + m for m in c.mentions] for c in d.clusters)
-
-
 def corpus_partition(docs: Sequence[Document]) -> Partition:
-    """Disjoint union of per-document partitions, mention keys scoped by doc id."""
-    return tuple(c for d in docs for c in partition_from_document(d, namespace=d.id))
+    """Every document's clusters, each mention keyed by (doc id, begin, end);
+    raises ValueError when two clusters share a key, as a repeated doc id does."""
+    return make_partition([(d.id, *m) for m in c.mentions]
+                          for d in docs for c in d.clusters)
 
 
 def _overlaps(gold: Partition, pred: Partition) -> Counter:

@@ -71,21 +71,6 @@ def _token_span(begins: list[int], ends: list[int], begin: int, end: int
     return Mention(first, stop) if first < stop else None
 
 
-def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    return list(zip(*_tokenize(text)))
-
-
-def sentence_intervals(text: str, tokens: list[tuple[str, int, int]]
-                       ) -> list[Mention]:
-    return _sentences(text, [b for _t, b, _e in tokens])
-
-
-def char_span_to_token_span(tokens: list[tuple[str, int, int]],
-                            begin: int, end: int) -> Mention | None:
-    return _token_span([b for _t, b, _e in tokens], [e for _t, _b, e in tokens],
-                       begin, end)
-
-
 def _records(obj: dict, key: str, kinds: dict[str, type]) -> list[dict]:
     """The entries of the list under `key`; each must be an object whose
     `kinds` fields have exactly the given types (a JSON boolean is not an

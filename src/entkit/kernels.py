@@ -417,14 +417,3 @@ def relation_propagation(span_vectors: SpanVectors, relation_scores, projection,
     return _step(span_vectors, relation_update_vectors(
         relation_scores, projection, span_vectors), gate)
 
-
-def iterate_propagation(span_vectors: SpanVectors, steps: int, step_fn
-                        ) -> SpanVectors:
-    """Re-apply a propagation step a fixed number of times. The provided
-    scores stay fixed across iterations (they are opaque inputs here)."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    out = span_vectors
-    for _ in range(steps):
-        out = step_fn(out)
-    return out

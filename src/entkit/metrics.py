@@ -47,13 +47,10 @@ class PRFReport:
     precision: float
     recall: float
     f1: float
-    level: str | None = None
-    task: str | None = None
 
     @classmethod
-    def from_pr(cls, precision: float, recall: float,
-                level: str | None = None, task: str | None = None) -> "PRFReport":
-        return cls(precision, recall, f1_score(precision, recall), level, task)
+    def from_pr(cls, precision: float, recall: float) -> "PRFReport":
+        return cls(precision, recall, f1_score(precision, recall))
 
     def to_json(self) -> dict:
         return {"precision": self.precision, "recall": self.recall,
@@ -207,9 +204,9 @@ def _label_counts(lc: LabelCounts, level: str) -> tuple:
 
 
 def _label_rows(view_or_views: EvalView | Iterable[EvalView], level: str
-                ) -> tuple[str | None, list[tuple[str, tuple]]]:
-    """The task and one (label, counts) row per label of each view, in view
-    order and then label order."""
+                ) -> list[tuple[str, tuple]]:
+    """One (label, counts) row per label of each view, in view order and
+    then label order; the views must share one task."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     views = [view_or_views] if isinstance(view_or_views, EvalView) \
@@ -217,12 +214,11 @@ def _label_rows(view_or_views: EvalView | Iterable[EvalView], level: str
     tasks = {v.task for v in views}
     if len(tasks) > 1:
         raise ValueError(f"cannot mix tasks {sorted(tasks)} in one score")
-    rows = [(label, _label_counts(lv, level))
+    return [(label, _label_counts(lv, level))
             for v in views for label, lv in v.labels.items()]
-    return (views[0].task if views else None), rows
 
 
-def _reduce(counts: Iterable[tuple], level: str, task: str | None) -> PRFReport:
+def _reduce(counts: Iterable[tuple]) -> PRFReport:
     """Micro-averaged P/R/F1 from summed per-label counts."""
     hits_p = n_pred = hits_g = n_gold = 0
     for label_hits_p, label_pred, label_hits_g, label_gold in counts:
@@ -231,12 +227,11 @@ def _reduce(counts: Iterable[tuple], level: str, task: str | None) -> PRFReport:
         hits_g += label_hits_g
         n_gold += label_gold
     return PRFReport.from_pr(_ratio(hits_p, n_pred, n_gold),
-                             _ratio(hits_g, n_gold, n_pred), level, task)
+                             _ratio(hits_g, n_gold, n_pred))
 
 
 def score_level(view_or_views: EvalView | Iterable[EvalView], level: str) -> PRFReport:
-    task, rows = _label_rows(view_or_views, level)
-    return _reduce((counts for _label, counts in rows), level, task)
+    return _reduce(counts for _label, counts in _label_rows(view_or_views, level))
 
 
 def mention_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
@@ -254,9 +249,8 @@ def soft_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
 def per_label_prf(view_or_views: EvalView | Iterable[EvalView],
                   level: str) -> dict[str, PRFReport]:
     """The chosen level restricted to each label separately."""
-    task, rows = _label_rows(view_or_views, level)
     by_label: dict[str, list[tuple]] = {}
-    for label, counts in rows:
+    for label, counts in _label_rows(view_or_views, level):
         by_label.setdefault(label, []).append(counts)
-    return {label: _reduce(by_label[label], level, task)
+    return {label: _reduce(by_label[label])
             for label in sorted(by_label)}

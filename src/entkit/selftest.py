@@ -139,7 +139,10 @@ def _rand_matrix(rng, rows, cols, lo=-3.0, hi=3.0):
 def run_selftest(trials: int = 200, seed: int = 20240, max_spans: int = 4,
                  max_dim: int = 3) -> dict[str, float]:
     """Compare every kernel with its loop reference on random small inputs;
-    returns the max absolute deviation per kernel."""
+    returns the max absolute deviation per kernel. Fewer than one trial
+    raises ValueError: only `span_count` would be compared."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     dev: dict[str, float] = {}
 

@@ -310,18 +310,15 @@ def _label_rows(views: list[EvalView], level: str) -> list[tuple[str, tuple]]:
 
 def item_list_score(views: list[EvalView], level: str) -> PRFReport:
     """`entkit.metrics.score_level` over item-list views."""
-    task = views[0].task if views else None
-    return _reduce((counts for _label, counts in _label_rows(views, level)),
-                   level, task)
+    return _reduce(counts for _label, counts in _label_rows(views, level))
 
 
 def item_list_per_label(views: list[EvalView], level: str) -> dict[str, PRFReport]:
     """`entkit.metrics.per_label_prf` over item-list views."""
-    task = views[0].task if views else None
     by_label: dict[str, list[tuple]] = {}
     for label, counts in _label_rows(views, level):
         by_label.setdefault(label, []).append(counts)
-    return {label: _reduce(by_label[label], level, task)
+    return {label: _reduce(by_label[label])
             for label in sorted(by_label)}
 
 

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from entkit.coref import (avg_coref_f1, b_cubed, ceaf_e, coref_report,
-                          corpus_partition, make_partition, muc,
-                          partition_from_document)
+                          corpus_partition, make_partition, muc)
 from conftest import make_doc
 from oracles import brute_force_ceafe
 
@@ -15,6 +14,11 @@ PRED = make_partition([{"a", "b"}, {"c"}])
 def test_partition_rejects_overlap():
     with pytest.raises(ValueError):
         make_partition([{"a", "b"}, {"b", "c"}])
+
+
+def test_partition_overlap_names_keys_of_mixed_types():
+    with pytest.raises(ValueError, match=r"clusters overlap on \['a', 1\]"):
+        make_partition([{1, "a"}, {1, "a"}])
 
 
 def test_partition_rejects_empty_cluster():
@@ -167,11 +171,14 @@ def test_ceaf_e_equals_brute_force_alignment():
         assert got.f1 == pytest.approx(f, abs=1e-12)
 
 
-def test_document_and_corpus_partitions():
+def test_corpus_partition_scopes_mentions_by_doc_id():
     d1 = make_doc("d1", clusters=[("c1", [(0, 1), (2, 3)], [])])
     d2 = make_doc("d2", clusters=[("c1", [(0, 1)], [])])
-    part = corpus_partition([d1, d2])
-    assert len(part) == 2
-    assert frozenset({("d1", 0, 1), ("d1", 2, 3)}) in part
-    single = partition_from_document(d2)
-    assert single == (frozenset({(0, 1)}),)
+    assert corpus_partition([d1, d2]) == (
+        frozenset({("d1", 0, 1), ("d1", 2, 3)}), frozenset({("d2", 0, 1)}))
+
+
+def test_corpus_partition_refuses_a_repeated_doc_id():
+    d = make_doc("d1", clusters=[("c1", [(0, 1), (2, 3)], [])])
+    with pytest.raises(ValueError, match="clusters overlap"):
+        corpus_partition([d, d])

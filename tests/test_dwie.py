@@ -3,9 +3,7 @@ import json
 import pytest
 
 from entkit.corpus import Mention, ParseError, UNANNOTATED, validate_document
-from entkit.dwie import (ConversionReport, convert_annotation, convert_release,
-                         char_span_to_token_span, sentence_intervals,
-                         tokenize_with_offsets)
+from entkit.dwie import ConversionReport, convert_annotation, convert_release
 
 RELEASE_DOC = {
     "id": "DW_001",
@@ -33,24 +31,30 @@ RELEASE_DOC = {
 }
 
 
+def _convert_spans(content, spans=()):
+    """Convert `content` with one concept whose mentions are the character
+    spans `spans`."""
+    report = ConversionReport()
+    release = {"id": "d", "content": content, "concepts": [{"concept": 0}],
+               "mentions": [{"begin": b, "end": e, "concept": 0} for b, e in spans]}
+    return convert_annotation(release, report), report
+
+
 def test_tokenizer_offsets_cover_words_and_punctuation():
-    tokens = tokenize_with_offsets("Anna Smith visited Berlin.")
-    assert [t for t, _b, _e in tokens] == ["Anna", "Smith", "visited",
-                                           "Berlin", "."]
-    assert tokens[0][1:] == (0, 4)
+    doc, _report = _convert_spans("Anna Smith visited Berlin.", [(0, 4), (19, 25)])
+    assert doc.tokens == ("Anna", "Smith", "visited", "Berlin", ".")
+    assert doc.clusters[0].mentions == (Mention(0, 1), Mention(3, 4))
 
 
-def test_sentence_intervals_split_on_final_punctuation():
-    text = "One two. Three!"
-    tokens = tokenize_with_offsets(text)
-    assert sentence_intervals(text, tokens) == [(0, 3), (3, 5)]
+def test_sentences_split_on_final_punctuation():
+    doc, _report = _convert_spans("One two. Three!")
+    assert doc.sentences == (Mention(0, 3), Mention(3, 5))
 
 
 def test_char_span_snaps_to_touching_tokens():
-    tokens = tokenize_with_offsets("Anna Smith visited")
-    assert char_span_to_token_span(tokens, 0, 10) == Mention(0, 2)
-    assert char_span_to_token_span(tokens, 5, 10) == Mention(1, 2)
-    assert char_span_to_token_span(tokens, 100, 110) is None
+    doc, report = _convert_spans("Anna Smith visited", [(0, 10), (5, 10), (100, 110)])
+    assert doc.clusters[0].mentions == (Mention(0, 2), Mention(1, 2))
+    assert report.unaligned_mentions == 1
 
 
 def test_convert_annotation_field_mapping():

@@ -12,13 +12,14 @@ from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
                             attention_update_vectors, augment_with_pruner,
                             coref_confidence, coref_marginal_loss,
                             coref_propagation, coref_update_vectors,
-                            gated_span_update, iterate_propagation, joint_loss,
+                            gated_span_update, joint_loss,
                             multilabel_bce_loss, relation_propagation,
                             relation_update_vectors, select_top_spans,
                             span_count)
 from entkit.selftest import (ref_augment_mention, ref_augment_pair,
                              ref_coref_confidence, ref_coref_update,
-                             ref_gated_update, ref_relation_update)
+                             ref_gated_update, ref_relation_update,
+                             run_selftest)
 from oracles import logaddexp_bce_loss, per_span_coref_loss
 
 TOL = 1e-9
@@ -520,23 +521,17 @@ def test_gated_update_stays_in_componentwise_interval():
         assert np.all(out <= hi + 1e-12)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_selftest_refuses_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_selftest(trials=trials)
+
+
 def test_attention_propagation_increments_iteration():
     spans = SpanVectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
     out = attention_propagation(spans, np.zeros((2, 2)), zero_gate(2))
     assert out.iteration == 1
     assert np.allclose(out.vectors, [[0.75, 0.25], [0.25, 0.75]])
-
-
-def test_iterate_propagation_driver():
-    spans = SpanVectors(np.array([[4.0], [0.0]]))
-    gate = zero_gate(1)
-    att = np.zeros((2, 2))
-    once = attention_propagation(spans, att, gate)
-    twice = attention_propagation(once, att, gate)
-    driven = iterate_propagation(
-        spans, 2, lambda s: attention_propagation(s, att, gate))
-    assert driven.iteration == 2
-    assert np.allclose(driven.vectors, twice.vectors)
 
 
 def test_coref_and_relation_propagation_shapes():

@@ -319,15 +319,9 @@ def texts_and_spans(draw):
 @example(("\nA_b e\u0301 \u0663\u00a0\u20ac...\r\nC!?\u2028d\n", [(0, 3), (5, 7)]))
 def test_alignment_equals_token_scan(case):
     text, spans = case
-    tokens = dwie.tokenize_with_offsets(text)
-    assert tokens == oracles.tokenize_with_offsets(text)
-    assert dwie.sentence_intervals(text, tokens) \
-        == oracles.sentence_intervals(text, tokens)
-    for begin, end in spans:
-        assert dwie.char_span_to_token_span(tokens, begin, end) \
-            == oracles.char_span_to_token_span(tokens, begin, end)
-    # the whole conversion: concept 3 has no mention, and a relation to it
-    # is dropped with it
+    # the whole conversion pins the tokens, the sentence breaks, every
+    # snapped span and the unaligned count; concept 3 has no mention, and a
+    # relation to it is dropped with it
     release = {
         "id": "D", "content": text, "tags": ["test"],
         "mentions": [{"begin": b, "end": e, "concept": i % 3}
