@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, selftest, stats
-from .corpus import (CorpusError, ParseError, load_corpus, pair_documents,
-                     parse_corpus, read_json, serialize_corpus, validate_corpus)
+from .corpus import (CorpusError, load_corpus, pair_documents, parse_corpus,
+                     read_json, serialize_corpus, validate_corpus)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks it up
 # on this module by name.
 from .corpus import validate_document  # noqa: F401
@@ -86,8 +86,7 @@ def _cmd_stats(args) -> int:
 
 
 def _score_task(pairs, task: str, levels: list[str], per_label: bool) -> dict:
-    # `pair_documents` has compared each pair's tokens already
-    views = [metrics._eval_view(g, p, task) for g, p in pairs]
+    views = [metrics.build_eval_view(g, p, task) for g, p in pairs]
     out: dict = {}
     for level in levels:
         out[level] = metrics.score_level(views, level).to_json()
@@ -117,11 +116,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    obj = read_json(args.pred)
-    try:
-        inp = decode_input_from_json(obj)
-    except ValueError as e:
-        raise ParseError(str(e), path=args.pred) from e
+    inp = read_json(args.pred, decode_input_from_json)
     result = decode_entity_centric(inp)
     _emit(decode_output_to_json(result), args.out)
     return 0

@@ -37,18 +37,9 @@ Partition = tuple[Cluster, ...]
 
 def make_partition(clusters: Iterable[Iterable[Hashable]]) -> Partition:
     """Freeze and check a clustering: clusters non-empty and pairwise disjoint."""
-    out = []
-    seen: set = set()
-    for cluster in clusters:
-        c = frozenset(cluster)
-        if not c:
-            raise ValueError("empty cluster in partition")
-        if seen & c:
-            # ordered by repr: the keys need not be mutually comparable
-            raise ValueError(f"clusters overlap on {sorted(seen & c, key=repr)[:3]}")
-        seen |= c
-        out.append(c)
-    return tuple(out)
+    partition = tuple(map(frozenset, clusters))
+    _owners(partition)
+    return partition
 
 
 def corpus_partition(docs: Sequence[Document]) -> Partition:
@@ -58,12 +49,25 @@ def corpus_partition(docs: Sequence[Document]) -> Partition:
                           for d in docs for c in d.clusters)
 
 
+def _owners(partition: Partition) -> dict:
+    """Mention -> index of its cluster. Raises ValueError unless the clusters
+    are non-empty and pairwise disjoint, which holds exactly when the map
+    has one entry per member of every cluster."""
+    owner = {m: j for j, cluster in enumerate(partition) for m in cluster}
+    if not all(partition):
+        raise ValueError("empty cluster in partition")
+    if len(owner) != sum(map(len, partition)):
+        shared = {m for j, c in enumerate(partition) for m in c if owner[m] != j}
+        # ordered by repr: the keys need not be mutually comparable
+        raise ValueError(f"clusters overlap on {sorted(shared, key=repr)[:3]}")
+    return owner
+
+
 def _overlaps(gold: Partition, pred: Partition) -> Counter:
     """(gold index, pred index) -> |K n R| for every pair of clusters that
-    share a mention; pairs that share none are absent."""
-    owner = {m: j for j, r in enumerate(pred) for m in r}
-    return Counter((i, owner[m]) for i, k in enumerate(gold) for m in k
-                   if m in owner)
+    share a mention, read from the `_owners` map of each side."""
+    owner = _owners(pred)
+    return Counter((i, owner[m]) for m, i in _owners(gold).items() if m in owner)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -107,9 +111,9 @@ def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
+    cells = _overlaps(gold, pred)
     if not gold or not pred:
         return PRFReport.from_pr(0.0, 0.0)
-    cells = _overlaps(gold, pred)
     keys = list(cells)
     n = len(gold) + len(pred)
     graph = coo_matrix((np.ones(len(keys)), ([i for i, _ in keys],

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -176,20 +176,24 @@ def _resource_text(name: str) -> str:
         encoding="utf-8")
 
 
-def _parse_vocab_text(text: str) -> frozenset[str]:
-    return frozenset(
-        line.strip() for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#"))
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line of `text` that is neither
+    blank nor a `#` comment, indented or not; lines keep their indentation."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield number, line
 
 
 @functools.cache
 def builtin_tag_vocabulary() -> frozenset[str]:
-    return _parse_vocab_text(_resource_text("tag_vocabulary.txt"))
+    return frozenset(line.strip() for _, line in
+                     _content_lines(_resource_text("tag_vocabulary.txt")))
 
 
 @functools.cache
 def builtin_relation_vocabulary() -> frozenset[str]:
-    return _parse_vocab_text(_resource_text("relation_types.txt"))
+    return frozenset(line.strip() for _, line in
+                     _content_lines(_resource_text("relation_types.txt")))
 
 
 # --------------------------------------------------------------------------
@@ -572,10 +576,15 @@ def decode_json(text: str, path: str | Path, byte_offset: int = 0):
                          byte_offset=byte_offset) from None
 
 
-def read_json(path: str | Path):
-    """Decode the JSON file at `path`; invalid UTF-8 and syntax errors raise
-    ParseError naming the file and the byte offset."""
-    return decode_json(_utf8(Path(path).read_bytes(), path), path)
+def read_json(path: str | Path, build: Callable):
+    """`build` applied to the decoded JSON file at `path`. Invalid UTF-8 and
+    syntax errors raise ParseError naming the file and the byte offset; a
+    ValueError from `build` (a schema error) raises one naming the file."""
+    obj = decode_json(_utf8(Path(path).read_bytes(), path), path)
+    try:
+        return build(obj)
+    except ValueError as e:
+        raise ParseError(str(e), path=path) from e
 
 
 def load_corpus(path: str | Path) -> list[Document]:
@@ -585,14 +594,7 @@ def load_corpus(path: str | Path) -> list[Document]:
     path = Path(path)
     if not path.is_dir():
         return list(_iter_jsonl(path))
-    docs = []
-    for f in sorted(path.glob("*.json")):
-        obj = read_json(f)
-        try:
-            docs.append(document_from_json(obj))
-        except ValueError as e:
-            raise ParseError(str(e), path=f, byte_offset=0) from e
-    return docs
+    return [read_json(f, document_from_json) for f in sorted(path.glob("*.json"))]
 
 
 def _iter_jsonl(path: Path) -> Iterator[Document]:

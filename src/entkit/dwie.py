@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
-from .corpus import (Document, EntityCluster, Mention, ParseError,
-                     RelationTriple, UNANNOTATED, _every, _require, read_json)
+from .corpus import (Document, EntityCluster, Mention, RelationTriple,
+                     UNANNOTATED, _every, _require, read_json)
 
 _TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
 _BREAK_RE = re.compile(r"[.!?]|\n")
@@ -148,11 +148,6 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
     """Convert every *.json file under `src_dir`, in filename order; a file
     that is not valid JSON or breaks the schema raises ParseError."""
     report = ConversionReport()
-    docs = []
-    for path in sorted(Path(src_dir).glob("*.json")):
-        obj = read_json(path)
-        try:
-            docs.append(convert_annotation(obj, report))
-        except ValueError as e:
-            raise ParseError(str(e), path=path) from e
+    docs = [read_json(path, lambda obj: convert_annotation(obj, report))
+            for path in sorted(Path(src_dir).glob("*.json"))]
     return docs, report

@@ -107,24 +107,17 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
     """Count each label of a document pair from the blocks of
     `corpus.unit_overlaps`; gold and pred must share the token space, and
     each mention must lie in exactly one non-empty cluster of its document.
-    """
-    if task not in TASKS:
-        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    if gold.tokens != pred.tokens:
-        raise ValueError(f"token-space mismatch between gold {gold.id!r} "
-                         f"and pred {pred.id!r}")
-    return _eval_view(gold, pred, task)
-
-
-def _eval_view(gold: Document, pred: Document, task: str) -> EvalView:
-    """`build_eval_view` of a pair whose token spaces are already known to
-    agree (`corpus.pair_documents` compares them).
 
     A unit's size is the sum of its blocks. Units of one label are disjoint,
     so a unit's hits for a label are its instances in blocks whose
     other-side unit carries the label too, and a predicted unit matches
     exactly when one such block is both units' size.
     """
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+    if gold.tokens != pred.tokens:
+        raise ValueError(f"token-space mismatch between gold {gold.id!r} "
+                         f"and pred {pred.id!r}")
     gold_units, pred_units, blocks = unit_overlaps(gold, pred, task)
     sizes: tuple[dict, dict] = ({}, {})     # per side: unit -> instances
     hits: tuple[dict, dict] = ({}, {})      # per side: (unit, label) -> hits

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Document, _resource_text
+from .corpus import Document, _content_lines, _resource_text
 
 _ATOM_RE = re.compile(r"^\s*([A-Za-z0-9_\-]+)\s*\(\s*([^()]*?)\s*\)\s*$")
 
@@ -118,13 +118,8 @@ def load_ruleset(path: str | Path) -> list[Rule]:
 
 
 def _parse_ruleset(text: str) -> list[Rule]:
-    rules = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rules.append(parse_rule(line, default_id=f"line-{i}"))
-    return rules
+    return [parse_rule(line, default_id=f"line-{number}")
+            for number, line in _content_lines(text)]
 
 
 def builtin_ruleset() -> list[Rule]:

@@ -22,10 +22,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import gt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import (Document, EntityCluster, Mention, _resource_text,
-                     relation_positions)
+from .corpus import (Document, EntityCluster, Mention, _content_lines,
+                     _labelled_units, _resource_text, relation_positions)
 
 
 # --------------------------------------------------------------------------
@@ -151,9 +151,7 @@ def load_type_hierarchy() -> dict[str, str | None]:
     (top-level tags map to None). Two spaces per level."""
     parents: dict[str, str | None] = {}
     stack: list[tuple[int, str]] = []
-    for line in _resource_text("type_hierarchy.txt").splitlines():
-        if not line.strip() or line.strip().startswith("#"):
-            continue
+    for _, line in _content_lines(_resource_text("type_hierarchy.txt")):
         depth = (len(line) - len(line.lstrip(" "))) // 2
         tag = line.strip()
         while stack and stack[-1][0] >= depth:
@@ -223,6 +221,15 @@ class RelationTypeHistogram:
     total_mention_pairs: int
 
 
+def _related_pairs(docs: Iterable[Document]) -> Iterator[tuple[frozenset[str], int]]:
+    """(relation types, mention pairs) of each related (head, tail) cluster
+    pair of every document, from its unit table `corpus._labelled_units`."""
+    for d in docs:
+        sizes = [len(c.mentions) for c in d.clusters]
+        for (head, tail), types in _labelled_units(d, "re").items():
+            yield types, sizes[head] * sizes[tail]
+
+
 def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
     """Per type: distinct related cluster pairs and their summed mention-pair
     cross products. Totals count each distinct (head, tail) pair once,
@@ -230,16 +237,12 @@ def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
     per_type: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     total_pairs = 0
     total_mention_pairs = 0
-    for d in docs:
-        sizes = [len(c.mentions) for c in d.clusters]
-        triples = relation_positions(d)
-        for head, rel_type, tail in triples:
-            product = sizes[head] * sizes[tail]
+    for types, product in _related_pairs(docs):
+        total_pairs += 1
+        total_mention_pairs += product
+        for rel_type in sorted(types):
             per_type[rel_type][0] += 1
             per_type[rel_type][1] += product
-        for head, tail in {(h, t) for h, _, t in triples}:
-            total_pairs += 1
-            total_mention_pairs += sizes[head] * sizes[tail]
     return RelationTypeHistogram(
         per_type={t: (e, m) for t, (e, m) in per_type.items()},
         total_entity_pairs=total_pairs,
@@ -253,14 +256,10 @@ def multilabel_relation_histogram(docs: Iterable[Document]
     them: bucket -> (entity pairs, mention pairs). Buckets 1..3 are exact,
     bucket 4 holds four or more."""
     buckets: dict[int, list[int]] = defaultdict(lambda: [0, 0])
-    for d in docs:
-        sizes = [len(c.mentions) for c in d.clusters]
-        types_per_pair = Counter((head, tail)
-                                 for head, _, tail in relation_positions(d))
-        for (head, tail), n_types in types_per_pair.items():
-            bucket = min(n_types, 4)
-            buckets[bucket][0] += 1
-            buckets[bucket][1] += sizes[head] * sizes[tail]
+    for types, product in _related_pairs(docs):
+        bucket = min(len(types), 4)
+        buckets[bucket][0] += 1
+        buckets[bucket][1] += product
     return {b: (e, m) for b, (e, m) in sorted(buckets.items())}
 
 

@@ -23,7 +23,7 @@ from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
 from entkit.kernels import _as_array
 from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
-from entkit.stats import DistanceRecord, token_gap
+from entkit.stats import DistanceRecord, RelationTypeHistogram, token_gap
 
 
 # --------------------------------------------------------------------------
@@ -609,6 +609,38 @@ def naive_coverage_table(records):
              sum(1 for r in records if r.min_sentence_dist <= d) / n,
              sum(1 for r in records if r.max_sentence_dist <= d) / n)
             for d in range(top + 1)]
+
+
+# --------------------------------------------------------------------------
+# Relation histograms by looping over each document's distinct triples
+
+
+def relation_histograms(docs: Iterable[Document]
+                        ) -> tuple[RelationTypeHistogram, dict[int, tuple[int, int]]]:
+    """`relation_type_histogram` and `multilabel_relation_histogram`, counted
+    triple by triple: each distinct (head, type, tail) of a document adds one
+    entity pair and its mention-pair product to its type, and each distinct
+    (head, tail) adds them to the totals and to the bucket of its type count."""
+    per_type: dict[str, tuple[int, int]] = {}
+    buckets: dict[int, tuple[int, int]] = {}
+    total_pairs = total_mention_pairs = 0
+    for d in docs:
+        size = {c.id: len(c.mentions) for c in d.clusters}
+        types_of: dict[tuple[str, str], list[str]] = {}
+        for head, rel_type, tail in set(d.relations):
+            entity_pairs, mention_pairs = per_type.get(rel_type, (0, 0))
+            per_type[rel_type] = (entity_pairs + 1,
+                                  mention_pairs + size[head] * size[tail])
+            types_of.setdefault((head, tail), []).append(rel_type)
+        for (head, tail), types in types_of.items():
+            product = size[head] * size[tail]
+            total_pairs += 1
+            total_mention_pairs += product
+            bucket = min(len(types), 4)
+            entity_pairs, mention_pairs = buckets.get(bucket, (0, 0))
+            buckets[bucket] = (entity_pairs + 1, mention_pairs + product)
+    return (RelationTypeHistogram(per_type, total_pairs, total_mention_pairs),
+            buckets)
 
 
 # --------------------------------------------------------------------------

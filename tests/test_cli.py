@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from entkit import rules
 from entkit.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,6 +116,36 @@ def test_rules_check_clean_corpus(capsys):
         "rules", "check", str(FIXTURES / "ok.jsonl"), "--strict"])
     assert code == 0
     assert payload["violations"] == []
+
+
+CUSTOM_RULES = """
+# custom rules
+   # an indented comment
+R1: spouse_of(Y, X) => spouse_of(X, Y)
+
+in0(X, Y) & gpe0(Z, Y) => in0-x(X, Z)
+"""
+
+
+def test_rules_check_reads_a_custom_rule_file(tmp_path, capsys):
+    """Blank and comment lines are skipped; a rule without an id is named
+    after its physical line."""
+    path = tmp_path / "rules.txt"
+    path.write_text(CUSTOM_RULES, encoding="utf-8")
+    assert [r.id for r in rules.load_ruleset(path)] == ["R1", "line-6"]
+    code, payload = run_json(capsys, [
+        "rules", "check", str(FIXTURES / "rules_multi.jsonl"),
+        "--rules", str(path), "--strict"])
+    assert code == 1
+    assert (payload["rules"], payload["firings"]) == (2, 3)
+    assert [(v["doc"], v["rule"], v["missing"], v["substitution"])
+            for v in payload["violations"]] == [
+        ("r1", "line-6", {"head": "c1", "type": "in0-x", "tail": "adj"},
+         {"X": "c1", "Y": "g", "Z": "adj"}),
+        ("r1", "line-6", {"head": "c2", "type": "in0-x", "tail": "adj"},
+         {"X": "c2", "Y": "g", "Z": "adj"}),
+        ("r2", "R1", {"head": "p2", "type": "spouse_of", "tail": "p1"},
+         {"X": "p2", "Y": "p1"})]
 
 
 def test_kappa_entity_self_agreement(capsys):

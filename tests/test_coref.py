@@ -26,6 +26,21 @@ def test_partition_rejects_empty_cluster():
         make_partition([set()])
 
 
+K = frozenset({("d", 0, 1), ("d", 2, 3)})
+
+
+@pytest.mark.parametrize("gold, pred", [
+    ((K, K), (K,)), ((K,), (K, K)), ((K,), (K, frozenset())),
+    ((K, frozenset()), (K,)), ((), (K, K)), ((K, frozenset()), ())])
+@pytest.mark.parametrize("scorer", [muc, b_cubed, ceaf_e, coref_report])
+def test_scorers_refuse_overlapping_or_empty_clusters(scorer, gold, pred):
+    """Unchecked, a repeated cluster scores MUC and B-cubed precision 2.0
+    and an empty one CEAF-e precision 0.5; an empty side must not skip the
+    check."""
+    with pytest.raises(ValueError, match="overlap|empty cluster"):
+        scorer(gold, pred)
+
+
 def test_identical_partitions_score_one():
     p = make_partition([{"a", "b"}, {"c"}, {"d"}])
     for metric in (muc, b_cubed, ceaf_e):

@@ -286,6 +286,17 @@ def test_per_file_syntax_error_reports_byte_offset(tmp_path):
     assert exc_jsonl.value.byte_offset == exc.value.byte_offset
 
 
+def test_per_file_schema_error_names_the_file_without_offset(tmp_path):
+    (tmp_path / "a.json").write_text(json.dumps(document_to_json(make_doc("a"))))
+    bad = tmp_path / "b.json"
+    bad.write_text(json.dumps({"id": "d9", "tokens": "oops", "sentences": []}))
+    with pytest.raises(ParseError) as exc:
+        load_corpus(tmp_path)
+    assert exc.value.byte_offset is None
+    assert exc.value.path == str(bad)
+    assert str(exc.value) == f"d9: field 'tokens' must be a list of strings [{bad}]"
+
+
 def test_parse_corpus_rejects_duplicate_document_ids(tmp_path):
     path = tmp_path / "dup.jsonl"
     serialize_corpus([make_doc("d1"), make_doc("d2"), make_doc("d1")], path)

@@ -15,7 +15,9 @@ corpus loader checks each field of a document's clusters and relations in
 bulk, where the oracle checks one item at a time; both must accept the same
 documents, build the same Document and give the same first schema error.
 The release converter checks each field of a file's entries in bulk too,
-and must accept and refuse the entries the per-entry check does.
+and must accept and refuse the entries the per-entry check does. The
+relation histograms read each document's (head, tail) -> types table, where
+the oracle loops over its distinct triples; both must count alike.
 """
 
 from collections import Counter
@@ -32,7 +34,8 @@ from entkit import coref, dwie, rules
 from entkit.corpus import UNANNOTATED, document_from_json, unit_overlaps
 from entkit.metrics import LEVELS, build_eval_view, per_label_prf, score_level
 from entkit.stats import (DistanceProfile, DistanceRecord,
-                          relation_distance_profile)
+                          multilabel_relation_histogram,
+                          relation_distance_profile, relation_type_histogram)
 import oracles
 from conftest import make_doc
 from oracles import (brute_force_ceafe, brute_force_coref_agreement,
@@ -292,6 +295,34 @@ def test_distance_records_equal_pairwise_oracle(doc):
             relation_distance_profile([doc])
         return
     assert relation_distance_profile([doc]).records == expected
+
+
+@st.composite
+def related_documents(draw, doc_id):
+    """A document of one to four clusters of one to three mentions whose
+    relations repeat triples and give pairs up to five types."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    ids = [f"c{i}" for i in range(len(sizes))]
+    triples = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(["R1", "R2", "R3", "R4", "R5"]),
+        st.sampled_from(ids)), max_size=12))
+    repeats = draw(st.lists(st.sampled_from(triples), max_size=4)) if triples else []
+    return make_doc(doc_id, n_tokens=12, clusters=[
+        (cid, [(3 * i + k, 3 * i + k + 1) for k in range(n)], [])
+        for i, (cid, n) in enumerate(zip(ids, sizes))],
+        relations=triples + repeats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["d0", "d1"]).flatmap(related_documents),
+                max_size=3))
+@example([make_doc("d0", n_tokens=12, clusters=[
+    ("c0", [(0, 1)], []), ("c1", [(3, 4), (4, 5)], [])],
+    relations=[("c0", "R1", "c1"), ("c0", "R1", "c1"), ("c0", "R2", "c1"),
+               ("c1", "R1", "c0")] + [("c1", f"R{k}", "c0") for k in range(2, 6)])])
+def test_relation_histograms_equal_distinct_triple_oracle(docs):
+    assert (relation_type_histogram(docs), multilabel_relation_histogram(docs)) \
+        == oracles.relation_histograms(docs)
 
 
 # --------------------------------------------------------------------------
