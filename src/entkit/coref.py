@@ -15,9 +15,9 @@ match gold spans):
 convention applies throughout (never 0/0 -> 1), matching the behavior of the
 standard reference scorer on degenerate partitions.
 
-scipy is imported inside `ceaf_e`, the only scorer that needs it, so only
-CEAF-e (`score --task coref|all`) loads it; every other entkit command
-starts without it.
+CEAF-e solves its alignment in plain Python, one connected component of the
+cluster-overlap graph at a time; no component crosses a document, so each
+assignment problem stays small.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from typing import Hashable, Iterable, Sequence
-
-import numpy as np
 
 from .corpus import Document
 from .metrics import PRFReport
@@ -101,37 +99,100 @@ def b_cubed(gold: Partition, pred: Partition) -> PRFReport:
     return PRFReport.from_pr(side(pred, 1), side(gold, 0))
 
 
+def _components(cells: Counter, n_gold: int, n_pred: int
+                ) -> list[list[tuple[int, int]]]:
+    """The (gold index, pred index) cells grouped by connected component of
+    the bipartite overlap graph: union-find over gold i and pred n_gold + j."""
+    parent = list(range(n_gold + n_pred))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    for i, j in cells:
+        a, b = root(i), root(n_gold + j)
+        if a != b:
+            parent[a] = b
+    by_root: dict[int, list[tuple[int, int]]] = {}
+    for i, j in cells:
+        by_root.setdefault(root(i), []).append((i, j))
+    return list(by_root.values())
+
+
+def _max_weight_assignment(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """(row, column) pairs of a maximum-weight one-to-one matching that
+    covers the shorter side of a rectangular matrix given as a list of rows.
+
+    Kuhn-Munkres as shortest augmenting paths with row and column potentials
+    on the costs -weights (Jonker-Volgenant; Crouse 2016, "On implementing
+    2D rectangular assignment algorithms"), one row added per search. A
+    search settles the nearest column, preferring an unmatched one on a tie,
+    which keeps paths short when many weights are 0. A taller matrix is
+    solved transposed, and a single row takes its maximum directly."""
+    n, m = len(weights), len(weights[0]) if weights else 0
+    if n > m:
+        pairs = _max_weight_assignment([list(col) for col in zip(*weights)])
+        return [(i, j) for j, i in pairs]
+    if n == 1:
+        return [(0, weights[0].index(max(weights[0])))]
+    u, v = [0.0] * n, [0.0] * m
+    col4row, row4col = [-1] * n, [-1] * m
+    for start in range(n):
+        dist, path = [math.inf] * m, [-1] * m
+        unsettled = list(range(m - 1, -1, -1))
+        rows, cols = [], []
+        row, low, sink = start, 0.0, -1
+        while sink == -1:
+            rows.append(row)
+            gains, u_row = weights[row], u[row]
+            best, at = math.inf, -1
+            for k, j in enumerate(unsettled):
+                reduced = low - gains[j] - u_row - v[j]
+                if reduced < dist[j]:
+                    dist[j], path[j] = reduced, row
+                if dist[j] < best or (dist[j] == best and row4col[j] == -1):
+                    best, at = dist[j], k
+            low, j = best, unsettled[at]
+            unsettled[at] = unsettled[-1]
+            unsettled.pop()
+            cols.append(j)
+            if row4col[j] == -1:
+                sink = j
+            else:
+                row = row4col[j]
+        u[start] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for j in cols:
+            v[j] -= low - dist[j]
+        j = sink
+        while True:  # flip the matching along the path back to `start`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return list(enumerate(col4row))
+
+
 def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
     """Clusters that share no mention have similarity 0, so the optimal
     alignment is solved exactly on each connected component of the overlap
     graph; no similarity matrix is larger than one component."""
-    # imported here, not at module load: scipy.optimize outweighs most commands
-    # and no other scorer or command needs it
-    from scipy.optimize import linear_sum_assignment
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     cells = _overlaps(gold, pred)
     if not gold or not pred:
         return PRFReport.from_pr(0.0, 0.0)
-    keys = list(cells)
-    n = len(gold) + len(pred)
-    graph = coo_matrix((np.ones(len(keys)), ([i for i, _ in keys],
-                        [len(gold) + j for _, j in keys])), shape=(n, n))
-    component = connected_components(graph, directed=False)[1].tolist()
-    by_component: dict[int, list[tuple[int, int]]] = {}
-    for i, j in keys:
-        by_component.setdefault(component[i], []).append((i, j))
     matched: list[float] = []
-    for members in by_component.values():
+    for members in _components(cells, len(gold), len(pred)):
         # indices in partition order, so each matrix is a block of |G| x |P|
-        rows = {i: r for r, i in enumerate(sorted({i for i, _ in members}))}
-        cols = {j: c for c, j in enumerate(sorted({j for _, j in members}))}
-        sim = np.zeros((len(rows), len(cols)))
-        for i, j in members:
-            sim[rows[i], cols[j]] = 2 * cells[i, j] / (len(gold[i]) + len(pred[j]))
-        r, c = linear_sum_assignment(sim, maximize=True)
-        matched.extend(sim[r, c].tolist())
+        rows = sorted({i for i, _ in members})
+        cols = sorted({j for _, j in members})
+        # a pair that shares no mention reads 0 from the Counter: phi is 0.0
+        sim = [[2 * cells[i, j] / (len(gold[i]) + len(pred[j])) for j in cols]
+               for i in rows]
+        matched.extend(sim[r][c] for r, c in _max_weight_assignment(sim))
     total = math.fsum(matched)
     return PRFReport.from_pr(total / len(pred), total / len(gold))
 

@@ -347,6 +347,22 @@ def brute_force_ceafe(gold, pred):
     return p, r, _f1(p, r)
 
 
+def best_assignment_total(weights, n_cols: int) -> float:
+    """The largest total of a one-to-one row-column matching, by scipy's
+    solver on the dense matrix (a list of rows with `n_cols` columns)."""
+    sim = np.array(weights, dtype=float).reshape(len(weights), n_cols)
+    rows, cols = linear_sum_assignment(sim, maximize=True)
+    return math.fsum(sim[rows, cols].tolist())
+
+
+def brute_force_assignment_total(weights, n_cols: int) -> float:
+    """The same by trying every one-to-one matching of the shorter side."""
+    if len(weights) > n_cols:
+        weights, n_cols = [list(col) for col in zip(*weights)], len(weights)
+    return max(sum(row[j] for row, j in zip(weights, chosen))
+               for chosen in itertools.permutations(range(n_cols), len(weights)))
+
+
 # --------------------------------------------------------------------------
 # Coreference scorers over mention -> cluster maps and a dense |G| x |P|
 # similarity matrix

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from entkit.coref import (avg_coref_f1, b_cubed, ceaf_e, coref_report,
+from entkit.coref import (_components, _max_weight_assignment, _overlaps,
+                          avg_coref_f1, b_cubed, ceaf_e, coref_report,
                           corpus_partition, make_partition, muc)
+import oracles
 from conftest import make_doc
-from oracles import brute_force_ceafe
+from oracles import brute_force_assignment_total, brute_force_ceafe
 
 GOLD = make_partition([{"a", "b", "c"}])
 PRED = make_partition([{"a", "b"}, {"c"}])
@@ -184,6 +186,38 @@ def test_ceaf_e_equals_brute_force_alignment():
         assert got.precision == pytest.approx(p, abs=1e-12)
         assert got.recall == pytest.approx(r, abs=1e-12)
         assert got.f1 == pytest.approx(f, abs=1e-12)
+
+
+def test_max_weight_assignment_equals_brute_force_up_to_six():
+    """Small integer weights, many of them 0 or tied, so every total is
+    exact and many matchings are equally good."""
+    rng = random.Random(14)
+    for _ in range(400):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        weights = [[float(rng.choice([0, 0, 1, 2, 3])) for _ in range(n_cols)]
+                   for _ in range(n_rows)]
+        pairs = _max_weight_assignment(weights)
+        assert len(pairs) == min(n_rows, n_cols)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        assert sum(weights[i][j] for i, j in pairs) \
+            == brute_force_assignment_total(weights, n_cols)
+
+
+def _interval_partition(cuts, n):
+    bounds = [0, *sorted(cuts), n]
+    return make_partition(range(a, b) for a, b in zip(bounds, bounds[1:]))
+
+
+def test_ceaf_e_on_one_component_of_300_clusters_equals_dense_reference():
+    """Runs of mentions cut at disjoint points: every gold cluster overlaps
+    the pred clusters on both of its ends, so the overlap graph is one
+    321 x 321 component that the solver takes whole."""
+    rng = random.Random(15)
+    cuts = rng.sample(range(1, 1000), 640)
+    gold = _interval_partition(cuts[:320], 1000)
+    pred = _interval_partition(cuts[320:], 1000)
+    assert len(_components(_overlaps(gold, pred), len(gold), len(pred))) == 1
+    assert ceaf_e(gold, pred) == oracles.ceaf_e(gold, pred)
 
 
 def test_corpus_partition_scopes_mentions_by_doc_id():

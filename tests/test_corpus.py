@@ -8,7 +8,8 @@ from entkit.corpus import (CorpusValidationError, Mention,
                            UNANNOTATED, document_from_json,
                            document_to_json, load_corpus, parse_corpus,
                            cluster_overlaps, relation_positions,
-                           serialize_corpus, validate_document)
+                           serialize_corpus, validate_corpus,
+                           validate_document)
 from entkit.agreement import relation_agreement
 from entkit.metrics import build_eval_view
 from entkit.stats import (corpus_summary, multilabel_relation_histogram,
@@ -138,6 +139,25 @@ def test_validate_sentence_cover():
                  clusters=[("c", [(0, 1)], [])])
     report = validate_document(d)
     assert any(f.code == "SENTENCE_COVERAGE" for f in report.errors)
+
+
+@pytest.mark.parametrize("sentences", [
+    (),
+    ((0, 3), (3, 5)),
+    ((1, 6),),
+    ((0, 3), (3, 3), (3, 6)),
+], ids=["no-sentences", "cover-stops-short", "first-not-at-0", "empty-sentence"])
+def test_validate_sentence_cover_gaps(sentences):
+    """A six-token document whose sentences do not tile [0, 6) once each."""
+    d = make_doc(n_tokens=6, sentences=sentences)
+    for report in (validate_document(d), validate_corpus([d])):
+        assert [f.code for f in report.errors] == ["SENTENCE_COVERAGE"]
+
+
+def test_validate_document_without_tokens_or_sentences_is_clean():
+    d = make_doc(n_tokens=0, sentences=())
+    for report in (validate_document(d), validate_corpus([d])):
+        assert report.ok and report.warnings == []
 
 
 def test_unknown_labels_warn_not_fail():

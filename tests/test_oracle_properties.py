@@ -20,6 +20,7 @@ relation histograms read each document's (head, tail) -> types table, where
 the oracle loops over its distinct triples; both must count alike.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -168,6 +169,33 @@ def test_coref_scorers_equal_dense_references(pair):
                                brute_force_ceafe(gold, pred)):
         assert abs(value - expected) < TOL
 
+
+@st.composite
+def weight_matrices(draw):
+    """A non-negative matrix of any shape up to 8 x 8, as a list of rows and
+    its column count; zeros and repeated values are drawn often."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    value = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2 / 3]) | st.floats(0, 4)
+    return [[draw(value) for _ in range(n_cols)] for _ in range(n_rows)], n_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_matrices())
+@example(([], 0))
+@example(([], 3))
+@example(([[], [], []], 0))
+@example(([[0.0, 2.0, 2.0, 1.0]], 4))
+@example(([[1.0], [3.0], [3.0]], 1))
+@example(([[0.0] * 5] * 5, 5))
+@example(([[1.0] * 4] * 6, 4))
+def test_max_weight_assignment_equals_scipy(matrix):
+    weights, n_cols = matrix
+    pairs = coref._max_weight_assignment(weights)
+    assert len(pairs) == min(len(weights), n_cols)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    assert all(0 <= i < len(weights) and 0 <= j < n_cols for i, j in pairs)
+    total = math.fsum(weights[i][j] for i, j in pairs)
+    assert abs(total - oracles.best_assignment_total(weights, n_cols)) < TOL
 
 def _one_label(units, label, doc_id):
     """The units that carry `label`, with instances scoped by document."""
