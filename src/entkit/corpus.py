@@ -614,17 +614,14 @@ def _iter_jsonl(path: Path) -> Iterator[Document]:
             offset += len(raw)
 
 
-def parse_corpus(path: str | Path, *, strict: bool = True) -> list[Document]:
-    """Read and validate a corpus in file order (as `load_corpus` reads it).
-
-    With strict=True (default) any hard-invariant breach, `validate_corpus`'s
-    errors, raises CorpusValidationError; warnings never raise.
-    """
+def parse_corpus(path: str | Path) -> list[Document]:
+    """Read a corpus in file order (as `load_corpus` reads it) and validate it:
+    any hard-invariant breach, `validate_corpus`'s errors, raises
+    CorpusValidationError; warnings never raise."""
     docs = load_corpus(path)
-    if strict:
-        errors = validate_corpus(docs).errors
-        if errors:
-            raise CorpusValidationError(errors, path)
+    errors = validate_corpus(docs).errors
+    if errors:
+        raise CorpusValidationError(errors, path)
     return docs
 
 

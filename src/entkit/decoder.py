@@ -145,12 +145,11 @@ def decode_input_from_json(obj: dict) -> DecodeInput:
     p_rel = _entries(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
     clusters = {cid: tuple(spans_from_json(spans, f"p_cl[{cid!r}]", "spans"))
                 for cid, spans in p_cl.items()}
-    # Check every span first, then build each entry in one piece.
-    spans_from_json([s for s, _tag in p_men], "p_men", "spans")
-    spans_from_json([s for h, _t, tl in p_rel for s in (h, tl)], "p_rel", "spans")
+    tagged = spans_from_json([s for s, _tag in p_men], "p_men", "spans")
+    ends = spans_from_json([s for h, _t, tl in p_rel for s in (h, tl)], "p_rel", "spans")
     return DecodeInput(
-        clusters, tuple((Mention._make(s), tag) for s, tag in p_men),
-        tuple((Mention._make(h), t, Mention._make(tl)) for h, t, tl in p_rel))
+        clusters, tuple(zip(tagged, [tag for _s, tag in p_men])),
+        tuple(zip(ends[::2], [t for _h, t, _tl in p_rel], ends[1::2])))
 
 
 def decode_output_to_json(out: DecodeOutput) -> dict:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import fsum
 from operator import truediv
 from typing import Iterable, NamedTuple
 
@@ -68,7 +69,7 @@ class LabelCounts(NamedTuple):
     matched: int         # predicted units whose instance set is a gold unit's
     pred_units: int
     gold_units: int
-    soft_pred: float     # sum over predicted units of shared / size, in order
+    soft_pred: float     # exact sum over predicted units of shared / size
     soft_gold: float
 
 
@@ -81,26 +82,14 @@ class EvalView:
     labels: dict[str, LabelCounts] = field(default_factory=dict)
 
 
-def _units(doc: Document, units: dict, task: str) -> list[tuple[str, tuple[int, ...]]]:
-    """(label, cluster positions) for every labelled unit of `doc`, from its
-    `unit_overlaps` table `units`: each cluster once per tag for NER, each
-    distinct relation triple in `relation_positions` order (by head id,
-    type, tail id) for RE. That order is a sort of the table's rows because
-    `relation_positions`, which built them, refuses an id two clusters carry."""
-    rows = [(label, unit) for unit, labels in units.items() for label in labels]
-    if task == "ner":
-        return rows
-    ids = [c.id for c in doc.clusters]
-    return sorted(rows, key=lambda row: (ids[row[1][0]], row[0], ids[row[1][1]]))
-
-
 def _totals(units: list[tuple]) -> tuple:
     """(hits, sizes, matches, soft credit) summed over one side's units of
-    one label; the soft credit sums hits / size in unit order."""
+    one label; the soft credit is the exact sum of hits / size, so it does
+    not depend on the order of the units."""
     if not units:
         return 0, 0, 0, 0
     hits, sizes, matched = zip(*units)
-    return sum(hits), sum(sizes), sum(matched), sum(map(truediv, hits, sizes))
+    return sum(hits), sum(sizes), sum(matched), fsum(map(truediv, hits, sizes))
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
@@ -133,11 +122,12 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
                 if n == sizes[0][g] == sizes[1][p]:
                     matched.add((p, label))
     by_label: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for side, (doc, units) in enumerate(((gold, gold_units), (pred, pred_units))):
-        for label, unit in _units(doc, units, task):
-            key = unit, label
-            by_label[label][side].append((hits[side].get(key, 0), sizes[side][unit],
-                                          side == 1 and key in matched))
+    for side, units in enumerate((gold_units, pred_units)):
+        for unit, labels in units.items():
+            for label in labels:
+                key = unit, label
+                by_label[label][side].append((hits[side].get(key, 0), sizes[side][unit],
+                                              side == 1 and key in matched))
     view = EvalView(task)
     for label, (g, p) in by_label.items():
         shared, pred_instances, matched_units, soft_pred = _totals(p)
@@ -198,8 +188,8 @@ def _label_counts(lc: LabelCounts, level: str) -> tuple:
 
 def _label_rows(view_or_views: EvalView | Iterable[EvalView], level: str
                 ) -> list[tuple[str, tuple]]:
-    """One (label, counts) row per label of each view, in view order and
-    then label order; the views must share one task."""
+    """One (label, counts) row per label of each view; the views must share
+    one task. `_reduce` sums the rows exactly, so their order is free."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     views = [view_or_views] if isinstance(view_or_views, EvalView) \
@@ -212,13 +202,10 @@ def _label_rows(view_or_views: EvalView | Iterable[EvalView], level: str
 
 
 def _reduce(counts: Iterable[tuple]) -> PRFReport:
-    """Micro-averaged P/R/F1 from summed per-label counts."""
-    hits_p = n_pred = hits_g = n_gold = 0
-    for label_hits_p, label_pred, label_hits_g, label_gold in counts:
-        hits_p += label_hits_p
-        n_pred += label_pred
-        hits_g += label_hits_g
-        n_gold += label_gold
+    """Micro-averaged P/R/F1 from the per-label counts, each column summed
+    exactly, so that no score depends on the order of labels or documents."""
+    columns = list(zip(*counts)) or [()] * 4
+    hits_p, n_pred, hits_g, n_gold = map(fsum, columns)
     return PRFReport.from_pr(_ratio(hits_p, n_pred, n_gold),
                              _ratio(hits_g, n_gold, n_pred))
 

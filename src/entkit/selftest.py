@@ -136,8 +136,11 @@ def _rand_matrix(rng, rows, cols, lo=-3.0, hi=3.0):
     return [[rng.uniform(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
-def run_selftest(trials: int = 200, seed: int = 20240, max_spans: int = 4,
-                 max_dim: int = 3) -> dict[str, float]:
+MAX_SPANS = 4   # spans per random trial, at most
+MAX_DIM = 3     # span-vector width per random trial, at most
+
+
+def run_selftest(trials: int = 200, seed: int = 20240) -> dict[str, float]:
     """Compare every kernel with its loop reference on random small inputs;
     returns the max absolute deviation per kernel. Fewer than one trial
     raises ValueError: only `span_count` would be compared."""
@@ -157,8 +160,8 @@ def run_selftest(trials: int = 200, seed: int = 20240, max_spans: int = 4,
                   ref_span_count(num_tokens, width))
 
     for _ in range(trials):
-        n = rng.randint(1, max_spans)
-        dim = rng.randint(1, max_dim)
+        n = rng.randint(1, MAX_SPANS)
+        dim = rng.randint(1, MAX_DIM)
         n_tags = rng.randint(1, 3)
         n_types = rng.randint(1, 3)
 

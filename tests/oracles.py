@@ -281,8 +281,8 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
 def _soft_counts(lv: LabelView) -> SoftCounts:
     gold_instances = lv.gold_instances
     pred_instances = lv.pred_instances
-    tp_p = sum(len(c & gold_instances) / len(c) for c in lv.pred_clusters)
-    tp_g = sum(len(c & pred_instances) / len(c) for c in lv.gold_clusters)
+    tp_p = math.fsum(len(c & gold_instances) / len(c) for c in lv.pred_clusters)
+    tp_g = math.fsum(len(c & pred_instances) / len(c) for c in lv.gold_clusters)
     return SoftCounts(tp_p, tp_g,
                       len(lv.pred_clusters) - tp_p,
                       len(lv.gold_clusters) - tp_g)

@@ -17,7 +17,7 @@ import pytest
 from entkit.agreement import (AnnotationPair, cohen_kappa, expected_agreement,
                               observed_agreement)
 from entkit.coref import avg_coref_f1, b_cubed, ceaf_e, make_partition, muc
-from entkit.corpus import parse_corpus
+from entkit.corpus import load_corpus, parse_corpus
 from entkit.kernels import (GateTransform, attention_confidence,
                             coref_confidence, gated_span_update, span_count)
 from entkit.metrics import (build_eval_view, hard_entity_prf, mention_prf,
@@ -246,7 +246,7 @@ def test_criterion_kernels():
             assert np.all(out >= np.minimum(g, u) - 1e-12)
             assert np.all(out <= np.maximum(g, u) + 1e-12)
 
-        deviations = run_selftest(trials=250, seed=106, max_spans=4, max_dim=3)
+        deviations = run_selftest(trials=250, seed=106)
         worst = max(deviations.values())
         assert worst < TOL, f"worst kernel deviation {worst}"
 
@@ -269,7 +269,7 @@ def _load_full_corpus():
     path = os.environ.get(CORPUS_ENV)
     if not path or not Path(path).exists():
         return None
-    return parse_corpus(path, strict=False)
+    return load_corpus(path)
 
 
 def test_criterion_corpus_statistics():
@@ -321,7 +321,7 @@ def test_criterion_corpus_statistics():
 
 def test_criterion_rules_on_gold_annotations():
     def synthetic_body():
-        docs = parse_corpus(FIXTURES / "missing_head.jsonl", strict=False)
+        docs = load_corpus(FIXTURES / "missing_head.jsonl")
         violations = []
         firings = 0
         for d in docs:

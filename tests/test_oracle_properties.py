@@ -8,9 +8,11 @@ rows and relation distances from sorted cluster columns; the oracles in
 fill the dense similarity matrix, expand every unit into its instances,
 build every instance set and visit every mention pair. Kappa, coverage, the
 coreference scores, the unit overlaps, the metric levels and the distance
-records must give the same values exactly, not approximately. Release
-alignment bisects and rule grounding reads a fact index, where the oracles
-scan every token and every fact; both must give the same answers. The
+records must give the same values exactly, not approximately, and the metric
+levels must not change when clusters, relations or documents come in another
+order. Release alignment bisects and rule grounding reads a fact index, where
+the oracles scan every token and every fact; both must give the same
+answers. The
 corpus loader checks each field of a document's clusters and relations in
 bulk, where the oracle checks one item at a time; both must accept the same
 documents, build the same Document and give the same first schema error.
@@ -21,6 +23,7 @@ the oracle loops over its distinct triples; both must count alike.
 """
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -258,6 +261,37 @@ def test_levels_equal_item_list_oracle_exactly(pair, task):
             == oracles.item_list_score(item_views, level), level
         assert per_label_prf(views, level) \
             == oracles.item_list_per_label(item_views, level), level
+
+
+def _shuffled(doc, rng):
+    """`doc` with its clusters and its relations in a random order."""
+    clusters, relations = list(doc.clusters), list(doc.relations)
+    rng.shuffle(clusters)
+    rng.shuffle(relations)
+    return doc._replace(clusters=tuple(clusters), relations=tuple(relations))
+
+
+# Soft credits 1, 1 and 1/3 of one label: 1 + 1 + 1/3 and 1/3 + 1 + 1 are
+# different floats when added left to right.
+THIRDS_GOLD = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1), (2, 3), (4, 5)], ["L1"])])
+THIRDS_PRED = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1)], ["L1"]), ("c1", [(2, 3)], ["L1"]),
+    ("c2", [(4, 5), (5, 6), (6, 7)], ["L1"])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_pairs(), st.sampled_from(["ner", "re"]),
+       st.randoms(use_true_random=False))
+@example(([THIRDS_GOLD], [THIRDS_PRED]), "ner", random.Random(0))
+def test_scores_ignore_cluster_relation_and_document_order(pair, task, rng):
+    views = [build_eval_view(g, p, task) for g, p in zip(*pair)]
+    shuffled = [build_eval_view(_shuffled(g, rng), _shuffled(p, rng), task)
+                for g, p in zip(*pair)]
+    rng.shuffle(shuffled)
+    for level in LEVELS:
+        assert score_level(shuffled, level) == score_level(views, level), level
+        assert per_label_prf(shuffled, level) == per_label_prf(views, level), level
 
 
 # A pair whose related cluster pairs differ, including pairs only one side
