@@ -469,11 +469,24 @@ def document_from_json(obj: dict) -> Document:
     ids, mentions, tags, links, relations = fields
     split = obj.get("split", "unsplit")
     _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
-    clusters = map(EntityCluster, ids,
-                   [tuple(map(_new_mention, pairs)) for pairs in mentions],
-                   map(frozenset, tags), links)
+    clusters = map(_cluster, ids, mentions, map(frozenset, tags), links)
     return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
                     tuple(map(_new_relation, relations)), split)
+
+
+def _cluster(cid: str, pairs: list, tags: frozenset, link) -> EntityCluster:
+    """The EntityCluster of checked fields. Strictly increasing mentions, as
+    `serialize_corpus` writes them, skip the constructor's sort and dedup."""
+    mentions = tuple(map(_new_mention, pairs))
+    if len(pairs) > 1 and not all(map(list.__lt__, pairs, pairs[1:])):
+        return EntityCluster(cid, mentions, tags, link)
+    # set in the constructor's order, so vars() and the shared-key layout match
+    cluster = object.__new__(EntityCluster)
+    object.__setattr__(cluster, "id", cid)
+    object.__setattr__(cluster, "mentions", mentions)
+    object.__setattr__(cluster, "tags", tags)
+    object.__setattr__(cluster, "link", link)
+    return cluster
 
 
 def _entity_fields(obj: dict) -> tuple | None:
@@ -486,20 +499,24 @@ def _entity_fields(obj: dict) -> tuple | None:
     if not (isinstance(clusters, list) and isinstance(relations, list)
             and _every(clusters, dict) and _every(relations, dict)):
         return None
-    ids = [c.get("id") for c in clusters]
-    mentions = [c.get("mentions", []) for c in clusters]
-    tags = [c.get("tags", []) for c in clusters]
-    triples = [(r.get("head"), r.get("type"), r.get("tail")) for r in relations]
+    ids = _gather(clusters, "id")
+    mentions = _gather(clusters, "mentions", [])
+    tags = _gather(clusters, "tags", [])
+    ends = [_gather(relations, key) for key in ("head", "type", "tail")]
     if not (_every(ids, str) and _every(mentions, list)
             and _are_spans(list(chain.from_iterable(mentions)))
             and _are_string_lists(tags)
-            and _every([c.get("link") for c in clusters], (str, type(None)))
-            and _every(chain.from_iterable(triples), str)):
+            and _every(_gather(clusters, "link"), (str, type(None)))
+            and _every(chain.from_iterable(ends), str)):
         return None
-    # an absent and a null link both pass the check; only the built
-    # cluster tells them apart
-    links = [c.get("link", UNANNOTATED) for c in clusters]
-    return ids, mentions, tags, links, triples
+    # an absent and a null link both passed; the cluster tells them apart
+    links = _gather(clusters, "link", UNANNOTATED)
+    return ids, mentions, tags, links, list(zip(*ends))
+
+
+def _gather(items: list, key: str, default=None) -> list:
+    """`item.get(key, default)` for each dict in `items`, looped in C."""
+    return list(map(dict.get, items, repeat(key), repeat(default)))
 
 
 def _raise_entity_error(obj: dict, doc_id: str) -> None:
@@ -598,20 +615,23 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 
 def _iter_jsonl(path: Path) -> Iterator[Document]:
+    """One document per line, with only JSON whitespace (ASCII) around it; a
+    failing line is re-decoded without it, to locate the error in the record."""
     offset = 0
     with open(path, "rb") as fh:
         for raw in fh:
-            line = _utf8(raw, path, offset)
-            stripped = line.strip()
-            if stripped:
-                lead = line[:len(line) - len(line.lstrip())]
-                obj = decode_json(stripped, path,
-                                  offset + len(lead.encode("utf-8")))
-                try:
-                    yield document_from_json(obj)
-                except ValueError as e:
-                    raise ParseError(str(e), path=path, byte_offset=offset) from e
-            offset += len(raw)
+            start, offset = offset, offset + len(raw)
+            line = _utf8(raw, path, start)
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError):
+                if not (record := line.strip(" \t\r\n")):
+                    continue
+                obj = decode_json(record, path, start + line.find(record))
+            try:
+                yield document_from_json(obj)
+            except ValueError as e:
+                raise ParseError(str(e), path=path, byte_offset=start) from e
 
 
 def parse_corpus(path: str | Path) -> list[Document]:

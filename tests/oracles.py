@@ -20,6 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
                            RelationTriple)
+from entkit.decoder import DecodeInput
 from entkit.kernels import _as_array
 from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
@@ -88,6 +89,43 @@ def per_item_document_from_json(obj: dict) -> Document:
     _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
     return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
                     tuple(relations), split)
+
+
+def _one_span(pair, where: str) -> Mention:
+    [span] = _spans([pair], where, "spans")
+    return span
+
+
+def _entries(obj: dict, key: str, size: int, shape: str) -> list:
+    entries = obj.get(key, [])
+    message = f"field {key!r} must be a list of {shape} entries"
+    _require(isinstance(entries, list), message)
+    for e in entries:
+        _require(isinstance(e, list) and len(e) == size and isinstance(e[1], str),
+                 message)
+    return entries
+
+
+def per_entry_decode_input_from_json(obj: dict) -> DecodeInput:
+    """The `decode` input loader that checks and builds one entry and one
+    span at a time: the reference for which inputs are accepted, the
+    DecodeInput built and the first schema error's message. The fields'
+    shapes are checked first (p_cl, p_men, p_rel), then their spans."""
+    _require(isinstance(obj, dict), "predictions must be a JSON object")
+    p_cl = obj.get("p_cl", {})
+    _require(isinstance(p_cl, dict),
+             "field 'p_cl' must map cluster ids to lists of spans")
+    for spans in p_cl.values():
+        _require(isinstance(spans, list),
+                 "field 'p_cl' must map cluster ids to lists of spans")
+    p_men = _entries(obj, "p_men", 2, "[[begin, end], tag]")
+    p_rel = _entries(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
+    clusters = {cid: tuple(_one_span(s, f"p_cl[{cid!r}]") for s in spans)
+                for cid, spans in p_cl.items()}
+    tagged = [(_one_span(s, "p_men"), tag) for s, tag in p_men]
+    related = [(_one_span(h, "p_rel"), t, _one_span(tl, "p_rel"))
+               for h, t, tl in p_rel]
+    return DecodeInput(clusters, tuple(tagged), tuple(related))
 
 
 # --------------------------------------------------------------------------

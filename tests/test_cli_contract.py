@@ -267,3 +267,45 @@ def test_invalid_utf8_names_the_file_and_the_byte(head, bad, tail):
                 [line] = err.splitlines()
                 assert line.startswith("error: invalid UTF-8"), argv
                 assert line.endswith(f"[{target} @ byte {start}]"), argv
+
+
+# --------------------------------------------------------------------------
+# Whitespace around JSON Lines records
+
+CORPUS_COMMANDS = [["validate", "{}"], ["stats", "{}"],
+                   ["rules", "check", "{}", "--closure"],
+                   ["score", "--task", "all", "--gold", "{}", "--pred", "{}"],
+                   ["kappa", "--a", "{}", "--b", "{}", "--task", "entity"]]
+
+
+def test_only_json_whitespace_surrounds_a_record():
+    """Only space, tab, CR and LF may surround a JSON Lines record or make a
+    line blank. A file with other whitespace there, such as U+00A0, U+3000,
+    U+001C or a vertical tab, makes every corpus command exit 2 with one
+    `error:` line naming the file and the byte; a one-document directory
+    holding the same text reports that byte too."""
+    record = json.dumps(DOCUMENT)
+    n = len(record)  # json.dumps writes ASCII: characters are bytes
+    refused = {f"\u00a0{record}\n": 0,
+               f" {record} \n\x1c\n": n + 3,
+               f"{record}\n\u3000\n": n + 1,
+               f"{record}\n \x0b \n": n + 2,
+               f"\t{record}\u00a0\r\n": n + 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, per_file = Path(tmp) / "c.jsonl", Path(tmp) / "docs"
+        per_file.mkdir()
+        (per_file / "x.json").write_text(f"\u00a0{record}", encoding="utf-8")
+        code, _out, err = _run(["validate", str(per_file)])
+        assert code == 2 and err.endswith(f"[{per_file / 'x.json'} @ byte 0]\n")
+        other = json.dumps(dict(DOCUMENT, id="d1"))
+        path.write_text(f" \t{record}\r\n\n \t\r\n{other} \n", encoding="utf-8")
+        assert _run(["validate", str(path), "--strict"])[0] == 0
+        for text, byte in refused.items():
+            path.write_text(text, encoding="utf-8")
+            for argv in CORPUS_COMMANDS:
+                argv = [str(path) if a == "{}" else a for a in argv]
+                code, out, err = _run(argv)
+                assert code == 2 and out == "", (text, argv)
+                [line] = err.splitlines()
+                assert line.startswith("error: "), (text, argv)
+                assert line.endswith(f"[{path} @ byte {byte}]"), (text, argv)

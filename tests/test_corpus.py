@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from entkit.corpus import (CorpusValidationError, Mention,
+from entkit.corpus import (CorpusValidationError, EntityCluster, Mention,
                            MentionMultiClusterError, ParseError,
                            UNANNOTATED, document_from_json,
                            document_to_json, load_corpus, parse_corpus,
@@ -274,6 +278,47 @@ def test_cluster_mentions_load_sorted_and_distinct(tmp_path):
     assert corpus_summary(docs).mentions == 2
 
 
+SPAN_LISTS = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 2)).map(
+    lambda t: [t[0], t[0] + t[1]]), max_size=5)
+CLUSTER_FIELDS = st.tuples(
+    st.text(max_size=2),
+    # canonical lists take the loader's path without the constructor
+    st.one_of(SPAN_LISTS, SPAN_LISTS.map(lambda ps: sorted(map(list, {*map(tuple, ps)})))),
+    st.lists(st.sampled_from(["L1", "L2", "L3"]), max_size=3),
+    st.sampled_from([UNANNOTATED, None, "K1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CLUSTER_FIELDS, max_size=4))
+@example([("c", [[0, 1], [2, 3]], ["L1"], None),
+          ("c", [[2, 3], [0, 1], [2, 3]], ["L1", "L1"], UNANNOTATED)])
+def test_loaded_clusters_equal_constructed_ones(fields):
+    """Every cluster `document_from_json` builds is the one the EntityCluster
+    constructor builds from the same fields, by every view a dataclass has,
+    whether its mentions came sorted and distinct or not."""
+    entries = [{"id": cid, "mentions": pairs, "tags": tags}
+               | ({} if link is UNANNOTATED else {"link": link})
+               for cid, pairs, tags, link in fields]
+    doc = document_from_json({"id": "d", "tokens": [], "sentences": [],
+                              "clusters": entries})
+    assert len(doc.clusters) == len(fields)
+    for got, (cid, pairs, tags, link) in zip(doc.clusters, fields):
+        want = EntityCluster(cid, tuple(Mention(b, e) for b, e in pairs),
+                             frozenset(tags), link)
+        assert type(got) is EntityCluster
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert list(vars(got).items()) == list(vars(want).items())
+        assert got.mentions == tuple(sorted({*map(tuple, pairs)}))
+        assert all(type(m) is Mention for m in got.mentions)
+        copy = pickle.loads(pickle.dumps(got))
+        assert copy == want and list(vars(copy).items()) == list(vars(want).items())
+        assert dataclasses.replace(got, id="z") == dataclasses.replace(want, id="z")
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        for name in ("id", "mentions", "tags", "link"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, None)
+
+
 def test_per_file_format(tmp_path):
     docs = parse_corpus(FIXTURES / "ok.jsonl")
     for d in docs:
@@ -304,6 +349,24 @@ def test_per_file_syntax_error_reports_byte_offset(tmp_path):
     with pytest.raises(ParseError) as exc_jsonl:
         load_corpus(line)
     assert exc_jsonl.value.byte_offset == exc.value.byte_offset
+
+
+@pytest.mark.parametrize("text, message, byte", [
+    ('  {"id": \n', "Expecting value", 8),
+    (" \t\ufeff{}\n", "Unexpected UTF-8 BOM (decode using utf-8-sig)", 2),
+    ('{"a": 1} x \r\n', "Extra data", 9),
+    ('\n \n{"id": "d",  \t\r\n', "Expecting property name enclosed in double quotes", 14),
+    (" " + "[" * 3000 + "\n", "JSON nested too deeply", 1),
+])
+def test_jsonl_syntax_error_is_located_in_the_bare_record(tmp_path, text, message, byte):
+    """A record's syntax error is reported as the record without its
+    surrounding JSON whitespace places it: at its end, not the line's, and
+    a BOM counts as the record's first character."""
+    path = tmp_path / "c.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{message} [{path} @ byte {byte}]"
 
 
 def test_per_file_schema_error_names_the_file_without_offset(tmp_path):

@@ -36,6 +36,7 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               relation_agreement)
 from entkit import coref, dwie, rules
 from entkit.corpus import UNANNOTATED, document_from_json, unit_overlaps
+from entkit.decoder import decode_input_from_json
 from entkit.metrics import LEVELS, build_eval_view, per_label_prf, score_level
 from entkit.stats import (DistanceProfile, DistanceRecord,
                           multilabel_relation_histogram,
@@ -619,15 +620,20 @@ def mutated_documents(draw):
         paths = list(_paths(doc))
         if draw(st.integers(0, 3)):  # mostly inside the clusters and relations
             paths = [p for p in paths if p[:1] in (("clusters",), ("relations",))] or paths
-        path = draw(st.sampled_from(paths))
-        old = _at(doc, path)
-        options = [ODD_VALUES, JSON_VALUES, st.just(DROP)]
-        if isinstance(old, dict):
-            options.append(st.just(DictSub(old)))
-        if isinstance(old, str):
-            options.append(st.just(StrSub(old)))
-        doc = _replace(doc, path, draw(st.one_of(options)))
+        doc = _mutated(draw, doc, draw(st.sampled_from(paths)))
     return doc
+
+
+def _mutated(draw, value, path):
+    """`value` with the item at `path` replaced by arbitrary JSON, dropped
+    from its object or list, or wrapped in a dict or str subclass."""
+    old = _at(value, path)
+    options = [ODD_VALUES, JSON_VALUES, st.just(DROP)]
+    if isinstance(old, dict):
+        options.append(st.just(DictSub(old)))
+    if isinstance(old, str):
+        options.append(st.just(StrSub(old)))
+    return _replace(value, path, draw(st.one_of(options)))
 
 
 @settings(max_examples=600, deadline=None)
@@ -652,3 +658,41 @@ def test_bulk_loader_equals_per_item_oracle(obj):
         assert str(got.value) == str(e)
     else:
         assert document_from_json(obj) == want
+
+
+SPAN = st.integers(0, 5).map(lambda b: [b, b + 1])
+
+
+@st.composite
+def mutated_predictions(draw):
+    """Well-formed `decode` input with up to three items replaced, dropped or
+    wrapped as in `mutated_documents`."""
+    tagged = st.tuples(SPAN, st.sampled_from(["L1", "L2"])).map(list)
+    related = st.tuples(SPAN, st.sampled_from(["R1", "R2"]), SPAN).map(list)
+    value = {"p_cl": draw(st.dictionaries(st.sampled_from(["c0", "c1"]),
+                                          st.lists(SPAN, min_size=1, max_size=3),
+                                          max_size=2)),
+             "p_men": draw(st.lists(tagged, max_size=3)),
+             "p_rel": draw(st.lists(related, max_size=3))}
+    for _ in range(draw(st.integers(0, 3))):
+        value = _mutated(draw, value, draw(st.sampled_from(list(_paths(value)))))
+    return value
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_predictions())
+@example({"p_cl": {"c": [[0, 1], [1, True]]}, "p_men": [[[0, 1], "L1"]]})
+@example(DictSub(p_cl=DictSub(c=[[0, 1]]), p_men=[[[0, 1], StrSub("L1")]],
+                 p_rel=[[[0, 1], StrSub("R1"), [2, 3]]]))
+@example({"p_men": [[[0, 1], "L1"], [[0, 1.0], "L2"]], "p_rel": [[[0], "R1"]]})
+@example({"p_men": [[[0, 1], "L1", [2, 3]]], "p_rel": [[[0, 1], "R1"]]})
+def test_decode_input_loader_equals_per_entry_oracle(obj):
+    try:
+        want = oracles.per_entry_decode_input_from_json(obj)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            decode_input_from_json(obj)
+        assert str(got.value) == str(e)
+    else:
+        got = decode_input_from_json(obj)
+        assert got == want and repr(got) == repr(want)
