@@ -582,7 +582,8 @@ def _utf8(raw: bytes, path: str | Path, byte_offset: int = 0) -> str:
 def decode_json(text: str, path: str | Path, byte_offset: int = 0):
     """Decode one JSON value read from `path`, where `text` starts at
     `byte_offset`. A syntax error raises ParseError at the byte offset of the
-    error, nesting deeper than the decoder's recursion limit at the start."""
+    error; nesting deeper than the decoder's recursion limit, and an integer
+    longer than Python's digit limit, raise it where the value starts."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -591,6 +592,11 @@ def decode_json(text: str, path: str | Path, byte_offset: int = 0):
     except RecursionError:
         raise ParseError("JSON nested too deeply", path=path,
                          byte_offset=byte_offset) from None
+    except ValueError as e:
+        # the digit limit: the decoder gives no position, so name the value's
+        # first byte after its (ASCII) JSON whitespace
+        lead = len(text) - len(text.lstrip(" \t\r\n"))
+        raise ParseError(str(e), path=path, byte_offset=byte_offset + lead) from None
 
 
 def read_json(path: str | Path, build: Callable):
@@ -624,7 +630,7 @@ def _iter_jsonl(path: Path) -> Iterator[Document]:
             line = _utf8(raw, path, start)
             try:
                 obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):  # JSONDecodeError included
                 if not (record := line.strip(" \t\r\n")):
                     continue
                 obj = decode_json(record, path, start + line.find(record))

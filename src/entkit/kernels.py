@@ -14,11 +14,17 @@ propagation step updates all spans at once. Losses are non-negative.
 
 from __future__ import annotations
 
+import math
 from copy import copy
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+# Cells per block of the kernels that stream the (pruned spans x pruned spans
+# x relation types) tensor: 2**15 float64 cells, a 256 KiB buffer, stay in a
+# core's L2 cache, so no temporary grows with the tensor.
+_BLOCK_CELLS = 1 << 15
 
 
 def _as_array(x, name: str, ndim: int | None = None) -> np.ndarray:
@@ -234,24 +240,43 @@ def multilabel_bce_loss(scores, indicators) -> float:
     """Summed binary cross-entropy between sigmoid(score) and 0/1 indicators,
     over every (unit, label) cell. Also serves pair-wise relation indicators
     (3-d) and the single-label pruner case (1-d)."""
-    s = _as_array(scores, "scores")
+    s = np.asarray(scores, dtype=float)
     i = np.asarray(indicators, dtype=float)
-    if s.shape != i.shape:
-        raise ValueError(f"scores {s.shape} and indicators {i.shape} differ")
-    if not np.all((i == 0) | (i == 1)):
+    total = _bce_sum(s.reshape(-1), i.reshape(-1)) if s.shape == i.shape else None
+    if total is None:
+        # the whole-array checks, in their order, name the first failure; a
+        # block fails only on a non-finite score or an indicator not 0 or 1
+        _as_array(s, "scores")
+        if s.shape != i.shape:
+            raise ValueError(f"scores {s.shape} and indicators {i.shape} differ")
         raise ValueError("indicators must be 0 or 1")
-    # cell loss = softplus(s) - i*s, the stable form of -[i log(sig) + ...],
-    # with softplus(s) = max(s, 0) + log1p(exp(-|s|)) as whole-array ufuncs
-    # into two buffers
-    cells = np.abs(s, out=np.empty_like(s))
-    np.negative(cells, out=cells)
-    np.exp(cells, out=cells)
-    np.log1p(cells, out=cells)
-    scratch = np.maximum(s, 0.0, out=np.empty_like(s))
-    cells += scratch
-    np.multiply(i, s, out=scratch)
-    cells -= scratch
-    return float(cells.sum())
+    return total
+
+
+def _bce_sum(s: np.ndarray, i: np.ndarray) -> float | None:
+    """The summed cell losses of the flat `s` and `i`, streamed through two
+    block-sized buffers; None if a block holds a non-finite score or an
+    indicator other than 0 or 1."""
+    cells = np.empty(min(s.size, _BLOCK_CELLS))
+    scratch = np.empty_like(cells)
+    sums = []
+    for start in range(0, s.size, _BLOCK_CELLS):
+        sb, ib = s[start:start + _BLOCK_CELLS], i[start:start + _BLOCK_CELLS]
+        c, x = cells[:sb.size], scratch[:sb.size]
+        # -0.0 counts as 0 and NaN as neither, as in (i == 0) | (i == 1)
+        if not (np.isfinite(sb).all()
+                and np.count_nonzero(ib) == np.count_nonzero(ib == 1)):
+            return None
+        # cell loss = softplus(s) - i*s, the stable form of -[i log(sig) + ...],
+        # with softplus(s) = max(s, 0) + log1p(exp(-|s|))
+        np.abs(sb, out=c)
+        np.negative(c, out=c)
+        np.exp(c, out=c)
+        np.log1p(c, out=c)
+        c += np.maximum(sb, 0.0, out=x)
+        c -= np.multiply(ib, sb, out=x)
+        sums.append(c.sum())
+    return math.fsum(sums)
 
 
 def _gold_mask(gold_antecedents: Sequence[set[int]], n: int) -> np.ndarray:
@@ -352,9 +377,20 @@ def relation_update_vectors(relation_scores, projection, span_vectors
     if a.shape != (g.shape[1], n_types):
         raise ValueError(f"projection must be ({g.shape[1]}, {n_types}), "
                          f"got {a.shape}")
-    # (span j, type, dim) sums of rectified scores times representations
-    per_type = np.einsum("ijl,id->jld", np.maximum(rel, 0.0), g, optimize=True)
-    return np.einsum("jld,dl->jd", per_type, a)
+    out = np.empty((n, g.shape[1]))
+    # a block of target spans j at a time, over every antecedent i at once:
+    # its rectified scores fill one reused buffer, and no (j, type, dim)
+    # partial sum is re-added per block, as blocking over i would do
+    width = max(1, _BLOCK_CELLS // max(1, n * n_types))
+    buf = np.empty(n * min(width, n) * n_types)
+    for j in range(0, n, width):
+        block = rel[:, j:j + width]
+        rectified = np.maximum(block, 0.0,
+                               out=buf[:block.size].reshape(block.shape))
+        # (span j, type, dim) sums of rectified scores times representations
+        per_type = np.tensordot(rectified, g, axes=(0, 0))
+        np.einsum("jld,dl->jd", per_type, a, out=out[j:j + width])
+    return out
 
 
 def attention_confidence(attention_scores) -> np.ndarray:

@@ -842,6 +842,17 @@ def logaddexp_bce_loss(scores, indicators) -> float:
     return float(np.sum(np.logaddexp(0.0, s) - i * s))
 
 
+def einsum_relation_update(relation_scores, projection, span_vectors
+                           ) -> np.ndarray:
+    """Relation update vectors as two whole-array einsums: the rectified
+    (i, j, type) scores contracted over i with the representations, then
+    each (j, type, dim) sum weighted by the projection and summed over type."""
+    rel = np.maximum(np.asarray(relation_scores, dtype=float), 0.0)
+    per_type = np.einsum("ijl,id->jld", rel, np.asarray(span_vectors, dtype=float),
+                         optimize=True)
+    return np.einsum("jld,dl->jd", per_type, np.asarray(projection, dtype=float))
+
+
 def _log_sum_exp(scores: np.ndarray) -> float:
     m = scores.max()
     return m + np.log(np.exp(scores - m).sum())

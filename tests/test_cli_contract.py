@@ -15,9 +15,11 @@ offset of the first bad byte.
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -309,3 +311,36 @@ def test_only_json_whitespace_surrounds_a_record():
                 [line] = err.splitlines()
                 assert line.startswith("error: "), (text, argv)
                 assert line.endswith(f"[{path} @ byte {byte}]"), (text, argv)
+
+
+# --------------------------------------------------------------------------
+# Integers over the decoder's digit limit
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this Python has no digit limit")
+def test_an_integer_over_the_digit_limit_names_the_file_and_the_record():
+    """A number longer than Python's integer digit limit makes every reader
+    exit 2 with one `error:` line naming the file and the byte where the
+    record starts after its leading JSON whitespace, as the decoder gives no
+    position for it."""
+    huge = "1" * (DIGIT_LIMIT + 1)
+    first = json.dumps(DOCUMENT) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        line, per_file, pred = tmp / "c.jsonl", tmp / "docs", tmp / "pred.json"
+        per_file.mkdir()
+        line.write_text(f'{first} \t{{"id": "d1", "tokens": [{huge}]}}\n',
+                        encoding="utf-8")
+        (per_file / "x.json").write_text(f'\r\n {{"id": {huge}}}', encoding="utf-8")
+        pred.write_text(f' {{"p_cl": {{"c0": [[0, {huge}]]}}}}', encoding="utf-8")
+        for argv, target, byte in (
+                (["validate", str(line)], line, len(first) + 2),
+                (["validate", str(per_file)], per_file / "x.json", 3),
+                (["decode", "--pred", str(pred)], pred, 1)):
+            code, out, err = _run(argv)
+            assert code == 2 and out == "", argv
+            [msg] = err.splitlines()
+            assert msg.startswith("error: Exceeds the limit"), argv
+            assert msg.endswith(f"[{target} @ byte {byte}]"), argv

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from entkit.kernels import _BLOCK_CELLS as BLOCK
 from entkit.kernels import (GateTransform, ScoreSet, SpanVectors,
                             attention_confidence, attention_propagation,
                             attention_update_vectors, augment_with_pruner,
@@ -20,7 +22,8 @@ from entkit.selftest import (ref_augment_mention, ref_augment_pair,
                              ref_coref_confidence, ref_coref_update,
                              ref_gated_update, ref_relation_update,
                              run_selftest)
-from oracles import logaddexp_bce_loss, per_span_coref_loss
+from oracles import (einsum_relation_update, logaddexp_bce_loss,
+                     per_span_coref_loss)
 
 TOL = 1e-9
 
@@ -301,18 +304,79 @@ def bce_cases(draw):
             draw(hnp.arrays(float, shape, elements=st.sampled_from([0.0, 1.0]))))
 
 
-@settings(max_examples=400, deadline=None)
-@given(bce_cases())
-@example((np.array(700.0), np.array(1.0)))
-@example((np.array([1e300, -1e300, -0.0]), np.array([1.0, 0.0, 1.0])))
-@example((np.zeros((2, 0, 3)), np.zeros((2, 0, 3))))
-def test_bce_equals_logaddexp_oracle(case):
-    scores, indicators = case
+def _bce_matches_oracle(scores, indicators):
     before = scores.copy(), indicators.copy()
     got = multilabel_bce_loss(scores, indicators)
     assert math.isclose(got, logaddexp_bce_loss(scores, indicators),
                         rel_tol=1e-12, abs_tol=1e-12)
     assert np.array_equal(scores, before[0]) and np.array_equal(indicators, before[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(bce_cases())
+@example((np.array(700.0), np.array(1.0)))
+@example((np.array(-700.0), np.array(-0.0)))
+@example((np.array([1e300, -1e300, -0.0]), np.array([1.0, 0.0, 1.0])))
+@example((np.zeros((2, 0, 3)), np.zeros((2, 0, 3))))
+@example((np.zeros(0), np.zeros(0)))
+def test_bce_equals_logaddexp_oracle(case):
+    _bce_matches_oracle(*case)
+
+
+def _shape3(cells):
+    """A 3-d shape of `cells` cells, each side a divisor (1 for a prime)."""
+    a = max(k for k in range(1, round(cells ** (1 / 3)) + 1) if cells % k == 0)
+    rest = cells // a
+    b = max(k for k in range(1, math.isqrt(rest) + 1) if rest % k == 0)
+    return a, b, rest // b
+
+
+def _bce_inputs(shape, seed):
+    """Scores that mix the ends of the float range and both zeros into
+    normal draws, and indicators holding 0, -0.0 and 1."""
+    rng = np.random.default_rng(seed)
+    scores = 10 * rng.standard_normal(shape)
+    ends = rng.random(shape) < 0.05
+    scores[ends] = rng.choice([1e300, -1e300, 700.0, -700.0, 0.0, -0.0],
+                              size=np.count_nonzero(ends))
+    indicators = rng.choice([0.0, -0.0, 1.0], size=shape, p=[0.45, 0.05, 0.5])
+    return scores, indicators
+
+
+@pytest.mark.parametrize("cells", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("three_d", [False, True])
+def test_bce_equals_oracle_across_block_boundaries(cells, three_d):
+    _bce_matches_oracle(*_bce_inputs(_shape3(cells) if three_d else (cells,), cells))
+
+
+def test_bce_equals_oracle_on_transposed_and_strided_inputs():
+    scores, indicators = _bce_inputs((40, 30, 60), 1)  # over two blocks
+    _bce_matches_oracle(scores.T, indicators.T)
+    _bce_matches_oracle(scores[:, ::2, 1::3], indicators[:, ::2, 1::3])
+
+
+def test_bce_errors_keep_their_order_across_blocks():
+    """The first failure in the order finite scores, shape, indicators is
+    reported, wherever in the array each failure lies."""
+    scores, indicators = _bce_inputs(2 * BLOCK + 3, 2)
+    scores[-1], indicators[0] = np.nan, 0.5
+    with pytest.raises(ValueError, match=r"^scores contains non-finite entries$"):
+        multilabel_bce_loss(scores, indicators)
+    with pytest.raises(ValueError, match=r"^scores contains non-finite entries$"):
+        multilabel_bce_loss(scores, indicators[:-1])
+    scores[-1] = 0.0
+    with pytest.raises(ValueError, match=r"^scores \(\d+,\) and indicators "
+                                         r"\(\d+,\) differ$"):
+        multilabel_bce_loss(scores, indicators[:-1])
+    indicators[0] = 1.0
+    for bad in (0.5, 2.0, -1.0, np.nan):
+        late = indicators.copy()
+        late[2 * BLOCK + 1] = bad
+        with pytest.raises(ValueError, match=r"^indicators must be 0 or 1$"):
+            multilabel_bce_loss(scores, late)
+    scores[BLOCK] = -np.inf
+    with pytest.raises(ValueError, match=r"^scores contains non-finite entries$"):
+        multilabel_bce_loss(scores, indicators)
 
 
 @st.composite
@@ -457,6 +521,36 @@ def test_relation_update_hand_value():
     proj = np.ones((2, 1))
     g = np.array([[1.0, 2.0]])
     assert np.allclose(relation_update_vectors(rel, proj, g)[0], [2.0, 4.0])
+
+
+# A target span holds n * n_types cells. The cases: one span a block, with
+# a span of fewer cells than BLOCK, of BLOCK cells and of more; 2 spans a
+# block; 3 and 2 spans a block with a short last block; all spans in one
+# block; no spans; no relation types.
+@pytest.mark.parametrize("n, n_types", [
+    (8, BLOCK // 8 - 1), (8, BLOCK // 8), (8, BLOCK // 8 + 1),
+    (8, BLOCK // 16), (8, BLOCK // 24), (7, BLOCK // 14),
+    (5, 3), (0, 4), (6, 0)])
+def test_relation_update_equals_einsum_oracle(n, n_types):
+    rng = np.random.default_rng(n * 1000 + n_types)
+    rel = 3 * rng.standard_normal((n, n, n_types))
+    projection = rng.standard_normal((3, n_types))
+    vectors = rng.standard_normal((n, 3))
+    before = rel.copy(), projection.copy(), vectors.copy()
+    got = relation_update_vectors(rel, projection, vectors)
+    assert got.shape == (n, 3)
+    assert np.allclose(got, einsum_relation_update(rel, projection, vectors),
+                       atol=1e-9, rtol=0)
+    assert all(np.array_equal(x, y) for x, y in zip((rel, projection, vectors),
+                                                   before))
+
+
+def test_relation_update_refuses_non_finite_scores():
+    rel = np.zeros((8, 8, BLOCK // 8))
+    rel[7, 7, -1] = np.inf
+    with pytest.raises(ValueError,
+                       match=r"^relation scores contains non-finite entries$"):
+        relation_update_vectors(rel, np.zeros((2, BLOCK // 8)), np.zeros((8, 2)))
 
 
 def test_attention_uniform_scores_average():
@@ -626,3 +720,37 @@ def test_select_top_spans():
 def test_non_finite_vectors_rejected():
     with pytest.raises(ValueError):
         SpanVectors(np.array([[1.0, float("inf")]]))
+
+
+# --------------------------------------------------------------------------
+# Memory: the relation-sized kernels stream their tensor through blocks
+
+
+def assert_kernels_stream(shape=(171, 171, 50), dim=64):
+    """Neither kernel that reads a whole (spans, spans, types) tensor
+    allocates more than 1 byte per cell (the finiteness mask of the relation
+    scores) plus 4 MiB on top of its inputs, whatever the tensor's size.
+    The CI workflow also runs it on a (400, 400, 50) tensor, 64 MB."""
+    rng = np.random.default_rng(0)
+    n, _, n_types = shape
+    rel = rng.standard_normal(shape)
+    indicators = (rng.random(shape) < 0.01).astype(float)
+    projection = rng.standard_normal((dim, n_types))
+    vectors = rng.standard_normal((n, dim))
+    budget = rel.size + 4 * 2 ** 20
+    for name, call in (
+            ("multilabel_bce_loss", lambda: multilabel_bce_loss(rel, indicators)),
+            ("relation_update_vectors",
+             lambda: relation_update_vectors(rel, projection, vectors))):
+        tracemalloc.start()
+        try:
+            call()
+            extra = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert extra <= budget, f"{name}: {extra} bytes on a {shape} tensor, " \
+                                f"budget {budget}"
+
+
+def test_relation_sized_kernels_stream_their_tensor():
+    assert_kernels_stream()
