@@ -27,10 +27,27 @@ class DecodeInput:
     p_rel: tuple[tuple[Mention, str, Mention], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p_cl",
-                           {cid: tuple(spans) for cid, spans in self.p_cl.items()})
-        object.__setattr__(self, "p_men", tuple(tuple(x) for x in self.p_men))
-        object.__setattr__(self, "p_rel", tuple(tuple(x) for x in self.p_rel))
+        """Freeze each field into tuples, then refuse an empty cluster and an
+        empty or reversed span in one walk over the frozen entries."""
+        p_cl = {cid: tuple(spans) for cid, spans in self.p_cl.items()}
+        p_men = tuple(map(tuple, self.p_men))
+        p_rel = tuple(map(tuple, self.p_rel))
+        for cid, spans in p_cl.items():
+            if not spans:
+                raise ValueError(f"cluster {cid!r} has no mention spans")
+            for m in spans:
+                if m.begin >= m.end:
+                    raise ValueError(f"cluster {cid!r}: bad span [{m.begin},{m.end})")
+        for m, _tag in p_men:
+            if m.begin >= m.end:
+                raise ValueError(f"tagged span [{m.begin},{m.end}) is empty or reversed")
+        for h, _type, t in p_rel:
+            for m in (h, t):
+                if m.begin >= m.end:
+                    raise ValueError(f"relation span [{m.begin},{m.end}) is empty or reversed")
+        object.__setattr__(self, "p_cl", p_cl)
+        object.__setattr__(self, "p_men", p_men)
+        object.__setattr__(self, "p_rel", p_rel)
 
 
 @dataclass
@@ -50,22 +67,6 @@ class DecodeOutput:
     discarded_relations: int = 0
 
 
-def _check_input(inp: DecodeInput) -> None:
-    for cid, spans in inp.p_cl.items():
-        if not spans:
-            raise ValueError(f"cluster {cid!r} has no mention spans")
-        for m in spans:
-            if m.begin >= m.end:
-                raise ValueError(f"cluster {cid!r}: bad span [{m.begin},{m.end})")
-    for m, _tag in inp.p_men:
-        if m.begin >= m.end:
-            raise ValueError(f"tagged span [{m.begin},{m.end}) is empty or reversed")
-    for h, _t, t in inp.p_rel:
-        for m in (h, t):
-            if m.begin >= m.end:
-                raise ValueError(f"relation span [{m.begin},{m.end}) is empty or reversed")
-
-
 def decode_entity_centric(inp: DecodeInput) -> DecodeOutput:
     """Lift span-level predictions to entities.
 
@@ -76,8 +77,6 @@ def decode_entity_centric(inp: DecodeInput) -> DecodeOutput:
     ordered pair of the endpoint spans' clusters; relations with an endpoint
     that maps to no cluster are dropped (and counted).
     """
-    _check_input(inp)
-
     span_to_cluster: dict[Mention, str] = {}
     clusters: dict[str, list[Mention]] = {}
     for cid, spans in inp.p_cl.items():

@@ -25,10 +25,8 @@ scores 1.0 when the other side is also empty (perfect on empty documents) and
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from math import fsum
-from operator import truediv
 from typing import Iterable, NamedTuple
 
 from .corpus import Document, unit_overlaps
@@ -74,22 +72,13 @@ class LabelCounts(NamedTuple):
 
 
 _NO_COUNTS = LabelCounts(0, 0, 0, 0, 0, 0, 0, 0)
+_NO_SIDE = (0, 0, 0, ())
 
 
 @dataclass
 class EvalView:
     task: str
     labels: dict[str, LabelCounts] = field(default_factory=dict)
-
-
-def _totals(units: list[tuple]) -> tuple:
-    """(hits, sizes, matches, soft credit) summed over one side's units of
-    one label; the soft credit is the exact sum of hits / size, so it does
-    not depend on the order of the units."""
-    if not units:
-        return 0, 0, 0, 0
-    hits, sizes, matched = zip(*units)
-    return sum(hits), sum(sizes), sum(matched), fsum(map(truediv, hits, sizes))
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
@@ -113,28 +102,33 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
     for (g, p), n in blocks.items():
         sizes[0][g] = sizes[0].get(g, 0) + n
         sizes[1][p] = sizes[1].get(p, 0) + n
-    matched = set()                         # (unit, label) of matched preds
+    matched: dict[str, int] = {}            # label -> matched predicted units
     for (g, p), n in blocks.items():
         if g is not None and p is not None:
             for label in gold_units[g] & pred_units[p]:
                 hits[0][g, label] = hits[0].get((g, label), 0) + n
                 hits[1][p, label] = hits[1].get((p, label), 0) + n
                 if n == sizes[0][g] == sizes[1][p]:
-                    matched.add((p, label))
-    by_label: defaultdict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+                    matched[label] = matched.get(label, 0) + 1
+    # per side: label -> [instances, units, hits, soft-credit terms]
+    totals: tuple[dict, dict] = ({}, {})
     for side, units in enumerate((gold_units, pred_units)):
         for unit, labels in units.items():
             for label in labels:
-                key = unit, label
-                by_label[label][side].append((hits[side].get(key, 0), sizes[side][unit],
-                                              side == 1 and key in matched))
+                t = totals[side].setdefault(label, [0, 0, 0, []])
+                t[0] += sizes[side][unit]
+                t[1] += 1
+        for (unit, label), n in hits[side].items():
+            t = totals[side][label]
+            t[2] += n
+            t[3].append(n / sizes[side][unit])
     view = EvalView(task)
-    for label, (g, p) in by_label.items():
-        shared, pred_instances, matched_units, soft_pred = _totals(p)
-        _, gold_instances, _, soft_gold = _totals(g)
-        view.labels[label] = LabelCounts(shared, pred_instances, gold_instances,
-                                         matched_units, len(p), len(g),
-                                         soft_pred, soft_gold)
+    for label in totals[0] | totals[1]:
+        gold_instances, gold_count, _, gold_terms = totals[0].get(label, _NO_SIDE)
+        pred_instances, pred_count, shared, pred_terms = totals[1].get(label, _NO_SIDE)
+        view.labels[label] = LabelCounts(
+            shared, pred_instances, gold_instances, matched.get(label, 0),
+            pred_count, gold_count, fsum(pred_terms), fsum(gold_terms))
     return view
 
 

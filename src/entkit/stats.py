@@ -22,7 +22,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import gt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .corpus import (Document, EntityCluster, Mention, _content_lines,
                      _labelled_units, _resource_text, relation_positions)
@@ -184,30 +184,40 @@ class TypeHistogram:
 def entity_type_histogram(docs: Iterable[Document]) -> TypeHistogram:
     """Cluster and mention counts per tag, plus counts rolled up to each
     ancestor in the shipped type hierarchy (a cluster counts once per
-    ancestor node that covers any of its tags)."""
+    ancestor node that covers any of its tags). Each distinct tag set is
+    expanded once, with the clusters and mentions that carry it."""
     hierarchy = load_type_hierarchy()
-    direct: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    rollup: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    total_clusters = total_mentions = 0
-    for d in docs:
-        for c in d.clusters:
-            total_clusters += 1
-            total_mentions += len(c.mentions)
-            for tag in c.tags:
-                direct[tag][0] += 1
-                direct[tag][1] += len(c.mentions)
-            covered: set[str] = set()
-            for tag in c.tags:
-                covered.update(ancestors(tag, hierarchy))
-            for node in covered:
-                rollup[node][0] += 1
-                rollup[node][1] += len(c.mentions)
+    tag_sets = _label_sets((c.tags, len(c.mentions)) for d in docs for c in d.clusters)
+    clusters, mentions = map(sum, zip(*tag_sets.values())) if tag_sets else (0, 0)
     return TypeHistogram(
-        direct={t: (c, m) for t, (c, m) in direct.items()},
-        rollup={t: (c, m) for t, (c, m) in rollup.items()},
-        total_clusters=total_clusters,
-        total_mentions=total_mentions,
+        direct=_spread(tag_sets, lambda tags: tags),
+        rollup=_spread(tag_sets, lambda tags: {
+            node for tag in tags for node in ancestors(tag, hierarchy)}),
+        total_clusters=clusters,
+        total_mentions=mentions,
     )
+
+
+def _label_sets(items: Iterable[tuple[frozenset[str], int]]
+                ) -> dict[frozenset[str], list[int]]:
+    """Label set -> [items, summed weight] over (label set, weight) items."""
+    totals: dict[frozenset[str], list[int]] = {}
+    for labels, weight in items:
+        t = totals.setdefault(labels, [0, 0])
+        t[0] += 1
+        t[1] += weight
+    return totals
+
+
+def _spread(totals: dict[frozenset[str], list[int]], keys: Callable
+            ) -> dict[Hashable, tuple[int, int]]:
+    """Key -> (items, weight) summed over the label sets whose `keys` hold it."""
+    out: dict[Hashable, tuple[int, int]] = {}
+    for labels, (n, weight) in totals.items():
+        for key in keys(labels):
+            items, summed = out.get(key, (0, 0))
+            out[key] = items + n, summed + weight
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -221,32 +231,24 @@ class RelationTypeHistogram:
     total_mention_pairs: int
 
 
-def _related_pairs(docs: Iterable[Document]) -> Iterator[tuple[frozenset[str], int]]:
-    """(relation types, mention pairs) of each related (head, tail) cluster
-    pair of every document, from its unit table `corpus._labelled_units`."""
-    for d in docs:
-        sizes = [len(c.mentions) for c in d.clusters]
-        for (head, tail), types in _labelled_units(d, "re").items():
-            yield types, sizes[head] * sizes[tail]
+def _related_pairs(docs: Iterable[Document]) -> dict[frozenset[str], list[int]]:
+    """Relation type set -> [related (head, tail) cluster pairs, mention
+    pairs] over every document, from its unit table `corpus._labelled_units`."""
+    return _label_sets(
+        (types, len(d.clusters[head].mentions) * len(d.clusters[tail].mentions))
+        for d in docs for (head, tail), types in _labelled_units(d, "re").items())
 
 
 def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
     """Per type: distinct related cluster pairs and their summed mention-pair
     cross products. Totals count each distinct (head, tail) pair once,
     regardless of how many types connect it."""
-    per_type: dict[str, list[int]] = defaultdict(lambda: [0, 0])
-    total_pairs = 0
-    total_mention_pairs = 0
-    for types, product in _related_pairs(docs):
-        total_pairs += 1
-        total_mention_pairs += product
-        for rel_type in sorted(types):
-            per_type[rel_type][0] += 1
-            per_type[rel_type][1] += product
+    type_sets = _related_pairs(docs)
+    pairs, mention_pairs = map(sum, zip(*type_sets.values())) if type_sets else (0, 0)
     return RelationTypeHistogram(
-        per_type={t: (e, m) for t, (e, m) in per_type.items()},
-        total_entity_pairs=total_pairs,
-        total_mention_pairs=total_mention_pairs,
+        per_type=_spread(type_sets, lambda types: types),
+        total_entity_pairs=pairs,
+        total_mention_pairs=mention_pairs,
     )
 
 
@@ -255,12 +257,8 @@ def multilabel_relation_histogram(docs: Iterable[Document]
     """Bucket related (head, tail) pairs by how many relation types connect
     them: bucket -> (entity pairs, mention pairs). Buckets 1..3 are exact,
     bucket 4 holds four or more."""
-    buckets: dict[int, list[int]] = defaultdict(lambda: [0, 0])
-    for types, product in _related_pairs(docs):
-        bucket = min(len(types), 4)
-        buckets[bucket][0] += 1
-        buckets[bucket][1] += product
-    return {b: (e, m) for b, (e, m) in sorted(buckets.items())}
+    buckets = _spread(_related_pairs(docs), lambda types: (min(len(types), 4),))
+    return dict(sorted(buckets.items()))
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from entkit.decoder import DecodeInput
 from entkit.kernels import _as_array
 from entkit.metrics import PRFReport, SoftCounts, _reduce
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
-from entkit.stats import DistanceRecord, RelationTypeHistogram, token_gap
+from entkit.stats import (DistanceRecord, RelationTypeHistogram, TypeHistogram,
+                          ancestors, load_type_hierarchy, token_gap)
 
 
 # --------------------------------------------------------------------------
@@ -663,6 +664,33 @@ def naive_coverage_table(records):
              sum(1 for r in records if r.min_sentence_dist <= d) / n,
              sum(1 for r in records if r.max_sentence_dist <= d) / n)
             for d in range(top + 1)]
+
+
+# --------------------------------------------------------------------------
+# Entity type histogram by visiting every cluster
+
+
+def per_cluster_type_histogram(docs: Iterable[Document]) -> TypeHistogram:
+    """`entity_type_histogram`, counted cluster by cluster: each cluster adds
+    one cluster and its mentions to each of its tags, and to each hierarchy
+    node that covers any of its tags."""
+    hierarchy = load_type_hierarchy()
+    direct: dict[str, tuple[int, int]] = {}
+    rollup: dict[str, tuple[int, int]] = {}
+    total_clusters = total_mentions = 0
+    for d in docs:
+        for c in d.clusters:
+            total_clusters += 1
+            total_mentions += len(c.mentions)
+            covered: set[str] = set()
+            for tag in c.tags:
+                clusters, mentions = direct.get(tag, (0, 0))
+                direct[tag] = (clusters + 1, mentions + len(c.mentions))
+                covered.update(ancestors(tag, hierarchy))
+            for node in covered:
+                clusters, mentions = rollup.get(node, (0, 0))
+                rollup[node] = (clusters + 1, mentions + len(c.mentions))
+    return TypeHistogram(direct, rollup, total_clusters, total_mentions)
 
 
 # --------------------------------------------------------------------------

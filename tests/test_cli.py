@@ -288,6 +288,22 @@ def test_decode_rejects_malformed_predictions(tmp_path, capsys, predictions,
     assert line.endswith(f"[{path}]")
 
 
+@pytest.mark.parametrize("predictions,message", [
+    ({"p_cl": {"c1": []}}, "cluster 'c1' has no mention spans"),
+    ({"p_cl": {"c1": [[0, 1], [3, 2]]}}, "cluster 'c1': bad span [3,2)"),
+    ({"p_men": [[[0, 1], "person"], [[2, 2], "person"]]},
+     "tagged span [2,2) is empty or reversed"),
+    ({"p_rel": [[[0, 1], "in0", [4, 3]]]},
+     "relation span [4,3) is empty or reversed"),
+])
+def test_decode_refuses_empty_clusters_and_spans_naming_the_file(
+        tmp_path, capsys, predictions, message):
+    path = tmp_path / "pred.json"
+    path.write_text(json.dumps(predictions))
+    line = _single_error_line(capsys, ["decode", "--pred", str(path)])
+    assert line == f"error: {message} [{path}]"
+
+
 @pytest.mark.parametrize("broken", [
     {"mentions": [{"end": 4, "concept": 0}]},
     {"mentions": [{"begin": "0", "end": 4, "concept": 0}]},

@@ -1,0 +1,125 @@
+"""What the CLI composes, against references built only from `oracles.py`.
+
+The oracle-property tests hold each fast scorer to its brute-force oracle
+as a library function. Here the commands themselves run on generated valid
+corpus pairs, whose files list the documents in any order: `score --task all
+--level all --per-label` must print the item-list scores of the documents
+paired by id and the oracle coreference scores over (doc id, begin, end)
+partitions, and `stats --plot-data` must print the per-cluster type
+histogram and the distinct-triple relation histograms, and write the
+per-threshold coverage of the pairwise distance records. Outputs are
+parsed and compared by `==`.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from entkit.corpus import UNANNOTATED
+from entkit.metrics import LEVELS
+from test_cli_contract import _run
+from test_oracle_properties import TYPE_TAGS, corpus_pairs
+
+
+def _as_json(doc) -> dict:
+    """The corpus file record of a Document."""
+    clusters = []
+    for c in doc.clusters:
+        cluster = {"id": c.id, "mentions": [list(m) for m in c.mentions],
+                   "tags": sorted(c.tags)}
+        if c.link is not UNANNOTATED:
+            cluster["link"] = c.link
+        clusters.append(cluster)
+    return {"id": doc.id, "split": doc.split, "tokens": list(doc.tokens),
+            "sentences": [list(s) for s in doc.sentences], "clusters": clusters,
+            "relations": [{"head": r.head, "type": r.type, "tail": r.tail}
+                          for r in doc.relations]}
+
+
+def _write(path: Path, docs) -> str:
+    path.write_text("".join(json.dumps(_as_json(d)) + "\n" for d in docs),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _partition(docs):
+    return [frozenset((d.id, m.begin, m.end) for m in c.mentions)
+            for d in docs for c in d.clusters]
+
+
+def _score_reference(pairs) -> dict:
+    out: dict = {"schema_version": 1}
+    for task in ("ner", "re"):
+        views = [oracles.build_eval_view(g, p, task) for g, p in pairs]
+        out[task] = {level: oracles.item_list_score(views, level).to_json()
+                     for level in LEVELS}
+        out[task]["per_label"] = {
+            level: {label: r.to_json() for label, r in
+                    oracles.item_list_per_label(views, level).items()}
+            for level in LEVELS}
+    gold, pred = (_partition(side) for side in zip(*pairs))
+    reports = {"muc": oracles.muc(gold, pred), "b3": oracles.b_cubed(gold, pred),
+               "ceafe": oracles.ceaf_e(gold, pred)}
+    out["coref"] = {name: r.to_json() for name, r in reports.items()}
+    out["coref"]["avg_f1"] = (reports["muc"].f1 + reports["b3"].f1
+                              + reports["ceafe"].f1) / 3.0
+    return out
+
+
+def _counts(hist: dict, names: tuple[str, str]) -> dict:
+    return {key: dict(zip(names, counts)) for key, counts in hist.items()}
+
+
+def _stats_reference(docs) -> tuple[dict, list]:
+    types = oracles.per_cluster_type_histogram(docs)
+    relations, buckets = oracles.relation_histograms(docs)
+    entity, pairs = ("clusters", "mentions"), ("entity_pairs", "mention_pairs")
+    report = {
+        "entity_types": {"direct": _counts(types.direct, entity),
+                         "rollup": _counts(types.rollup, entity)},
+        "relation_types": {
+            "per_type": _counts(relations.per_type, pairs),
+            "total_entity_pairs": relations.total_entity_pairs,
+            "total_mention_pairs": relations.total_mention_pairs},
+        "relation_labels_per_pair": _counts(
+            {str(b): counts for b, counts in buckets.items()}, pairs),
+    }
+    table = oracles.naive_coverage_table(oracles.pairwise_distance_records(docs))
+    return report, table
+
+
+def _parse_table(text: str) -> list:
+    header, *rows = text.splitlines()
+    assert header.split("\t") == ["threshold", "cdf_min_tokens", "cdf_max_tokens",
+                                  "cdf_min_sent", "cdf_max_sent"]
+    return [(int(d), *map(float, cdfs))
+            for d, *cdfs in (row.split("\t") for row in rows)]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus_pairs(TYPE_TAGS), st.randoms(use_true_random=False))
+def test_score_and_stats_equal_oracle_references(pair, rng):
+    golds, preds = pair
+    pairs = list(zip(golds, preds))
+    # each file lists its documents in its own order; pairing is by id
+    golds, preds = rng.sample(golds, len(golds)), rng.sample(preds, len(preds))
+    with tempfile.TemporaryDirectory() as tmp:
+        gold = _write(Path(tmp) / "gold.jsonl", golds)
+        pred = _write(Path(tmp) / "pred.jsonl", preds)
+        code, out, err = _run(["score", "--task", "all", "--level", "all",
+                               "--per-label", "--gold", gold, "--pred", pred])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == _score_reference(pairs)
+
+        tsv = Path(tmp) / "stats.tsv"
+        code, out, err = _run(["stats", gold, "--plot-data", str(tsv)])
+        assert (code, err) == (0, "")
+        report, table = _stats_reference(golds)
+        got = json.loads(out)
+        assert {key: got[key] for key in report} == report
+        assert _parse_table(tsv.read_text(encoding="utf-8")) == table

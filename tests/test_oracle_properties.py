@@ -19,7 +19,10 @@ documents, build the same Document and give the same first schema error.
 The release converter checks each field of a file's entries in bulk too,
 and must accept and refuse the entries the per-entry check does. The
 relation histograms read each document's (head, tail) -> types table, where
-the oracle loops over its distinct triples; both must count alike.
+the oracle loops over its distinct triples; both must count alike. Every
+per-label count field of the eval view must equal the one derived from the
+oracle's instance sets, and the entity-type histogram, which expands each
+distinct tag set once, must equal a loop over every cluster.
 """
 
 import math
@@ -37,8 +40,9 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
 from entkit import coref, dwie, rules
 from entkit.corpus import UNANNOTATED, document_from_json, unit_overlaps
 from entkit.decoder import decode_input_from_json
-from entkit.metrics import LEVELS, build_eval_view, per_label_prf, score_level
-from entkit.stats import (DistanceProfile, DistanceRecord,
+from entkit.metrics import (LEVELS, LabelCounts, build_eval_view, per_label_prf,
+                            score_level, soft_entity_counts)
+from entkit.stats import (DistanceProfile, DistanceRecord, entity_type_histogram,
                           multilabel_relation_histogram,
                           relation_distance_profile, relation_type_histogram)
 import oracles
@@ -55,16 +59,17 @@ SENTENCES = ((0, 4), (4, 7), (7, 10))
 
 
 @st.composite
-def documents(draw, doc_id):
+def documents(draw, doc_id, tags=("L1", "L2", "L3")):
     """A 10-token, 3-sentence document whose spans come from a small shared
-    pool, so two independent draws overlap, split and merge clusters."""
+    pool, so two independent draws overlap, split and merge clusters; each
+    cluster carries a set of `tags`."""
     spans = draw(st.lists(st.sampled_from(SPAN_POOL), unique=True, max_size=8))
     owners = [draw(st.integers(0, 3)) for _ in spans]
     clusters = []
     for k in sorted(set(owners)):
         clusters.append((
             f"c{k}", [s for s, o in zip(spans, owners) if o == k],
-            draw(st.sets(st.sampled_from(["L1", "L2", "L3"]))),
+            draw(st.sets(st.sampled_from(tags))),
             draw(st.sampled_from([UNANNOTATED, None, "K1", "K2"]))))
     relations = []
     if len(clusters) >= 2:
@@ -79,10 +84,10 @@ def documents(draw, doc_id):
 
 
 @st.composite
-def corpus_pairs(draw):
+def corpus_pairs(draw, tags=("L1", "L2", "L3")):
     ids = [f"d{i}" for i in range(draw(st.integers(1, 3)))]
-    return ([draw(documents(i)) for i in ids],
-            [draw(documents(i)) for i in ids])
+    return ([draw(documents(i, tags)) for i in ids],
+            [draw(documents(i, tags)) for i in ids])
 
 
 def _check(adapter, expected, *args, **kwargs):
@@ -323,6 +328,40 @@ def test_unit_overlaps_equals_instance_expansion(pair, task):
         assert unit_overlaps(a, b, task) == oracles.unit_overlaps(a, b, task)
 
 
+def _label_counts_oracle(lv: oracles.LabelView) -> LabelCounts:
+    """One label's `LabelCounts` from its item lists: instance-set sizes and
+    their intersection, the predicted units equal to a gold unit, the unit
+    counts and the soft credits of `oracles._soft_counts`."""
+    gold_sets = set(lv.gold_clusters)
+    soft = oracles._soft_counts(lv)
+    return LabelCounts(
+        shared=len(lv.pred_instances & lv.gold_instances),
+        pred_instances=len(lv.pred_instances),
+        gold_instances=len(lv.gold_instances),
+        matched=sum(c in gold_sets for c in lv.pred_clusters),
+        pred_units=len(lv.pred_clusters), gold_units=len(lv.gold_clusters),
+        soft_pred=soft.tp_p, soft_gold=soft.tp_g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_pairs(), st.sampled_from(["ner", "re"]))
+@example(([ODD_GOLD], [ODD_PRED]), "ner")
+@example(([ODD_GOLD_RE], [ODD_PRED]), "re")
+@example(([THIRDS_GOLD], [THIRDS_PRED]), "ner")
+@example(([ONE_SIDED_A], [ONE_SIDED_B]), "ner")
+@example(([ONE_SIDED_A], [ONE_SIDED_B]), "re")
+@example(([ONE_SIDED_A], [EMPTY_DOC]), "re")
+@example(([EMPTY_DOC], [ONE_SIDED_B]), "ner")
+def test_eval_view_fields_equal_label_view_oracle(pair, task):
+    for g, p in zip(*pair):
+        view = build_eval_view(g, p, task)
+        item_view = oracles.build_eval_view(g, p, task)
+        assert view.labels == {label: _label_counts_oracle(lv)
+                               for label, lv in item_view.labels.items()}
+        for label, lv in item_view.labels.items():
+            assert soft_entity_counts(view, label) == oracles._soft_counts(lv), label
+
+
 @st.composite
 def distance_documents(draw):
     """A 10-token document whose clusters hold arbitrary spans: overlapping,
@@ -386,6 +425,24 @@ def related_documents(draw, doc_id):
 def test_relation_histograms_equal_distinct_triple_oracle(docs):
     assert (relation_type_histogram(docs), multilabel_relation_histogram(docs)) \
         == oracles.relation_histograms(docs)
+
+
+# Several tags per cluster: siblings and a chain in the type hierarchy,
+# `category::value` tags and a tag outside it.
+TYPE_TAGS = ("gpe0", "gpe2", "person", "politician", "head_of_state",
+             "type::gpe0", "topic::sport", "L1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["d0", "d1"]).flatmap(
+    lambda doc_id: documents(doc_id, TYPE_TAGS)), max_size=3))
+@example([])
+@example([make_doc("d0", clusters=[
+    ("c0", [(0, 1), (2, 3)], ["gpe0", "gpe2", "type::gpe0"]),
+    ("c1", [(4, 5)], ["head_of_state", "person"]), ("c2", [(6, 7)], []),
+    ("c3", [(8, 9)], ["gpe2", "gpe0", "type::gpe0"])])])
+def test_entity_type_histogram_equals_per_cluster_oracle(docs):
+    assert entity_type_histogram(docs) == oracles.per_cluster_type_histogram(docs)
 
 
 # --------------------------------------------------------------------------
