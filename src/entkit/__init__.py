@@ -6,6 +6,8 @@ consistency rules, inter-annotator agreement, corpus statistics, and the
 numeric kernels behind span-graph propagation models.
 """
 
+import importlib
+
 from .corpus import (Document, EntityCluster, Finding, Mention, RelationTriple,
                      UNANNOTATED, ValidationReport, parse_corpus,
                      relation_positions, serialize_corpus, validate_document)
@@ -23,9 +25,21 @@ from .stats import (CorpusSummary, DistanceProfile, corpus_summary,
                     entity_type_histogram, multilabel_relation_histogram,
                     prior_link_baseline, relation_distance_profile,
                     relation_type_histogram)
-from .kernels import (GateTransform, ScoreSet, SpanVectors,
-                      attention_propagation, augment_with_pruner,
-                      coref_confidence, coref_marginal_loss, gated_span_update,
-                      joint_loss, multilabel_bce_loss, span_count)
+
+# The numeric kernels are the only part that needs numpy. Their names, and
+# `entkit.kernels` itself, load on first use (PEP 562), so the corpus
+# commands start without numpy.
+_KERNEL_NAMES = frozenset({
+    "GateTransform", "ScoreSet", "SpanVectors", "attention_propagation",
+    "augment_with_pruner", "coref_confidence", "coref_marginal_loss",
+    "gated_span_update", "joint_loss", "multilabel_bce_loss", "span_count"})
+
+
+def __getattr__(name: str):
+    if name == "kernels" or name in _KERNEL_NAMES:
+        kernels = importlib.import_module(".kernels", __name__)
+        return kernels if name == "kernels" else getattr(kernels, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -231,25 +231,26 @@ class RelationTypeHistogram:
     total_mention_pairs: int
 
 
-def _related_pairs(docs: Iterable[Document]) -> dict[frozenset[str], list[int]]:
-    """Relation type set -> [related (head, tail) cluster pairs, mention
-    pairs] over every document, from its unit table `corpus._labelled_units`."""
-    return _label_sets(
+def relation_histograms(docs: Iterable[Document]
+                        ) -> tuple[RelationTypeHistogram, dict[int, tuple[int, int]]]:
+    """`relation_type_histogram` and `multilabel_relation_histogram` from one
+    fold of each document's unit table `corpus._labelled_units`: relation
+    type set -> [related (head, tail) cluster pairs, mention pairs]."""
+    type_sets = _label_sets(
         (types, len(d.clusters[head].mentions) * len(d.clusters[tail].mentions))
         for d in docs for (head, tail), types in _labelled_units(d, "re").items())
+    pairs, mention_pairs = map(sum, zip(*type_sets.values())) if type_sets else (0, 0)
+    buckets = _spread(type_sets, lambda types: (min(len(types), 4),))
+    return (RelationTypeHistogram(_spread(type_sets, lambda types: types),
+                                  pairs, mention_pairs),
+            dict(sorted(buckets.items())))
 
 
 def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
     """Per type: distinct related cluster pairs and their summed mention-pair
     cross products. Totals count each distinct (head, tail) pair once,
     regardless of how many types connect it."""
-    type_sets = _related_pairs(docs)
-    pairs, mention_pairs = map(sum, zip(*type_sets.values())) if type_sets else (0, 0)
-    return RelationTypeHistogram(
-        per_type=_spread(type_sets, lambda types: types),
-        total_entity_pairs=pairs,
-        total_mention_pairs=mention_pairs,
-    )
+    return relation_histograms(docs)[0]
 
 
 def multilabel_relation_histogram(docs: Iterable[Document]
@@ -257,8 +258,7 @@ def multilabel_relation_histogram(docs: Iterable[Document]
     """Bucket related (head, tail) pairs by how many relation types connect
     them: bucket -> (entity pairs, mention pairs). Buckets 1..3 are exact,
     bucket 4 holds four or more."""
-    buckets = _spread(_related_pairs(docs), lambda types: (min(len(types), 4),))
-    return dict(sorted(buckets.items()))
+    return relation_histograms(docs)[1]
 
 
 # --------------------------------------------------------------------------

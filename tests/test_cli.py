@@ -474,23 +474,25 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert [e["code"] for e in json.loads(proc.stdout)["errors"]] == ["SPAN_ORDER"]
 
 
-SCIPY_PROBE = """
+MODULES_PROBE = """
 import contextlib, io, sys
-import entkit
-from entkit.cli import run
+import entkit.cli
+from entkit import corpus, rules, stats
+package, argv = sys.argv[1], sys.argv[2:]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = run(sys.argv[1:])
-print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    code = entkit.cli.run(argv) if argv else 0
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == package))
 """
 
 
-def _scipy_modules_after(argv):
-    """Run one command in a fresh interpreter and name the scipy modules it
-    loaded; the pytest process has scipy already, through the oracles."""
+def _modules_after(package, argv):
+    """Run one command in a fresh interpreter and name the modules of
+    `package` it loaded; with no command, only import the CLI and the corpus
+    layers. The pytest process has scipy and numpy already."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, package, *argv],
                           env=env, capture_output=True, text=True, check=True)
     code, modules = proc.stdout.split(" ", 1)
     assert code == "0"
@@ -498,9 +500,7 @@ def _scipy_modules_after(argv):
 
 
 PAIR = ["--gold", "{a}", "--pred", "{b}"]
-
-
-@pytest.mark.parametrize("command", [
+COMMANDS = [
     ["validate", "{ok}"],
     ["stats", "{a}", "--plot-data", "{tmp}/stats.tsv"],
     ["score", "--task", "ner", *PAIR],
@@ -512,14 +512,58 @@ PAIR = ["--gold", "{a}", "--pred", "{b}"]
     ["decode", "--pred", "{predictions}"],
     ["convert", "{release}", "--out-corpus", "{tmp}/convert.jsonl"],
     ["kernels", "selftest", "--trials", "5"],
-], ids=lambda command: "-".join(
-    [a for a in command if a[0] not in "-{"][:2]))
-def test_no_command_imports_scipy(tmp_path, command):
-    """CEAF-e aligns clusters in plain Python, so no command loads scipy,
-    the coreference scores included."""
+]
+
+
+def _command_id(command):
+    return "-".join([a for a in command if a[0] not in "-{"][:2])
+
+
+def _argv(command, tmp_path):
     paths = {"ok": FIXTURES / "ok.jsonl", "a": FIXTURES / "annotator_a.jsonl",
              "b": FIXTURES / "annotator_b.jsonl",
              "rules": FIXTURES / "rules_multi.jsonl",
              "predictions": FIXTURES / "predictions.json",
              "release": FIXTURES / "release", "tmp": tmp_path}
-    assert _scipy_modules_after([a.format(**paths) for a in command]) == "[]"
+    return [a.format(**paths) for a in command]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=_command_id)
+def test_no_command_imports_scipy(tmp_path, command):
+    """CEAF-e aligns clusters in plain Python, so no command loads scipy,
+    the coreference scores included."""
+    assert _modules_after("scipy", _argv(command, tmp_path)) == "[]"
+
+
+@pytest.mark.parametrize("command", COMMANDS + [[]],
+                         ids=lambda command: _command_id(command) or "import")
+def test_only_kernel_commands_import_numpy(tmp_path, command):
+    """numpy loads with the kernels alone: `kernels selftest` needs it, no
+    other command does, nor does importing the CLI and the corpus layers."""
+    modules = _modules_after("numpy", _argv(command, tmp_path))
+    if command[:2] == ["kernels", "selftest"]:
+        assert "'numpy'" in modules
+    else:
+        assert modules == "[]"
+
+
+KERNEL_NAMES = ["GateTransform", "ScoreSet", "SpanVectors", "attention_propagation",
+                "augment_with_pruner", "coref_confidence", "coref_marginal_loss",
+                "gated_span_update", "joint_loss", "multilabel_bce_loss",
+                "span_count"]
+
+
+def test_lazy_names_resolve_to_the_loaded_modules():
+    import entkit
+    import entkit.cli
+    import entkit.kernels
+    import entkit.selftest
+    assert entkit.__getattr__("kernels") is entkit.kernels
+    for name in KERNEL_NAMES:
+        assert getattr(entkit, name) is getattr(entkit.kernels, name), name
+    assert hasattr(entkit.cli, "selftest")
+    assert entkit.cli.__getattr__("selftest") is entkit.selftest
+    for module in (entkit, entkit.cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+

@@ -7,8 +7,10 @@ corpus pairs, whose files list the documents in any order: `score --task all
 paired by id and the oracle coreference scores over (doc id, begin, end)
 partitions, and `stats --plot-data` must print the per-cluster type
 histogram and the distinct-triple relation histograms, and write the
-per-threshold coverage of the pairwise distance records. Outputs are
-parsed and compared by `==`.
+per-threshold coverage of the pairwise distance records. The four `kappa`
+tasks, entity and relation with and without `--conditioned`, must print the
+brute-force agreement over explicit item lists, or exit 2 where that has no
+items. Outputs are parsed and compared by `==`.
 """
 
 import json
@@ -123,3 +125,31 @@ def test_score_and_stats_equal_oracle_references(pair, rng):
         got = json.loads(out)
         assert {key: got[key] for key in report} == report
         assert _parse_table(tsv.read_text(encoding="utf-8")) == table
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus_pairs(), st.randoms(use_true_random=False))
+def test_kappa_equals_oracle_references(pair, rng):
+    docs_a, docs_b = pair
+    references = [
+        (task, conditioned, oracles.brute_force_labelled_agreement(
+            docs_a, docs_b, labels_of, conditioned))
+        for task, labels_of in (("entity", oracles.span_tags),
+                                ("relation", oracles.span_pair_types))
+        for conditioned in (False, True)]
+    references += [
+        ("coref", False, oracles.brute_force_coref_agreement(docs_a, docs_b)),
+        ("linking", False, oracles.brute_force_linking_agreement(docs_a, docs_b))]
+    with tempfile.TemporaryDirectory() as tmp:
+        a = _write(Path(tmp) / "a.jsonl", rng.sample(docs_a, len(docs_a)))
+        b = _write(Path(tmp) / "b.jsonl", rng.sample(docs_b, len(docs_b)))
+        for task, conditioned, want in references:
+            argv = ["kappa", "--task", task, "--a", a, "--b", b]
+            code, out, err = _run(argv + ["--conditioned"] * conditioned)
+            if want is None:
+                assert (code, out) == (2, "") and err.startswith("error: ")
+            else:
+                assert (code, err) == (0, "")
+                assert json.loads(out) == {"schema_version": 1, "task": task,
+                                           "result": want}

@@ -1,6 +1,11 @@
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 
-from entkit.corpus import Mention
+from entkit import cli, stats
+from entkit.corpus import Mention, load_corpus
 from entkit.stats import (corpus_summary, entity_type_histogram,
                           load_type_hierarchy, multilabel_relation_histogram,
                           prior_link_baseline, relation_distance_profile,
@@ -145,6 +150,24 @@ def test_multilabel_histogram_caps_at_four():
 
 def test_multilabel_histogram_empty():
     assert multilabel_relation_histogram([]) == {}
+
+
+def test_stats_command_builds_each_relation_table_once(tmp_path, monkeypatch):
+    """`stats --plot-data` folds each document's relation unit table once
+    for both relation histograms."""
+    corpus = Path(__file__).parent / "fixtures" / "annotator_a.jsonl"
+    calls = []
+
+    def counted(d, task):
+        calls.append((d.id, task))
+        return labelled_units(d, task)
+
+    labelled_units = stats._labelled_units
+    monkeypatch.setattr(stats, "_labelled_units", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["stats", str(corpus),
+                        "--plot-data", str(tmp_path / "stats.tsv")]) == 0
+    assert sorted(calls) == sorted((d.id, "re") for d in load_corpus(corpus))
 
 
 # --------------------------------------------------------------------------
