@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, load_corpus, pair_documents, parse_corpus,
-                     read_json, serialize_corpus, validate_corpus)
+from .corpus import (CorpusError, cluster_overlaps, load_corpus, pair_documents,
+                     parse_corpus, read_json, serialize_corpus, validate_corpus)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks it up
 # on this module by name.
 from .corpus import validate_document  # noqa: F401
@@ -112,9 +112,8 @@ def _cmd_score(args) -> int:
     tasks = ["ner", "re", "coref"] if args.task == "all" else [args.task]
     for task in tasks:
         if task == "coref":
-            gold_part = coref.corpus_partition([g for g, _ in pairs])
-            pred_part = coref.corpus_partition([p for _, p in pairs])
-            payload["coref"] = coref.coref_report(gold_part, pred_part)
+            payload["coref"] = coref.coref_report(
+                cluster_overlaps(g, p) for g, p in pairs)
         else:
             payload[task] = _score_task(pairs, task, levels, args.per_label)
     if len(tasks) == 1:

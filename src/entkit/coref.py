@@ -15,9 +15,10 @@ match gold spans):
 convention applies throughout (never 0/0 -> 1), matching the behavior of the
 standard reference scorer on degenerate partitions.
 
-CEAF-e solves its alignment in plain Python, one connected component of the
-cluster-overlap graph at a time; no component crosses a document, so each
-assignment problem stays small.
+All three read `corpus.cluster_overlaps` tables in one pass: `coref_report`
+takes one table per document pair, the partition functions one table of two
+partitions. CEAF-e aligns in plain Python, one connected component of a
+table at a time, so each assignment problem stays small.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from collections import Counter
 from typing import Hashable, Iterable, Sequence
 
-from .corpus import Document
+from .corpus import Document, overlap_cells
 from .metrics import PRFReport
 
 Cluster = frozenset
@@ -62,10 +63,9 @@ def _owners(partition: Partition) -> dict:
 
 
 def _overlaps(gold: Partition, pred: Partition) -> Counter:
-    """(gold index, pred index) -> |K n R| for every pair of clusters that
-    share a mention, read from the `_owners` map of each side."""
-    owner = _owners(pred)
-    return Counter((i, owner[m]) for m, i in _owners(gold).items() if m in owner)
+    """The `corpus.cluster_overlaps` table of two partitions, with cluster
+    indices for positions, read from the `_owners` map of each side."""
+    return overlap_cells(_owners(gold), _owners(pred))
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -78,25 +78,11 @@ def muc(gold: Partition, pred: Partition) -> PRFReport:
     mention as its own part); precision swaps the roles. Summed over
     clusters, both numerators are the overlap total minus the number of
     overlapping cluster pairs."""
-    cells = _overlaps(gold, pred)
-    num = sum(cells.values()) - len(cells)
-    p_den = sum(len(r) for r in pred) - len(pred)
-    r_den = sum(len(k) for k in gold) - len(gold)
-    return PRFReport.from_pr(_safe_div(num, p_den), _safe_div(num, r_den))
+    return _scores([_overlaps(gold, pred)])["muc"]
 
 
 def b_cubed(gold: Partition, pred: Partition) -> PRFReport:
-    cells = _overlaps(gold, pred)
-
-    def side(a: Partition, axis: int) -> float:
-        # one term n/|cluster| per shared mention; fsum keeps the score
-        # independent of the order of the terms
-        terms: list[float] = []
-        for key, n in cells.items():
-            terms.extend([n / len(a[key[axis]])] * n)
-        return _safe_div(math.fsum(terms), sum(len(c) for c in a))
-
-    return PRFReport.from_pr(side(pred, 1), side(gold, 0))
+    return _scores([_overlaps(gold, pred)])["b3"]
 
 
 def _components(cells: Counter, n_gold: int, n_pred: int
@@ -181,25 +167,52 @@ def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
     """Clusters that share no mention have similarity 0, so the optimal
     alignment is solved exactly on each connected component of the overlap
     graph; no similarity matrix is larger than one component."""
-    cells = _overlaps(gold, pred)
-    if not gold or not pred:
-        return PRFReport.from_pr(0.0, 0.0)
-    matched: list[float] = []
-    for members in _components(cells, len(gold), len(pred)):
-        # indices in partition order, so each matrix is a block of |G| x |P|
-        rows = sorted({i for i, _ in members})
-        cols = sorted({j for _, j in members})
-        # a pair that shares no mention reads 0 from the Counter: phi is 0.0
-        sim = [[2 * cells[i, j] / (len(gold[i]) + len(pred[j])) for j in cols]
-               for i in rows]
-        matched.extend(sim[r][c] for r, c in _max_weight_assignment(sim))
+    return _scores([_overlaps(gold, pred)])["ceafe"]
+
+
+def _scores(tables: Iterable[Counter]) -> dict[str, PRFReport]:
+    """MUC, B-cubed and CEAF-e in one pass over `corpus.cluster_overlaps`
+    tables, scored as one table of all their clusters. A cluster's size is the
+    sum of its row (gold) or column (pred); a cell with no None key is shared."""
+    links = 0  # the MUC numerator of both sides
+    gold, pred = [], []  # the size of every gold and every pred cluster
+    recall_terms, precision_terms = [], []
+    matched: list[float] = []  # phi of every CEAF-e aligned pair
+    for table in tables:
+        gold_size, pred_size = Counter(), Counter()
+        for (i, j), n in table.items():
+            gold_size[i] += n
+            pred_size[j] += n
+        del gold_size[None], pred_size[None]
+        gold.extend(gold_size.values())
+        pred.extend(pred_size.values())
+        cells = Counter({key: n for key, n in table.items() if None not in key})
+        links += sum(cells.values()) - len(cells)
+        # one B-cubed term n/|cluster| per shared mention and side; fsum
+        # keeps the score independent of the order of the terms
+        for (i, j), n in cells.items():
+            recall_terms.extend([n / gold_size[i]] * n)
+            precision_terms.extend([n / pred_size[j]] * n)
+        for members in _components(cells, len(gold_size), len(pred_size)):
+            # indices in table order, so each matrix is a block of |G| x |P|
+            rows = sorted({i for i, _ in members})
+            cols = sorted({j for _, j in members})
+            # a pair that shares no mention reads 0 from the Counter: phi is 0.0
+            sim = [[2 * cells[i, j] / (gold_size[i] + pred_size[j]) for j in cols]
+                   for i in rows]
+            matched.extend(sim[r][c] for r, c in _max_weight_assignment(sim))
     total = math.fsum(matched)
-    return PRFReport.from_pr(total / len(pred), total / len(gold))
+    return {"muc": PRFReport.from_pr(_safe_div(links, sum(pred) - len(pred)),
+                                     _safe_div(links, sum(gold) - len(gold))),
+            "b3": PRFReport.from_pr(_safe_div(math.fsum(precision_terms), sum(pred)),
+                                    _safe_div(math.fsum(recall_terms), sum(gold))),
+            "ceafe": PRFReport.from_pr(_safe_div(total, len(pred)),
+                                       _safe_div(total, len(gold)))}
 
 
-def coref_report(gold: Partition, pred: Partition) -> dict:
-    reports = {"muc": muc(gold, pred), "b3": b_cubed(gold, pred),
-               "ceafe": ceaf_e(gold, pred)}
+def coref_report(tables: Iterable[Counter]) -> dict:
+    """`_scores` and their mean F1, one table per document pair."""
+    reports = _scores(tables)
     out: dict = {name: r.to_json() for name, r in reports.items()}
     out["avg_f1"] = sum(r.f1 for r in reports.values()) / 3.0
     return out
@@ -207,4 +220,4 @@ def coref_report(gold: Partition, pred: Partition) -> dict:
 
 def avg_coref_f1(gold: Partition, pred: Partition) -> float:
     """Arithmetic mean of the MUC, B-cubed, and aligned-cluster F1 values."""
-    return coref_report(gold, pred)["avg_f1"]
+    return coref_report([_overlaps(gold, pred)])["avg_f1"]

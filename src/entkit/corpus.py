@@ -312,6 +312,17 @@ def _cluster_positions(d: Document) -> dict[Mention, int]:
     return owner
 
 
+def overlap_cells(owner_a: dict, owner_b: dict) -> Counter:
+    """The cells of `cluster_overlaps`, read from two mention -> owner maps
+    in place of cluster positions. Empties ``owner_b``."""
+    cells: Counter = Counter()
+    for m, i in owner_a.items():
+        cells[i, owner_b.pop(m, None)] += 1
+    for j in owner_b.values():
+        cells[None, j] += 1
+    return cells
+
+
 def cluster_overlaps(a: Document, b: Document) -> Counter:
     """(cluster position in ``a``, cluster position in ``b``) -> the number
     of mention spans the two clusters share, over every span either document
@@ -321,13 +332,7 @@ def cluster_overlaps(a: Document, b: Document) -> Counter:
     (see `_cluster_positions`): then every count over mentions, or over
     mention pairs of two clusters, is a sum of products of these cells.
     """
-    owner_a, owner_b = _cluster_positions(a), _cluster_positions(b)
-    cells: Counter = Counter()
-    for m, i in owner_a.items():
-        cells[i, owner_b.pop(m, None)] += 1
-    for j in owner_b.values():
-        cells[None, j] += 1
-    return cells
+    return overlap_cells(_cluster_positions(a), _cluster_positions(b))
 
 
 def relation_positions(d: Document) -> list[tuple[int, str, int]]:

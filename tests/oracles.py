@@ -693,6 +693,32 @@ def per_cluster_type_histogram(docs: Iterable[Document]) -> TypeHistogram:
     return TypeHistogram(direct, rollup, total_clusters, total_mentions)
 
 
+def per_cluster_summary(docs: Iterable[Document]) -> dict:
+    """The `summary` block of `stats`, counted from one record per cluster:
+    its mention count, its tags and whether it names a link (neither NIL
+    nor unannotated); the relation fields count each document's distinct
+    triples."""
+    docs = list(docs)
+    records = [(len(c.mentions), c.tags, c.link not in (None, UNANNOTATED))
+               for d in docs for c in d.clusters]
+    triples = [r for d in docs for r in set(d.relations)]
+    n = len(records)
+    return {
+        "tokens": sum(len(d.tokens) for d in docs),
+        "mentions": sum(size for size, _, _ in records),
+        "clusters": n,
+        "entity_types": len({tag for _, tags, _ in records for tag in tags}),
+        "relation_triples": len(triples),
+        "relation_types": len({r.type for r in triples}),
+        "linked_mentions": sum(size for size, _, linked in records if linked),
+        "linked_clusters": sum(1 for _, _, linked in records if linked),
+        "singleton_fraction": (sum(1 for size, _, _ in records if size == 1) / n
+                               if n else 0.0),
+        "mean_labels_per_entity": (sum(len(tags) for _, tags, _ in records) / n
+                                   if n else 0.0),
+    }
+
+
 # --------------------------------------------------------------------------
 # Relation histograms by looping over each document's distinct triples
 

@@ -5,12 +5,12 @@ as a library function. Here the commands themselves run on generated valid
 corpus pairs, whose files list the documents in any order: `score --task all
 --level all --per-label` must print the item-list scores of the documents
 paired by id and the oracle coreference scores over (doc id, begin, end)
-partitions, and `stats --plot-data` must print the per-cluster type
-histogram and the distinct-triple relation histograms, and write the
-per-threshold coverage of the pairwise distance records. The four `kappa`
-tasks, entity and relation with and without `--conditioned`, must print the
-brute-force agreement over explicit item lists, or exit 2 where that has no
-items. Outputs are parsed and compared by `==`.
+partitions, and `stats --plot-data` must print the per-cluster summary, the
+per-cluster type histogram and the distinct-triple relation histograms, and
+write the per-threshold coverage of the pairwise distance records. The four
+`kappa` tasks, entity and relation with and without `--conditioned`, must
+print the brute-force agreement over explicit item lists, or exit 2 where
+that has no items. Outputs are parsed and compared by `==`.
 """
 
 import json
@@ -81,6 +81,7 @@ def _stats_reference(docs) -> tuple[dict, list]:
     relations, buckets = oracles.relation_histograms(docs)
     entity, pairs = ("clusters", "mentions"), ("entity_pairs", "mention_pairs")
     report = {
+        "summary": oracles.per_cluster_summary(docs),
         "entity_types": {"direct": _counts(types.direct, entity),
                          "rollup": _counts(types.rollup, entity)},
         "relation_types": {

@@ -1,7 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from entkit import cli, coref
+from entkit.corpus import cluster_overlaps, load_corpus
 from entkit.coref import (_components, _max_weight_assignment, _overlaps,
                           avg_coref_f1, b_cubed, ceaf_e, coref_report,
                           corpus_partition, make_partition, muc)
@@ -9,6 +12,7 @@ import oracles
 from conftest import make_doc
 from oracles import brute_force_assignment_total, brute_force_ceafe
 
+FIXTURES = Path(__file__).parent / "fixtures"
 GOLD = make_partition([{"a", "b", "c"}])
 PRED = make_partition([{"a", "b"}, {"c"}])
 
@@ -34,11 +38,15 @@ K = frozenset({("d", 0, 1), ("d", 2, 3)})
 @pytest.mark.parametrize("gold, pred", [
     ((K, K), (K,)), ((K,), (K, K)), ((K,), (K, frozenset())),
     ((K, frozenset()), (K,)), ((), (K, K)), ((K, frozenset()), ())])
-@pytest.mark.parametrize("scorer", [muc, b_cubed, ceaf_e, coref_report])
+@pytest.mark.parametrize("scorer", [
+    muc, b_cubed, ceaf_e,
+    pytest.param(lambda gold, pred: coref_report([_overlaps(gold, pred)]),
+                 id="coref_report")])
 def test_scorers_refuse_overlapping_or_empty_clusters(scorer, gold, pred):
     """Unchecked, a repeated cluster scores MUC and B-cubed precision 2.0
     and an empty one CEAF-e precision 0.5; an empty side must not skip the
-    check."""
+    check. `coref_report` reads tables, so its partitions go through the
+    `_overlaps` table that carries the check."""
     with pytest.raises(ValueError, match="overlap|empty cluster"):
         scorer(gold, pred)
 
@@ -100,7 +108,7 @@ def test_ceaf_e_disjoint_universes():
 def test_avg_of_the_three():
     assert avg_coref_f1(GOLD, PRED) == pytest.approx(
         (2 / 3 + 10 / 14 + 8 / 15) / 3, abs=1e-9)
-    report = coref_report(GOLD, PRED)
+    report = coref_report([_overlaps(GOLD, PRED)])
     assert report["avg_f1"] == pytest.approx(0.638, abs=1e-3)
 
 
@@ -231,3 +239,29 @@ def test_corpus_partition_refuses_a_repeated_doc_id():
     d = make_doc("d1", clusters=[("c1", [(0, 1), (2, 3)], [])])
     with pytest.raises(ValueError, match="clusters overlap"):
         corpus_partition([d, d])
+
+
+def test_score_command_builds_one_overlap_table_per_pair(monkeypatch, capsys):
+    """`score --task coref` scores the `cluster_overlaps` table of each
+    document pair, built once, and maps no mention through `_owners`, so
+    it builds no corpus-wide partition either."""
+    gold, pred = FIXTURES / "annotator_a.jsonl", FIXTURES / "annotator_b.jsonl"
+    tables, owners = [], []
+
+    def counted_overlaps(a, b):
+        tables.append((a.id, b.id))
+        return cluster_overlaps(a, b)
+
+    def counted_owners(partition):
+        owners.append(partition)
+        return owner_map(partition)
+
+    owner_map = coref._owners
+    monkeypatch.setattr(cli, "cluster_overlaps", counted_overlaps)
+    monkeypatch.setattr(coref, "_owners", counted_owners)
+    assert cli.run(["score", "--task", "coref", "--gold", str(gold),
+                    "--pred", str(pred)]) == 0
+    capsys.readouterr()
+    ids = sorted(d.id for d in load_corpus(gold))
+    assert len(ids) > 1 and tables == [(i, i) for i in ids]
+    assert owners == []

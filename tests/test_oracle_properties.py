@@ -10,9 +10,10 @@ build every instance set and visit every mention pair. Kappa, coverage, the
 coreference scores, the unit overlaps, the metric levels and the distance
 records must give the same values exactly, not approximately, and the metric
 levels must not change when clusters, relations or documents come in another
-order. Release alignment bisects and rule grounding reads a fact index, where
-the oracles scan every token and every fact; both must give the same
-answers. The
+order. The coreference report over one overlap table per document pair must
+equal the scores of the (doc id, begin, end) partition of each corpus.
+Release alignment bisects and rule grounding reads a fact index, where the
+oracles scan every token and every fact; both must give the same answers. The
 corpus loader checks each field of a document's clusters and relations in
 bulk, where the oracle checks one item at a time; both must accept the same
 documents, build the same Document and give the same first schema error.
@@ -38,7 +39,8 @@ from entkit.agreement import (AnnotationPair, cohen_kappa, coref_agreement,
                               linking_agreement, observed_agreement,
                               relation_agreement)
 from entkit import coref, dwie, rules
-from entkit.corpus import UNANNOTATED, document_from_json, unit_overlaps
+from entkit.corpus import (UNANNOTATED, cluster_overlaps, document_from_json,
+                           unit_overlaps)
 from entkit.decoder import decode_input_from_json
 from entkit.metrics import (LEVELS, LabelCounts, build_eval_view, per_label_prf,
                             score_level, soft_entity_counts)
@@ -326,6 +328,26 @@ EMPTY_DOC = make_doc("d0", n_tokens=10, sentences=SENTENCES)
 def test_unit_overlaps_equals_instance_expansion(pair, task):
     for a, b in zip(*pair):
         assert unit_overlaps(a, b, task) == oracles.unit_overlaps(a, b, task)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_pairs())
+@example(([ONE_SIDED_A], [ONE_SIDED_B]))
+@example(([ONE_SIDED_A, THIRDS_GOLD._replace(id="d1")],
+          [ONE_SIDED_B, THIRDS_PRED._replace(id="d1")]))
+@example(([ONE_SIDED_A], [EMPTY_DOC]))
+@example(([EMPTY_DOC], [EMPTY_DOC]))
+def test_coref_report_over_tables_equals_corpus_partition_scores(pair):
+    """One `cluster_overlaps` table per document pair scores like the
+    (doc id, begin, end) partition of each whole corpus."""
+    golds, preds = pair
+    gold, pred = coref.corpus_partition(golds), coref.corpus_partition(preds)
+    reports = {"muc": coref.muc(gold, pred), "b3": coref.b_cubed(gold, pred),
+               "ceafe": coref.ceaf_e(gold, pred)}
+    want = {name: r.to_json() for name, r in reports.items()}
+    want["avg_f1"] = sum(r.f1 for r in reports.values()) / 3.0
+    assert coref.coref_report(
+        cluster_overlaps(g, p) for g, p in zip(golds, preds)) == want
 
 
 def _label_counts_oracle(lv: oracles.LabelView) -> LabelCounts:
