@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, cluster_overlaps, load_corpus, pair_documents,
-                     parse_corpus, read_json, serialize_corpus, validate_corpus)
-# Not called here: the benchmark's tracer (perfbench/spans.py) looks it up
+from .corpus import (CorpusError, cluster_overlaps, iter_corpus, iter_valid_corpus,
+                     pair_documents, parse_corpus, read_json, serialize_corpus,
+                     validate_corpus)
+# Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
-from .corpus import validate_document  # noqa: F401
+from .corpus import load_corpus, validate_document  # noqa: F401
 from .decoder import (decode_entity_centric, decode_input_from_json,
                       decode_output_to_json)
 
@@ -50,20 +52,25 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    docs = load_corpus(args.corpus)
-    report = validate_corpus(docs)
+    read = itertools.count()
+    # zip draws a number only after a document, so the next number is the count
+    report = validate_corpus(d for d, _ in zip(iter_corpus(args.corpus), read))
     as_json = lambda findings: [
         {"doc": f.doc_id, "code": f.code, "message": f.message} for f in findings]
-    _emit({"documents": len(docs), "errors": as_json(report.errors),
+    _emit({"documents": next(read), "errors": as_json(report.errors),
            "warnings": as_json(report.warnings)}, args.out)
     return 1 if report.errors and args.strict else 0
 
 
 def _cmd_stats(args) -> int:
-    docs = parse_corpus(args.corpus)
-    summary = stats.corpus_summary(docs)
-    type_hist = stats.entity_type_histogram(docs)
-    rel_hist, multilabel = stats.relation_histograms(docs)
+    fold = stats.CorpusFold()
+    for d in iter_valid_corpus(args.corpus):
+        fold.add(d)
+        if args.plot_data:
+            fold.add_distances(d)
+    summary = fold.summary()
+    type_hist = fold.type_histogram()
+    rel_hist, multilabel = fold.relation_histograms()
     payload = {
         "summary": summary.to_json(),
         "entity_types": {
@@ -83,11 +90,10 @@ def _cmd_stats(args) -> int:
             for b, (e, m) in multilabel.items()},
     }
     if args.plot_data:
-        profile = stats.relation_distance_profile(docs)
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             fh.write("threshold\tcdf_min_tokens\tcdf_max_tokens"
                      "\tcdf_min_sent\tcdf_max_sent\n")
-            for row in profile.coverage_table():
+            for row in fold.profile.coverage_table():
                 fh.write("\t".join(str(x) for x in row) + "\n")
     _emit(payload, args.out)
     return 0
@@ -130,9 +136,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_rules_check(args) -> int:
-    docs = parse_corpus(args.corpus)
-    ruleset = rules.load_ruleset(args.rules) if args.rules \
-        else rules.builtin_ruleset()
+    docs = iter_valid_corpus(args.corpus)
+    try:
+        ruleset = rules.load_ruleset(args.rules) if args.rules \
+            else rules.builtin_ruleset()
+    except (ValueError, OSError):
+        for _ in docs:  # the corpus's own errors come first
+            pass
+        raise
     violations = []
     firings = 0
     closed = []
@@ -193,8 +204,8 @@ def _cmd_kernels_selftest(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    docs, report = dwie.convert_release(args.src)
-    serialize_corpus(docs, args.out_corpus)
+    report = dwie.ConversionReport()
+    serialize_corpus(dwie.iter_release(args.src, report), args.out_corpus)
     _emit({"documents": report.documents,
            "dropped_concepts": report.dropped_concepts,
            "dropped_relations": report.dropped_relations,

@@ -263,16 +263,31 @@ def validate_document(d: Document) -> ValidationReport:
     return report
 
 
-def validate_corpus(docs: Sequence[Document]) -> ValidationReport:
+def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
     """The corpus-level DUPLICATE_DOC_ID errors, one per repeated id in order
     of first appearance, then every document's findings in corpus order."""
-    counts = Counter(d.id for d in docs)
-    report = ValidationReport(errors=[
-        Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
-        for doc_id, n in counts.items() if n > 1])
-    for d in docs:
-        report.extend(validate_document(d))
+    report = ValidationReport()
+    for _ in _validated(docs, report):
+        pass
     return report
+
+
+def _validated(docs: Iterable[Document], report: ValidationReport
+               ) -> Iterator[Document]:
+    """Each document of `docs` that has no error, validated as it is read;
+    every finding goes into `report`. After the last document, the
+    DUPLICATE_DOC_ID errors are put before all others, as `validate_corpus`
+    orders them."""
+    counts: Counter = Counter()
+    for d in docs:
+        counts[d.id] += 1
+        found = validate_document(d)
+        report.extend(found)
+        if found.ok:
+            yield d
+    report.errors[:0] = [
+        Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
+        for doc_id, n in counts.items() if n > 1]
 
 
 def pair_documents(docs_a: Sequence[Document], docs_b: Sequence[Document]
@@ -616,13 +631,18 @@ def read_json(path: str | Path, build: Callable):
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    """Read documents without invariant checking (syntax and schema only):
-    a directory as one document per *.json file, any other path as JSON Lines.
-    """
+    """Every document of `iter_corpus(path)`, as a list."""
+    return list(iter_corpus(path))
+
+
+def iter_corpus(path: str | Path) -> Iterator[Document]:
+    """Read documents one at a time without invariant checking (syntax and
+    schema only): a directory as one document per *.json file in sorted file
+    order, any other path as JSON Lines."""
     path = Path(path)
     if not path.is_dir():
-        return list(_iter_jsonl(path))
-    return [read_json(f, document_from_json) for f in sorted(path.glob("*.json"))]
+        return _iter_jsonl(path)
+    return (read_json(f, document_from_json) for f in sorted(path.glob("*.json")))
 
 
 def _iter_jsonl(path: Path) -> Iterator[Document]:
@@ -646,19 +666,27 @@ def _iter_jsonl(path: Path) -> Iterator[Document]:
 
 
 def parse_corpus(path: str | Path) -> list[Document]:
-    """Read a corpus in file order (as `load_corpus` reads it) and validate it:
-    any hard-invariant breach, `validate_corpus`'s errors, raises
-    CorpusValidationError; warnings never raise."""
-    docs = load_corpus(path)
-    errors = validate_corpus(docs).errors
-    if errors:
-        raise CorpusValidationError(errors, path)
-    return docs
+    """Every document of `iter_valid_corpus(path)`, as a list."""
+    return list(iter_valid_corpus(path))
+
+
+def iter_valid_corpus(path: str | Path) -> Iterator[Document]:
+    """The documents of `iter_corpus(path)`, in file order, each validated as
+    it is read; only those without errors are yielded. After the last record
+    any hard-invariant breach, `validate_corpus`'s errors in its order,
+    raises CorpusValidationError, so a ParseError anywhere in the file comes
+    first; warnings never raise."""
+    report = ValidationReport()
+    yield from _validated(iter_corpus(path), report)
+    if report.errors:
+        raise CorpusValidationError(report.errors, path)
 
 
 def serialize_corpus(docs: Iterable[Document], path: str | Path) -> None:
-    """Write documents as canonical JSON Lines."""
+    """Write documents as canonical JSON Lines. The file is opened only once
+    every document is serialized, so a failure while `docs` is read (a lazy
+    conversion, say) leaves an existing file as it was."""
+    lines = [json.dumps(document_to_json(d), ensure_ascii=False) + "\n"
+             for d in docs]
     with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(json.dumps(document_to_json(d), ensure_ascii=False))
-            fh.write("\n")
+        fh.writelines(lines)

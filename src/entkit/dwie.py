@@ -30,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import (Document, EntityCluster, Mention, RelationTriple,
                      UNANNOTATED, _every, _require, read_json)
@@ -148,6 +149,11 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
     """Convert every *.json file under `src_dir`, in filename order; a file
     that is not valid JSON or breaks the schema raises ParseError."""
     report = ConversionReport()
-    docs = [read_json(path, lambda obj: convert_annotation(obj, report))
-            for path in sorted(Path(src_dir).glob("*.json"))]
-    return docs, report
+    return list(iter_release(src_dir, report)), report
+
+
+def iter_release(src_dir: str | Path, report: ConversionReport) -> Iterator[Document]:
+    """`convert_release`'s documents one at a time, each file read as it is
+    reached; `report` counts what the files read so far dropped."""
+    for path in sorted(Path(src_dir).glob("*.json")):
+        yield read_json(path, lambda obj: convert_annotation(obj, report))

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import gt
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (Document, EntityCluster, Mention, _content_lines,
                      _labelled_units, _resource_text, relation_positions)
@@ -113,33 +113,35 @@ def _gap_range(a: _SortedSpans, b: _SortedSpans) -> tuple[int, int]:
     return smallest, largest
 
 
+def _distance_records(d: Document) -> Iterator[DistanceRecord]:
+    """One record per distinct relation triple of `d`, min/max over cross
+    mention pairs, read from sorted per-cluster columns without visiting each
+    pair."""
+    begins = [b for b, _ in d.sentences]
+    columns: dict[int, tuple] = {}
+    for i, rel_type, j in relation_positions(d):
+        head, tail = d.clusters[i], d.clusters[j]
+        if set(head.mentions) & set(tail.mentions):
+            raise ValueError(
+                f"{d.id}: relation {rel_type!r} connects clusters "
+                f"{head.id!r} and {tail.id!r} that share a mention span")
+        for k in (i, j):
+            if k not in columns:
+                columns[k] = _cluster_columns(d.clusters[k], begins, d.id)
+        head_spans, head_points = columns[i]
+        tail_spans, tail_points = columns[j]
+        if head_spans is not None and tail_spans is not None:
+            min_gap, max_gap = _gap_range(head_spans, tail_spans)
+        else:
+            gaps = [token_gap(hm, tm) for hm in head.mentions
+                    for tm in tail.mentions]
+            min_gap, max_gap = min(gaps), max(gaps)
+        yield DistanceRecord(min_gap, max_gap, *_gap_range(head_points, tail_points))
+
+
 def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
-    """One record per distinct relation triple, min/max over cross mention
-    pairs, read from sorted per-cluster columns without visiting each pair."""
-    profile = DistanceProfile()
-    for d in docs:
-        begins = [b for b, _ in d.sentences]
-        columns: dict[int, tuple] = {}
-        for i, rel_type, j in relation_positions(d):
-            head, tail = d.clusters[i], d.clusters[j]
-            if set(head.mentions) & set(tail.mentions):
-                raise ValueError(
-                    f"{d.id}: relation {rel_type!r} connects clusters "
-                    f"{head.id!r} and {tail.id!r} that share a mention span")
-            for k in (i, j):
-                if k not in columns:
-                    columns[k] = _cluster_columns(d.clusters[k], begins, d.id)
-            head_spans, head_points = columns[i]
-            tail_spans, tail_points = columns[j]
-            if head_spans is not None and tail_spans is not None:
-                min_gap, max_gap = _gap_range(head_spans, tail_spans)
-            else:
-                gaps = [token_gap(hm, tm) for hm in head.mentions
-                        for tm in tail.mentions]
-                min_gap, max_gap = min(gaps), max(gaps)
-            profile.records.append(DistanceRecord(
-                min_gap, max_gap, *_gap_range(head_points, tail_points)))
-    return profile
+    """The records of every document (`_distance_records`), in corpus order."""
+    return _fold(docs, CorpusFold.add_distances).profile
 
 
 # --------------------------------------------------------------------------
@@ -186,27 +188,17 @@ def entity_type_histogram(docs: Iterable[Document]) -> TypeHistogram:
     ancestor in the shipped type hierarchy (a cluster counts once per
     ancestor node that covers any of its tags). Each distinct tag set is
     expanded once, with the clusters and mentions that carry it."""
-    hierarchy = load_type_hierarchy()
-    tag_sets = _label_sets((c.tags, len(c.mentions)) for d in docs for c in d.clusters)
-    clusters, mentions = map(sum, zip(*tag_sets.values())) if tag_sets else (0, 0)
-    return TypeHistogram(
-        direct=_spread(tag_sets, lambda tags: tags),
-        rollup=_spread(tag_sets, lambda tags: {
-            node for tag in tags for node in ancestors(tag, hierarchy)}),
-        total_clusters=clusters,
-        total_mentions=mentions,
-    )
+    return _fold(docs, CorpusFold.add_types).type_histogram()
 
 
-def _label_sets(items: Iterable[tuple[frozenset[str], int]]
-                ) -> dict[frozenset[str], list[int]]:
-    """Label set -> [items, summed weight] over (label set, weight) items."""
-    totals: dict[frozenset[str], list[int]] = {}
+def _add_label_sets(totals: dict[frozenset[str], list[int]],
+                    items: Iterable[tuple[frozenset[str], int]]) -> None:
+    """Add (label set, weight) items to `totals`: label set -> [items,
+    summed weight]."""
     for labels, weight in items:
         t = totals.setdefault(labels, [0, 0])
         t[0] += 1
         t[1] += weight
-    return totals
 
 
 def _spread(totals: dict[frozenset[str], list[int]], keys: Callable
@@ -236,14 +228,7 @@ def relation_histograms(docs: Iterable[Document]
     """`relation_type_histogram` and `multilabel_relation_histogram` from one
     fold of each document's unit table `corpus._labelled_units`: relation
     type set -> [related (head, tail) cluster pairs, mention pairs]."""
-    type_sets = _label_sets(
-        (types, len(d.clusters[head].mentions) * len(d.clusters[tail].mentions))
-        for d in docs for (head, tail), types in _labelled_units(d, "re").items())
-    pairs, mention_pairs = map(sum, zip(*type_sets.values())) if type_sets else (0, 0)
-    buckets = _spread(type_sets, lambda types: (min(len(types), 4),))
-    return (RelationTypeHistogram(_spread(type_sets, lambda types: types),
-                                  pairs, mention_pairs),
-            dict(sorted(buckets.items())))
+    return _fold(docs, CorpusFold.add_relations).relation_histograms()
 
 
 def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
@@ -283,31 +268,90 @@ class CorpusSummary:
 
 
 def corpus_summary(docs: Iterable[Document]) -> CorpusSummary:
-    s = CorpusSummary()
-    tags: set[str] = set()
-    rel_types: set[str] = set()
-    singletons = 0
-    total_labels = 0
-    for d in docs:
+    return _fold(docs, CorpusFold.add_summary).summary()
+
+
+class CorpusFold:
+    """What `entkit stats` reports, folded in one document at a time and read
+    out after the last: `add` feeds the summary and the entity and relation
+    type histograms, `add_distances` the distance profile."""
+
+    def __init__(self):
+        self.counts = CorpusSummary()
+        self.tags: set[str] = set()
+        self.relation_types: set[str] = set()
+        self.singletons = self.labels = 0
+        # label set -> [items, summed weight], see `_add_label_sets`
+        self.tag_sets: dict[frozenset[str], list[int]] = {}
+        self.type_sets: dict[frozenset[str], list[int]] = {}
+        self.profile = DistanceProfile()
+
+    def add(self, d: Document) -> None:
+        self.add_summary(d)
+        self.add_types(d)
+        self.add_relations(d)
+
+    def add_summary(self, d: Document) -> None:
+        s = self.counts
         s.tokens += len(d.tokens)
         s.relation_triples += len(set(d.relations))
-        rel_types |= {r.type for r in d.relations}
+        self.relation_types.update(r.type for r in d.relations)
         for c in d.clusters:
             s.clusters += 1
             s.mentions += len(c.mentions)
-            tags |= c.tags
-            total_labels += len(c.tags)
-            if c.is_singleton:
-                singletons += 1
+            self.tags |= c.tags
+            self.labels += len(c.tags)
+            self.singletons += c.is_singleton
             if c.is_linked:
                 s.linked_clusters += 1
                 s.linked_mentions += len(c.mentions)
-    s.entity_types = len(tags)
-    s.relation_types = len(rel_types)
-    if s.clusters:
-        s.singleton_fraction = singletons / s.clusters
-        s.mean_labels_per_entity = total_labels / s.clusters
-    return s
+
+    def add_types(self, d: Document) -> None:
+        _add_label_sets(self.tag_sets, ((c.tags, len(c.mentions)) for c in d.clusters))
+
+    def add_relations(self, d: Document) -> None:
+        _add_label_sets(self.type_sets, (
+            (types, len(d.clusters[head].mentions) * len(d.clusters[tail].mentions))
+            for (head, tail), types in _labelled_units(d, "re").items()))
+
+    def add_distances(self, d: Document) -> None:
+        self.profile.records.extend(_distance_records(d))
+
+    def summary(self) -> CorpusSummary:
+        n = self.counts.clusters
+        return replace(self.counts, entity_types=len(self.tags),
+                       relation_types=len(self.relation_types),
+                       singleton_fraction=self.singletons / n if n else 0.0,
+                       mean_labels_per_entity=self.labels / n if n else 0.0)
+
+    def type_histogram(self) -> TypeHistogram:
+        hierarchy = load_type_hierarchy()
+        tag_sets = self.tag_sets
+        clusters, mentions = map(sum, zip(*tag_sets.values())) if tag_sets else (0, 0)
+        return TypeHistogram(
+            direct=_spread(tag_sets, lambda tags: tags),
+            rollup=_spread(tag_sets, lambda tags: {
+                node for tag in tags for node in ancestors(tag, hierarchy)}),
+            total_clusters=clusters,
+            total_mentions=mentions,
+        )
+
+    def relation_histograms(self) -> tuple[RelationTypeHistogram,
+                                           dict[int, tuple[int, int]]]:
+        type_sets = self.type_sets
+        pairs, mention_pairs = map(sum, zip(*type_sets.values())) if type_sets else (0, 0)
+        buckets = _spread(type_sets, lambda types: (min(len(types), 4),))
+        return (RelationTypeHistogram(_spread(type_sets, lambda types: types),
+                                      pairs, mention_pairs),
+                dict(sorted(buckets.items())))
+
+
+def _fold(docs: Iterable[Document], add: Callable) -> CorpusFold:
+    """A CorpusFold with `add(fold, d)` applied to each document."""
+    fold = CorpusFold()
+    for d in docs:
+        add(fold, d)
+    return fold
 
 
 # --------------------------------------------------------------------------
