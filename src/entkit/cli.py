@@ -65,9 +65,9 @@ def _cmd_validate(args) -> int:
 def _cmd_stats(args) -> int:
     fold = stats.CorpusFold()
     for d in iter_valid_corpus(args.corpus):
-        fold.add(d)
+        units = fold.add(d)
         if args.plot_data:
-            fold.add_distances(d)
+            fold.add_distances(d, units)
     summary = fold.summary()
     type_hist = fold.type_histogram()
     rel_hist, multilabel = fold.relation_histograms()

@@ -391,8 +391,9 @@ def unit_overlaps(a: Document, b: Document, task: str
     A unit's instances are its mention spans (NER) or its head x tail
     mention pairs (RE). Every instance of every unit lies in exactly one
     block, the one naming the unit of each document that holds it (None if
-    none does), so a block of related pairs sums products of a head and a
-    tail cell of `cluster_overlaps`.
+    none does). A block of a related pair of ``a`` sums products of a head
+    and a tail cell of `cluster_overlaps`; that of a related pair of ``b``
+    with None holds its |head| x |tail| pairs less its other blocks.
     """
     cells = cluster_overlaps(a, b)
     units_a, units_b = _labelled_units(a, task), _labelled_units(b, task)
@@ -401,10 +402,8 @@ def unit_overlaps(a: Document, b: Document, task: str
             (None if i is None else (i,), None if j is None else (j,)): n
             for (i, j), n in cells.items()}
     rows: dict[int | None, list] = {}
-    cols: dict[int | None, list] = {}
     for (i, j), n in cells.items():
         rows.setdefault(i, []).append((j, n))
-        cols.setdefault(j, []).append((i, n))
     blocks: dict = {}
     for unit in units_a:
         head, tail = unit
@@ -412,13 +411,12 @@ def unit_overlaps(a: Document, b: Document, task: str
             for tail_b, n_tail in rows[tail]:
                 key = unit, (pair if (pair := (head_b, tail_b)) in units_b else None)
                 blocks[key] = blocks.get(key, 0) + n_head * n_tail
-    for unit in units_b:
-        head, tail = unit
-        for head_a, n_head in cols[head]:
-            for tail_a, n_tail in cols[tail]:
-                if (head_a, tail_a) not in units_a:
-                    key = None, unit
-                    blocks[key] = blocks.get(key, 0) + n_head * n_tail
+    rest = {(h, t): len(b.clusters[h].mentions) * len(b.clusters[t].mentions)
+            for h, t in units_b}
+    for (_, unit), n in blocks.items():
+        if unit is not None:
+            rest[unit] -= n
+    blocks.update(((None, unit), n) for unit, n in rest.items() if n)
     return units_a, units_b, blocks
 
 

@@ -154,6 +154,9 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
 
 def iter_release(src_dir: str | Path, report: ConversionReport) -> Iterator[Document]:
     """`convert_release`'s documents one at a time, each file read as it is
-    reached; `report` counts what the files read so far dropped."""
+    reached; `report` counts what the files read so far dropped. A `src_dir`
+    that is not a directory raises NotADirectoryError (a glob finds nothing)."""
+    if not Path(src_dir).is_dir():
+        raise NotADirectoryError(f"{src_dir}: not a directory")
     for path in sorted(Path(src_dir).glob("*.json")):
         yield read_json(path, lambda obj: convert_annotation(obj, report))

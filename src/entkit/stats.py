@@ -21,11 +21,13 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from operator import gt
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from operator import gt, itemgetter
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .corpus import (Document, EntityCluster, Mention, _content_lines,
-                     _labelled_units, _resource_text, relation_positions)
+                     _labelled_units, _resource_text)
+
+_RelationUnits = dict[tuple[int, ...], frozenset[str]]  # (head, tail) -> types
 
 
 # --------------------------------------------------------------------------
@@ -113,17 +115,20 @@ def _gap_range(a: _SortedSpans, b: _SortedSpans) -> tuple[int, int]:
     return smallest, largest
 
 
-def _distance_records(d: Document) -> Iterator[DistanceRecord]:
-    """One record per distinct relation triple of `d`, min/max over cross
-    mention pairs, read from sorted per-cluster columns without visiting each
-    pair."""
+def _distance_records(d: Document, units: _RelationUnits) -> list[DistanceRecord]:
+    """One record per relation triple of `d`, in (head id, type, tail id)
+    order, min/max over cross mention pairs, read from sorted per-cluster
+    columns without visiting each pair. Each pair of the unit table `units`
+    (`corpus._labelled_units(d, "re")`) is measured once, in the order of
+    its first triple, so the first pair to raise holds the first triple."""
     begins = [b for b, _ in d.sentences]
     columns: dict[int, tuple] = {}
-    for i, rel_type, j in relation_positions(d):
+    keyed = []
+    for (i, j), types in units.items():
         head, tail = d.clusters[i], d.clusters[j]
         if set(head.mentions) & set(tail.mentions):
             raise ValueError(
-                f"{d.id}: relation {rel_type!r} connects clusters "
+                f"{d.id}: relation {min(types)!r} connects clusters "
                 f"{head.id!r} and {tail.id!r} that share a mention span")
         for k in (i, j):
             if k not in columns:
@@ -136,12 +141,15 @@ def _distance_records(d: Document) -> Iterator[DistanceRecord]:
             gaps = [token_gap(hm, tm) for hm in head.mentions
                     for tm in tail.mentions]
             min_gap, max_gap = min(gaps), max(gaps)
-        yield DistanceRecord(min_gap, max_gap, *_gap_range(head_points, tail_points))
+        record = DistanceRecord(min_gap, max_gap, *_gap_range(head_points, tail_points))
+        keyed.extend(((head.id, rel_type, tail.id), record) for rel_type in types)
+    return [record for _, record in sorted(keyed, key=itemgetter(0))]
 
 
 def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
     """The records of every document (`_distance_records`), in corpus order."""
-    return _fold(docs, CorpusFold.add_distances).profile
+    return _fold(docs, lambda fold, d: fold.add_distances(
+        d, _labelled_units(d, "re"))).profile
 
 
 # --------------------------------------------------------------------------
@@ -188,17 +196,12 @@ def entity_type_histogram(docs: Iterable[Document]) -> TypeHistogram:
     ancestor in the shipped type hierarchy (a cluster counts once per
     ancestor node that covers any of its tags). Each distinct tag set is
     expanded once, with the clusters and mentions that carry it."""
-    return _fold(docs, CorpusFold.add_types).type_histogram()
+    return _fold(docs, CorpusFold.add_clusters).type_histogram()
 
 
-def _add_label_sets(totals: dict[frozenset[str], list[int]],
-                    items: Iterable[tuple[frozenset[str], int]]) -> None:
-    """Add (label set, weight) items to `totals`: label set -> [items,
-    summed weight]."""
-    for labels, weight in items:
-        t = totals.setdefault(labels, [0, 0])
-        t[0] += 1
-        t[1] += weight
+def _totals(totals: dict[frozenset[str], list[int]]) -> tuple[int, int]:
+    """(items, summed weight) over every label set of `totals`."""
+    return tuple(map(sum, zip(*totals.values()))) if totals else (0, 0)
 
 
 def _spread(totals: dict[frozenset[str], list[int]], keys: Callable
@@ -268,81 +271,77 @@ class CorpusSummary:
 
 
 def corpus_summary(docs: Iterable[Document]) -> CorpusSummary:
-    return _fold(docs, CorpusFold.add_summary).summary()
+    return _fold(docs, CorpusFold.add_clusters).summary()
 
 
 class CorpusFold:
     """What `entkit stats` reports, folded in one document at a time and read
     out after the last: `add` feeds the summary and the entity and relation
-    type histograms, `add_distances` the distance profile."""
+    type histograms and returns the document's relation unit table, from
+    which `add_distances` feeds the distance profile."""
 
     def __init__(self):
         self.counts = CorpusSummary()
-        self.tags: set[str] = set()
         self.relation_types: set[str] = set()
-        self.singletons = self.labels = 0
-        # label set -> [items, summed weight], see `_add_label_sets`
+        self.singletons = 0
+        # label set -> [clusters, mentions] and [related pairs, mention pairs]
         self.tag_sets: dict[frozenset[str], list[int]] = {}
         self.type_sets: dict[frozenset[str], list[int]] = {}
         self.profile = DistanceProfile()
 
-    def add(self, d: Document) -> None:
-        self.add_summary(d)
-        self.add_types(d)
-        self.add_relations(d)
+    def add(self, d: Document) -> _RelationUnits:
+        self.add_clusters(d)
+        return self.add_relations(d)
 
-    def add_summary(self, d: Document) -> None:
+    def add_clusters(self, d: Document) -> None:
+        # `summary` reads the cluster, mention and tag counts from tag_sets
         s = self.counts
         s.tokens += len(d.tokens)
         s.relation_triples += len(set(d.relations))
         self.relation_types.update(r.type for r in d.relations)
         for c in d.clusters:
-            s.clusters += 1
-            s.mentions += len(c.mentions)
-            self.tags |= c.tags
-            self.labels += len(c.tags)
+            t = self.tag_sets.setdefault(c.tags, [0, 0])
+            t[0] += 1
+            t[1] += len(c.mentions)
             self.singletons += c.is_singleton
             if c.is_linked:
                 s.linked_clusters += 1
                 s.linked_mentions += len(c.mentions)
 
-    def add_types(self, d: Document) -> None:
-        _add_label_sets(self.tag_sets, ((c.tags, len(c.mentions)) for c in d.clusters))
+    def add_relations(self, d: Document) -> _RelationUnits:
+        units = _labelled_units(d, "re")
+        for (head, tail), types in units.items():
+            t = self.type_sets.setdefault(types, [0, 0])
+            t[0] += 1
+            t[1] += len(d.clusters[head].mentions) * len(d.clusters[tail].mentions)
+        return units
 
-    def add_relations(self, d: Document) -> None:
-        _add_label_sets(self.type_sets, (
-            (types, len(d.clusters[head].mentions) * len(d.clusters[tail].mentions))
-            for (head, tail), types in _labelled_units(d, "re").items()))
-
-    def add_distances(self, d: Document) -> None:
-        self.profile.records.extend(_distance_records(d))
+    def add_distances(self, d: Document, units: _RelationUnits) -> None:
+        self.profile.records.extend(_distance_records(d, units))
 
     def summary(self) -> CorpusSummary:
-        n = self.counts.clusters
-        return replace(self.counts, entity_types=len(self.tags),
+        tag_sets = self.tag_sets
+        n, mentions = _totals(tag_sets)
+        labels = sum(len(tags) * k for tags, (k, _) in tag_sets.items())
+        return replace(self.counts, clusters=n, mentions=mentions,
+                       entity_types=len(set().union(*tag_sets)),
                        relation_types=len(self.relation_types),
                        singleton_fraction=self.singletons / n if n else 0.0,
-                       mean_labels_per_entity=self.labels / n if n else 0.0)
+                       mean_labels_per_entity=labels / n if n else 0.0)
 
     def type_histogram(self) -> TypeHistogram:
         hierarchy = load_type_hierarchy()
-        tag_sets = self.tag_sets
-        clusters, mentions = map(sum, zip(*tag_sets.values())) if tag_sets else (0, 0)
         return TypeHistogram(
-            direct=_spread(tag_sets, lambda tags: tags),
-            rollup=_spread(tag_sets, lambda tags: {
+            _spread(self.tag_sets, lambda tags: tags),
+            _spread(self.tag_sets, lambda tags: {
                 node for tag in tags for node in ancestors(tag, hierarchy)}),
-            total_clusters=clusters,
-            total_mentions=mentions,
-        )
+            *_totals(self.tag_sets))
 
     def relation_histograms(self) -> tuple[RelationTypeHistogram,
                                            dict[int, tuple[int, int]]]:
-        type_sets = self.type_sets
-        pairs, mention_pairs = map(sum, zip(*type_sets.values())) if type_sets else (0, 0)
-        buckets = _spread(type_sets, lambda types: (min(len(types), 4),))
-        return (RelationTypeHistogram(_spread(type_sets, lambda types: types),
-                                      pairs, mention_pairs),
+        buckets = _spread(self.type_sets, lambda types: (min(len(types), 4),))
+        return (RelationTypeHistogram(_spread(self.type_sets, lambda types: types),
+                                      *_totals(self.type_sets)),
                 dict(sorted(buckets.items())))
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
-                           RelationTriple)
+                           RelationTriple, builtin_relation_vocabulary,
+                           builtin_tag_vocabulary)
 from entkit.decoder import DecodeInput
 from entkit.kernels import _as_array
 from entkit.metrics import PRFReport, SoftCounts, _reduce
@@ -127,6 +128,107 @@ def per_entry_decode_input_from_json(obj: dict) -> DecodeInput:
     related = [(_one_span(h, "p_rel"), t, _one_span(tl, "p_rel"))
                for h, t, tl in p_rel]
     return DecodeInput(clusters, tuple(tagged), tuple(related))
+
+
+# --------------------------------------------------------------------------
+# Validation findings, one check at a time
+
+
+def validate_findings(docs: list[Document]) -> tuple[list[dict], list[dict]]:
+    """The errors and warnings of `entkit validate`, as {"doc", "code",
+    "message"} records. Each check walks the whole corpus alone and tags its
+    findings with where they arise: repeated document ids before every
+    document, then per document its split, its sentence cover, each cluster
+    (its id, its emptiness, then each mention: order or bounds, then shared
+    span; then its tags) and each relation (head, tail, self, type). The
+    findings, sorted by those tags, come in the order the library reports."""
+    tag_vocab, relation_vocab = builtin_tag_vocabulary(), builtin_relation_vocabulary()
+    errors: list[tuple[tuple, str, str, str]] = []
+    warnings: list[tuple[tuple, str, str, str]] = []
+
+    ids = [d.id for d in docs]
+    for doc_id in dict.fromkeys(ids):
+        if ids.count(doc_id) > 1:
+            errors.append(((-1, ids.index(doc_id)), doc_id, "DUPLICATE_DOC_ID",
+                           f"document id {doc_id!r} appears {ids.count(doc_id)} times"))
+
+    for p, d in enumerate(docs):
+        if d.split not in ("train", "test", "unsplit"):
+            errors.append(((p, 0), d.id, "BAD_SPLIT", "split must be one of "
+                           f"('train', 'test', 'unsplit'), got {d.split!r}"))
+
+    for p, d in enumerate(docs):
+        ends = [0] + [e for _, e in d.sentences]
+        broken = [k for k, (b, e) in enumerate(d.sentences)
+                  if b != ends[k] or e <= b]
+        if broken:
+            b, e = d.sentences[broken[0]]
+            errors.append(((p, 1), d.id, "SENTENCE_COVERAGE", f"sentence [{b},{e}) "
+                           f"breaks the contiguous cover at {ends[broken[0]]}"))
+        elif ends[-1] != len(d.tokens):
+            errors.append(((p, 1), d.id, "SENTENCE_COVERAGE",
+                           f"sentences cover [0,{ends[-1]}) but document has "
+                           f"{len(d.tokens)} tokens"))
+
+    def clusters():
+        for p, d in enumerate(docs):
+            for k, c in enumerate(d.clusters):
+                yield p, d, k, c
+
+    for p, d, k, c in clusters():
+        if c.id in [other.id for other in d.clusters[:k]]:
+            errors.append(((p, 2, k, 0), d.id, "DUPLICATE_CLUSTER_ID",
+                           f"cluster id {c.id!r} appears twice"))
+
+    for p, d, k, c in clusters():
+        if len(c.mentions) == 0:
+            errors.append(((p, 2, k, 1), d.id, "EMPTY_CLUSTER",
+                           f"cluster {c.id!r} has no mentions"))
+
+    for p, d, k, c in clusters():
+        for i, (b, e) in enumerate(c.mentions):
+            where = (p, 2, k, 2, i, 0)
+            if e <= b:
+                errors.append((where, d.id, "SPAN_ORDER", f"cluster {c.id!r}: "
+                               f"span [{b},{e}) is empty or reversed"))
+            elif not 0 <= b < e <= len(d.tokens):
+                errors.append((where, d.id, "SPAN_BOUNDS", f"cluster {c.id!r}: "
+                               f"span [{b},{e}) outside [0,{len(d.tokens)})"))
+
+    for p, d, k, c in clusters():
+        for i, m in enumerate(c.mentions):
+            # the last earlier cluster to claim the span, unless it has this id
+            earlier = [other.id for other in d.clusters[:k] if m in other.mentions]
+            if earlier and earlier[-1] != c.id:
+                errors.append(((p, 2, k, 2, i, 1), d.id, "MENTION_MULTI_CLUSTER",
+                               f"span [{m.begin},{m.end}) belongs to clusters "
+                               f"{earlier[-1]!r} and {c.id!r}"))
+
+    for p, d, k, c in clusters():
+        for tag in sorted(c.tags):
+            if tag not in tag_vocab and tag.split("::")[-1] not in tag_vocab:
+                warnings.append(((p, 2, k, 3, tag), d.id, "UNKNOWN_TAG",
+                                 f"cluster {c.id!r}: tag {tag!r} not in vocabulary"))
+
+    for p, d in enumerate(docs):
+        cluster_ids = {c.id for c in d.clusters}
+        for r_index, r in enumerate(d.relations):
+            for rank, (role, cid) in enumerate((("head", r.head), ("tail", r.tail))):
+                if cid not in cluster_ids:
+                    errors.append(((p, 3, r_index, rank), d.id, "DANGLING_RELATION",
+                                   f"relation {role} {cid!r} is not a cluster id"))
+            if r.head == r.tail:
+                errors.append(((p, 3, r_index, 2), d.id, "SELF_RELATION",
+                               f"relation {r.type!r} connects {r.head!r} to itself"))
+            if r.type not in relation_vocab:
+                warnings.append(((p, 3, r_index, 3), d.id, "UNKNOWN_RELATION_TYPE",
+                                 f"relation type {r.type!r} not in vocabulary"))
+
+    def records(findings):
+        return [{"doc": doc_id, "code": code, "message": message}
+                for _, doc_id, code, message in sorted(findings)]
+
+    return records(errors), records(warnings)
 
 
 # --------------------------------------------------------------------------

@@ -10,19 +10,22 @@ per-cluster type histogram and the distinct-triple relation histograms, and
 write the per-threshold coverage of the pairwise distance records. The four
 `kappa` tasks, entity and relation with and without `--conditioned`, must
 print the brute-force agreement over explicit item lists, or exit 2 where
-that has no items. Outputs are parsed and compared by `==`.
+that has no items. `validate`, on generated corpora with invalid documents,
+must print the findings of the one-check-at-a-time `oracles.validate_findings`.
+Outputs are parsed and compared by `==`.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from entkit.corpus import UNANNOTATED
 from entkit.metrics import LEVELS
+from conftest import make_doc
 from test_cli_contract import _run
 from test_oracle_properties import TYPE_TAGS, corpus_pairs
 
@@ -154,3 +157,49 @@ def test_kappa_equals_oracle_references(pair, rng):
                 assert (code, err) == (0, "")
                 assert json.loads(out) == {"schema_version": 1, "task": task,
                                            "result": want}
+
+
+@st.composite
+def invalid_documents(draw):
+    """A document that may break every check of `validate`: a bad split, a
+    broken sentence cover, repeated or empty clusters, reversed, empty,
+    out-of-range or shared spans, dangling or self relations, and tags and
+    relation types outside the vocabularies."""
+    n_tokens = draw(st.integers(0, 6))
+    bound = st.integers(-1, 7)
+    sentences = draw(st.one_of(
+        st.just([(0, n_tokens)] if n_tokens else []),
+        st.lists(st.tuples(bound, bound), max_size=3)))
+    tags = st.sets(st.sampled_from(["person", "gpe0", "type::person", "x::gpe0",
+                                    "nonsense", "type::nonsense"]), max_size=2)
+    clusters = draw(st.lists(st.tuples(
+        st.sampled_from(["c0", "c1", "c2"]),
+        st.lists(st.tuples(bound, bound), max_size=3), tags), max_size=4))
+    relations = draw(st.lists(st.tuples(
+        st.sampled_from(["c0", "c1", "c2", "cx"]),
+        st.sampled_from(["in0", "citizen_of", "bogus"]),
+        st.sampled_from(["c0", "c1", "c2", "cx"])), max_size=4))
+    return make_doc(draw(st.sampled_from(["d0", "d1", "d2"])), n_tokens=n_tokens,
+                    clusters=clusters, relations=relations, sentences=sentences,
+                    split=draw(st.sampled_from(["train", "test", "unsplit", "dev"])))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(invalid_documents(), max_size=4))
+@example([make_doc("d0", n_tokens=3, split="dev", sentences=[(0, 2)], clusters=[
+    ("c0", [(0, 1), (2, 1)], ["nonsense"]), ("c1", [(0, 1), (1, 5)], ["person"])],
+    relations=[("c0", "bogus", "cx"), ("c1", "in0", "c1")]),
+    make_doc("d1", n_tokens=2), make_doc("d0", n_tokens=2)])
+def test_validate_equals_oracle_findings(docs):
+    errors, warnings = oracles.validate_findings(docs)
+    want = {"schema_version": 1, "documents": len(docs),
+            "errors": errors, "warnings": warnings}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = _write(Path(tmp) / "corpus.jsonl", docs)
+        code, out, err = _run(["validate", corpus])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == want
+        code, out, err = _run(["validate", corpus, "--strict"])
+        assert (code, err) == (1 if errors else 0, "")
+        assert json.loads(out) == want

@@ -313,6 +313,17 @@ ONE_SIDED_B = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
     ("c3", [(6, 7)], ["L3"])],
     relations=[("c1", "R1", "c0"), ("c3", "R2", "c1"), ("c0", "R1", "c1")])
 EMPTY_DOC = make_doc("d0", n_tokens=10, sentences=SENTENCES)
+# Pred relations that gold relations cover only in part: c0 -> c1 has a
+# pair in a gold relation, a pair gold marks but does not relate and a pair
+# with a span gold does not mark; the self-relation c0 -> c0 is covered in
+# part; the head of c2 -> c1 is a span gold does not mark.
+PARTLY_GOLD = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1)], ["L1"]), ("c1", [(4, 5)], ["L2"]), ("c2", [(6, 7)], [])],
+    relations=[("c0", "R1", "c1"), ("c0", "R1", "c0")])
+PARTLY_PRED = make_doc("d0", n_tokens=10, sentences=SENTENCES, clusters=[
+    ("c0", [(0, 1), (2, 3), (6, 7)], ["L1"]), ("c1", [(4, 5)], ["L2"]),
+    ("c2", [(8, 9)], [])],
+    relations=[("c0", "R1", "c1"), ("c0", "R1", "c0"), ("c2", "R2", "c1")])
 
 
 @settings(max_examples=200, deadline=None)
@@ -325,6 +336,8 @@ EMPTY_DOC = make_doc("d0", n_tokens=10, sentences=SENTENCES)
 @example(([EMPTY_DOC], [ONE_SIDED_B]), "ner")
 @example(([EMPTY_DOC], [EMPTY_DOC]), "ner")
 @example(([EMPTY_DOC], [EMPTY_DOC]), "re")
+@example(([PARTLY_GOLD], [PARTLY_PRED]), "re")
+@example(([PARTLY_PRED], [PARTLY_GOLD]), "re")
 def test_unit_overlaps_equals_instance_expansion(pair, task):
     for a, b in zip(*pair):
         assert unit_overlaps(a, b, task) == oracles.unit_overlaps(a, b, task)
@@ -411,12 +424,21 @@ def distance_documents(draw):
 @example(make_doc("d", n_tokens=10, clusters=[
     ("c0", [(6, 2)], []), ("c1", [(3, 4), (0, 1)], [])],
     relations=[("c0", "R1", "c1")]))
+# a pair with two types and a pair whose one triple sorts between them
+@example(make_doc("d", n_tokens=10, sentences=[(0, 3), (3, 10)], clusters=[
+    ("c0", [(0, 1)], []), ("c1", [(2, 3)], []), ("c2", [(8, 9)], [])],
+    relations=[("c0", "R3", "c2"), ("c0", "R2", "c1"), ("c0", "R1", "c2")]))
+# a pair with two types sharing a span: the error names the first triple's type
+@example(make_doc("d", n_tokens=10, clusters=[
+    ("c0", [(0, 1), (4, 5)], []), ("c1", [(4, 5)], [])],
+    relations=[("c0", "R2", "c1"), ("c0", "R1", "c1"), ("c1", "R1", "c0")]))
 def test_distance_records_equal_pairwise_oracle(doc):
     try:
         expected = oracles.pairwise_distance_records([doc])
-    except ValueError:
-        with pytest.raises(ValueError):
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
             relation_distance_profile([doc])
+        assert str(raised.value) == str(error)
         return
     assert relation_distance_profile([doc]).records == expected
 

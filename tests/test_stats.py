@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from entkit import cli, stats
+from entkit import cli, corpus, stats
 from entkit.corpus import Mention, load_corpus
 from entkit.stats import (corpus_summary, entity_type_histogram,
                           load_type_hierarchy, multilabel_relation_histogram,
@@ -168,6 +168,27 @@ def test_stats_command_builds_each_relation_table_once(tmp_path, monkeypatch):
         assert cli.run(["stats", str(corpus),
                         "--plot-data", str(tmp_path / "stats.tsv")]) == 0
     assert sorted(calls) == sorted((d.id, "re") for d in load_corpus(corpus))
+
+
+def test_stats_command_finds_each_documents_relations_once(tmp_path, monkeypatch):
+    """`stats --plot-data` measures distances from the relation unit table
+    the histograms read, so `corpus.relation_positions` runs once per
+    document."""
+    corpus_path = Path(__file__).parent / "fixtures" / "annotator_a.jsonl"
+    calls = []
+
+    def counted(d):
+        calls.append(d.id)
+        return relation_positions(d)
+
+    relation_positions = corpus.relation_positions
+    monkeypatch.setattr(corpus, "relation_positions", counted)
+    # also counts a copy of the name that stats might hold
+    monkeypatch.setattr(stats, "relation_positions", counted, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["stats", str(corpus_path),
+                        "--plot-data", str(tmp_path / "stats.tsv")]) == 0
+    assert sorted(calls) == sorted(d.id for d in load_corpus(corpus_path))
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,33 @@ def test_convert_writes_nothing_when_the_last_release_file_is_broken(
         assert out_corpus.read_text() == existing
 
 
+@pytest.mark.parametrize("existing", [None, "an earlier corpus\n"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_convert_refuses_a_source_that_is_not_a_directory(tmp_path, kind, existing):
+    src = tmp_path / "release"
+    if kind == "file":
+        src.write_text(json.dumps(RELEASE))
+    out_corpus = tmp_path / "converted.jsonl"
+    if existing is not None:
+        out_corpus.write_text(existing)
+    code, out, err = _run(["convert", str(src), "--out-corpus", str(out_corpus)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(src) in err
+    if existing is None:
+        assert not out_corpus.exists()
+    else:
+        assert out_corpus.read_text() == existing
+
+
+def test_convert_reads_an_empty_directory_as_no_documents(tmp_path):
+    src = tmp_path / "release"
+    src.mkdir()
+    out_corpus = tmp_path / "converted.jsonl"
+    code, out, _ = _run(["convert", str(src), "--out-corpus", str(out_corpus)])
+    assert code == 0 and json.loads(out)["documents"] == 0
+    assert out_corpus.read_text() == ""
+
+
 # --------------------------------------------------------------------------
 # Memory
 
