@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from itertools import chain, repeat
 from pathlib import Path
@@ -146,17 +146,16 @@ class Document(NamedTuple):
     split: str = "unsplit"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     doc_id: str
     code: str
     message: str
 
 
-@dataclass
 class ValidationReport:
-    errors: list[Finding] = field(default_factory=list)
-    warnings: list[Finding] = field(default_factory=list)
+    def __init__(self):
+        self.errors: list[Finding] = []
+        self.warnings: list[Finding] = []
 
     @property
     def ok(self) -> bool:

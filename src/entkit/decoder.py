@@ -9,8 +9,10 @@ no cluster claims get fresh singleton clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .corpus import Mention, MentionMultiClusterError, _require, spans_from_json
+from .corpus import (Mention, MentionMultiClusterError, _every, _require,
+                     spans_from_json)
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,7 @@ class DecodeInput:
         object.__setattr__(self, "p_rel", p_rel)
 
 
-@dataclass
-class DecodeOutput:
+class DecodeOutput(NamedTuple):
     """Entity-level result of decoding.
 
     clusters: input clusters plus any generated singletons.
@@ -122,14 +123,17 @@ def decode_entity_centric(inp: DecodeInput) -> DecodeOutput:
 # JSON wire format
 
 
-def _entries(obj: dict, key: str, size: int, shape: str) -> list:
-    """The list under `key`: `size`-long entries with a string in second place."""
+def _columns(obj: dict, key: str, size: int, shape: str) -> list[tuple]:
+    """The fields of the `size`-long entries of the list under `key`, one
+    tuple per field, each field checked across the entries at once; the
+    second field must hold strings."""
     entries = obj.get(key, [])
-    _require(isinstance(entries, list)
-             and all(isinstance(e, list) and len(e) == size
-                     and isinstance(e[1], str) for e in entries),
-             f"field {key!r} must be a list of {shape} entries")
-    return entries
+    message = f"field {key!r} must be a list of {shape} entries"
+    _require(isinstance(entries, list) and _every(entries, list)
+             and set(map(len, entries)) <= {size}, message)
+    columns = list(zip(*entries)) or [()] * size
+    _require(_every(columns[1], str), message)
+    return columns
 
 
 def decode_input_from_json(obj: dict) -> DecodeInput:
@@ -137,18 +141,17 @@ def decode_input_from_json(obj: dict) -> DecodeInput:
     "p_rel": [[[b,e], type, [b,e]],...]}; raises ValueError on schema errors."""
     _require(isinstance(obj, dict), "predictions must be a JSON object")
     p_cl = obj.get("p_cl", {})
-    _require(isinstance(p_cl, dict)
-             and all(isinstance(spans, list) for spans in p_cl.values()),
+    _require(isinstance(p_cl, dict) and _every(p_cl.values(), list),
              "field 'p_cl' must map cluster ids to lists of spans")
-    p_men = _entries(obj, "p_men", 2, "[[begin, end], tag]")
-    p_rel = _entries(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
+    tag_spans, tags = _columns(obj, "p_men", 2, "[[begin, end], tag]")
+    heads, types, tails = _columns(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
     clusters = {cid: tuple(spans_from_json(spans, f"p_cl[{cid!r}]", "spans"))
                 for cid, spans in p_cl.items()}
-    tagged = spans_from_json([s for s, _tag in p_men], "p_men", "spans")
-    ends = spans_from_json([s for h, _t, tl in p_rel for s in (h, tl)], "p_rel", "spans")
-    return DecodeInput(
-        clusters, tuple(zip(tagged, [tag for _s, tag in p_men])),
-        tuple(zip(ends[::2], [t for _h, t, _tl in p_rel], ends[1::2])))
+    tagged = spans_from_json(tag_spans, "p_men", "spans")
+    ends = spans_from_json(heads + tails, "p_rel", "spans")
+    n = len(heads)
+    return DecodeInput(clusters, tuple(zip(tagged, tags)),
+                       tuple(zip(ends[:n], types, ends[n:])))
 
 
 def decode_output_to_json(out: DecodeOutput) -> dict:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
@@ -39,13 +38,11 @@ _TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
 _BREAK_RE = re.compile(r"[.!?]|\n")
 
 
-@dataclass
 class ConversionReport:
-    documents: int = 0
-    dropped_concepts: int = 0
-    dropped_relations: int = 0
-    unaligned_mentions: int = 0
-    notes: list[str] = field(default_factory=list)
+    def __init__(self):
+        self.documents = self.dropped_concepts = self.dropped_relations = 0
+        self.unaligned_mentions = 0
+        self.notes: list[str] = []
 
 
 def _tokenize(text: str) -> tuple[list[str], list[int], list[int]]:

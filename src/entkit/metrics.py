@@ -25,7 +25,6 @@ scores 1.0 when the other side is also empty (perfect on empty documents) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, NamedTuple
 
@@ -41,8 +40,7 @@ def f1_score(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
-class PRFReport:
+class PRFReport(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -52,8 +50,7 @@ class PRFReport:
         return cls(precision, recall, f1_score(precision, recall))
 
     def to_json(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall,
-                "f1": self.f1}
+        return self._asdict()
 
 
 class LabelCounts(NamedTuple):
@@ -75,10 +72,9 @@ _NO_COUNTS = LabelCounts(0, 0, 0, 0, 0, 0, 0, 0)
 _NO_SIDE = (0, 0, 0, ())
 
 
-@dataclass
-class EvalView:
+class EvalView(NamedTuple):
     task: str
-    labels: dict[str, LabelCounts] = field(default_factory=dict)
+    labels: dict[str, LabelCounts]
 
 
 def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
@@ -122,7 +118,7 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
             t = totals[side][label]
             t[2] += n
             t[3].append(n / sizes[side][unit])
-    view = EvalView(task)
+    view = EvalView(task, {})
     for label in totals[0] | totals[1]:
         gold_instances, gold_count, _, gold_terms = totals[0].get(label, _NO_SIDE)
         pred_instances, pred_count, shared, pred_terms = totals[1].get(label, _NO_SIDE)
@@ -139,8 +135,7 @@ def _ratio(num: float, den: float, other_empty_den: float) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class SoftCounts:
+class SoftCounts(NamedTuple):
     tp_p: float
     tp_g: float
     fp: float

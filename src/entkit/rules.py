@@ -18,9 +18,9 @@ computes the least fixpoint of a fact base under a rule set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import Document, _content_lines, _resource_text
 
@@ -63,13 +63,14 @@ class Rule:
                              f"{sorted(head_vars - body_vars)} not bound by body")
 
 
-@dataclass
 class FactBase:
     """Ground facts of one document: relations as binary facts
     (head id, predicate, tail id), tags as unary facts (predicate, id)."""
 
-    binary: set[tuple[str, str, str]] = field(default_factory=set)
-    unary: set[tuple[str, str]] = field(default_factory=set)
+    def __init__(self, binary: set[tuple[str, str, str]] | None = None,
+                 unary: set[tuple[str, str]] | None = None):
+        self.binary = set() if binary is None else binary
+        self.unary = set() if unary is None else unary
 
 
 def facts_from_document(d: Document) -> FactBase:
@@ -180,8 +181,7 @@ def iter_groundings(facts: FactBase, rules: Iterable[Rule]
     return _groundings(rules, index, index)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule_id: str
     head: tuple[str, str, str]
     substitution: tuple[tuple[str, str], ...]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import gt, itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
@@ -34,17 +33,16 @@ _RelationUnits = dict[tuple[int, ...], frozenset[str]]  # (head, tail) -> types
 # Relation distance profiles
 
 
-@dataclass(frozen=True)
-class DistanceRecord:
+class DistanceRecord(NamedTuple):
     min_token_gap: int
     max_token_gap: int
     min_sentence_dist: int
     max_sentence_dist: int
 
 
-@dataclass
 class DistanceProfile:
-    records: list[DistanceRecord] = field(default_factory=list)
+    def __init__(self, records: list[DistanceRecord] | None = None):
+        self.records = [] if records is None else records
 
     def coverage_table(self) -> list[tuple[int, float, float, float, float]]:
         """Rows (threshold, cdf_min_tokens, cdf_max_tokens, cdf_min_sent,
@@ -183,8 +181,7 @@ def ancestors(tag: str, hierarchy: dict[str, str | None]) -> list[str]:
         seen.add(parent)
 
 
-@dataclass
-class TypeHistogram:
+class TypeHistogram(NamedTuple):
     direct: dict[str, tuple[int, int]]
     rollup: dict[str, tuple[int, int]]
     total_clusters: int
@@ -219,8 +216,7 @@ def _spread(totals: dict[frozenset[str], list[int]], keys: Callable
 # Relation histograms
 
 
-@dataclass
-class RelationTypeHistogram:
+class RelationTypeHistogram(NamedTuple):
     per_type: dict[str, tuple[int, int]]
     total_entity_pairs: int
     total_mention_pairs: int
@@ -253,8 +249,7 @@ def multilabel_relation_histogram(docs: Iterable[Document]
 # Corpus summary
 
 
-@dataclass
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     tokens: int = 0
     mentions: int = 0
     clusters: int = 0
@@ -267,7 +262,7 @@ class CorpusSummary:
     mean_labels_per_entity: float = 0.0
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
 
 def corpus_summary(docs: Iterable[Document]) -> CorpusSummary:
@@ -281,9 +276,9 @@ class CorpusFold:
     which `add_distances` feeds the distance profile."""
 
     def __init__(self):
-        self.counts = CorpusSummary()
+        self.tokens = self.relation_triples = self.singletons = 0
+        self.linked_clusters = self.linked_mentions = 0
         self.relation_types: set[str] = set()
-        self.singletons = 0
         # label set -> [clusters, mentions] and [related pairs, mention pairs]
         self.tag_sets: dict[frozenset[str], list[int]] = {}
         self.type_sets: dict[frozenset[str], list[int]] = {}
@@ -295,9 +290,8 @@ class CorpusFold:
 
     def add_clusters(self, d: Document) -> None:
         # `summary` reads the cluster, mention and tag counts from tag_sets
-        s = self.counts
-        s.tokens += len(d.tokens)
-        s.relation_triples += len(set(d.relations))
+        self.tokens += len(d.tokens)
+        self.relation_triples += len(set(d.relations))
         self.relation_types.update(r.type for r in d.relations)
         for c in d.clusters:
             t = self.tag_sets.setdefault(c.tags, [0, 0])
@@ -305,8 +299,8 @@ class CorpusFold:
             t[1] += len(c.mentions)
             self.singletons += c.is_singleton
             if c.is_linked:
-                s.linked_clusters += 1
-                s.linked_mentions += len(c.mentions)
+                self.linked_clusters += 1
+                self.linked_mentions += len(c.mentions)
 
     def add_relations(self, d: Document) -> _RelationUnits:
         units = _labelled_units(d, "re")
@@ -323,11 +317,11 @@ class CorpusFold:
         tag_sets = self.tag_sets
         n, mentions = _totals(tag_sets)
         labels = sum(len(tags) * k for tags, (k, _) in tag_sets.items())
-        return replace(self.counts, clusters=n, mentions=mentions,
-                       entity_types=len(set().union(*tag_sets)),
-                       relation_types=len(self.relation_types),
-                       singleton_fraction=self.singletons / n if n else 0.0,
-                       mean_labels_per_entity=labels / n if n else 0.0)
+        return CorpusSummary(
+            self.tokens, mentions, n, len(set().union(*tag_sets)),
+            self.relation_triples, len(self.relation_types),
+            self.linked_mentions, self.linked_clusters,
+            self.singletons / n if n else 0.0, labels / n if n else 0.0)
 
     def type_histogram(self) -> TypeHistogram:
         hierarchy = load_type_hierarchy()

@@ -485,16 +485,21 @@ print(code, sorted(m for m in sys.modules if m.partition(".")[0] == package))
 """
 
 
+def _fresh_interpreter(probe, *args) -> str:
+    """What the Python source `probe` prints, run with `args` in a fresh
+    interpreter that imports entkit from this checkout."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def _modules_after(package, argv):
     """Run one command in a fresh interpreter and name the modules of
     `package` it loaded; with no command, only import the CLI and the corpus
     layers. The pytest process has scipy and numpy already."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, package, *argv],
-                          env=env, capture_output=True, text=True, check=True)
-    code, modules = proc.stdout.split(" ", 1)
+    code, modules = _fresh_interpreter(MODULES_PROBE, package, *argv).split(" ", 1)
     assert code == "0"
     return modules.strip()
 
@@ -545,6 +550,33 @@ def test_only_kernel_commands_import_numpy(tmp_path, command):
         assert "'numpy'" in modules
     else:
         assert modules == "[]"
+
+
+DATACLASSES_PROBE = """
+import dataclasses, sys
+import entkit.cli
+print(sorted(c.__qualname__ for name, m in list(sys.modules.items())
+             if name.partition(".")[0] == "entkit" for c in vars(m).values()
+             if isinstance(c, type) and c.__module__ == name
+             and dataclasses.is_dataclass(c)))
+"""
+
+
+def test_only_classes_whose_constructor_checks_its_input_are_dataclasses():
+    """Result records are named tuples and accumulators plain classes: a
+    class stays a dataclass only when its constructor checks its input or
+    puts it into canonical form, as building a dataclass slows start-up.
+    Each accumulator builds its own containers."""
+    assert _fresh_interpreter(DATACLASSES_PROBE).strip() == str(
+        ["AnnotationPair", "Atom", "DecodeInput", "EntityCluster", "Rule"])
+    from entkit.corpus import ValidationReport
+    from entkit.dwie import ConversionReport
+    from entkit.stats import DistanceProfile
+    for make in (ValidationReport, DistanceProfile, rules.FactBase, ConversionReport):
+        first, second = vars(make()), vars(make())
+        containers = [k for k, v in first.items() if isinstance(v, (list, set, dict))]
+        assert containers, make
+        assert all(first[k] is not second[k] for k in containers), make
 
 
 KERNEL_NAMES = ["GateTransform", "ScoreSet", "SpanVectors", "attention_propagation",

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from entkit import cli
-from entkit.corpus import (DUPLICATE_DOC_ID, CorpusValidationError, load_corpus,
-                           parse_corpus, validate_corpus)
+from entkit.corpus import (DUPLICATE_DOC_ID, CorpusError, CorpusValidationError,
+                           load_corpus, parse_corpus, validate_corpus)
 
 DOC = {"id": "d1", "split": "train", "tokens": ["a", "b", "c"],
        "sentences": [[0, 3]],
@@ -98,6 +98,60 @@ def test_a_directory_corpus_is_read_in_sorted_file_order(tmp_path):
     assert code == 0
     assert [d["doc"] for d in json.loads(out)["closure"]] == [
         "doc-a", "doc-b", "doc-c"]
+
+
+PAIRED_COMMANDS = {
+    **{f"score-{task}": ["score", "--task", task, "--gold", "{first}",
+                         "--pred", "{second}"] for task in ("ner", "re", "coref", "all")},
+    **{f"kappa-{task}": ["kappa", "--a", "{first}", "--b", "{second}", "--task", task]
+       for task in ("entity", "relation", "coref", "linking")},
+}
+# a document of the other corpus, and the same id with other tokens
+OTHER_ID = {**DOC, "id": "d9"}
+OTHER_TOKENS = {**DOC, "tokens": ["a", "b", "x"]}
+
+
+def _broken(path: Path, kind: str, docs: list, first=False) -> str:
+    """Write `docs` with a record that fails to parse (`kind` "parse") or a
+    document that fails validation ("invalid") first or last; return the
+    one `error:` line that reading `path` alone gives."""
+    bad = "{\n" if kind == "parse" else _lines({**REVERSED, "id": "d0"})
+    path.write_text(bad + _lines(*docs) if first else _lines(*docs) + bad)
+    with pytest.raises((CorpusError, ValueError)) as caught:
+        parse_corpus(path)
+    return f"error: {caught.value}"
+
+
+@pytest.mark.parametrize("command", PAIRED_COMMANDS.values(), ids=list(PAIRED_COMMANDS))
+@pytest.mark.parametrize("first_kind", ["parse", "invalid"])
+@pytest.mark.parametrize("second_kind", ["parse", "invalid"])
+def test_the_first_corpus_error_beats_the_second(tmp_path, command, first_kind,
+                                                 second_kind):
+    paths = {"first": tmp_path / "first.jsonl", "second": tmp_path / "second.jsonl"}
+    # the first corpus fails in its last record, the second in its first
+    want = _broken(paths["first"], first_kind, [DOC])
+    _broken(paths["second"], second_kind, [DOC], first=True)
+    code, out, err = _run([a.format(**paths) for a in command])
+    assert (code, out, err.splitlines()) == (2, "", [want])
+
+
+@pytest.mark.parametrize("command", PAIRED_COMMANDS.values(), ids=list(PAIRED_COMMANDS))
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("kind", ["parse", "invalid"])
+@pytest.mark.parametrize("mismatch", [OTHER_ID, OTHER_TOKENS], ids=["ids", "tokens"])
+def test_a_corpus_error_beats_a_pairing_error(tmp_path, command, side, kind,
+                                              mismatch):
+    paths = {"first": tmp_path / "first.jsonl", "second": tmp_path / "second.jsonl"}
+    other = "second" if side == "first" else "first"
+    paths[other].write_text(_lines(DOC))
+    paths[side].write_text(_lines(mismatch))
+    code, _out, err = _run([a.format(**paths) for a in command])
+    pairing = ("the corpora cover different document ids" if mismatch is OTHER_ID
+               else "token-space mismatch in document 'd1'")
+    assert code == 2 and pairing in err  # without the corpus error
+    want = _broken(paths[side], kind, [mismatch])
+    code, out, err = _run([a.format(**paths) for a in command])
+    assert (code, out, err.splitlines()) == (2, "", [want])
 
 
 @pytest.mark.parametrize("command", [
