@@ -17,11 +17,12 @@ enter as disagreements against an explicit absent marker, except in the
 Each adapter counts its contingency table directly; no item list is built.
 Entity and relation agreement read the unit-overlap table of each document
 pair (`corpus.unit_overlaps`, which the NER and RE scores read too), coref
-and linking agreement the cluster-overlap table under it. All four refuse
-the corpora `corpus.pair_documents` refuses (a repeated or unmatched
-document id, a document the two tokenize differently), a span in two
-clusters of one document (MentionMultiClusterError) and an empty cluster
-(ValueError). Relation agreement alone reads relations, so it alone refuses
+and linking agreement the cluster-overlap table under it. All four take
+any two iterables of documents and pair them lazily (`corpus.iter_pairs`),
+holding one pair when both list their documents in one order. They refuse
+what it refuses (a repeated or unmatched document id, a document the two
+tokenize differently), a span in two clusters of one document
+(MentionMultiClusterError) and an empty cluster (ValueError). Relation agreement alone reads relations, so it alone refuses
 a relation to a cluster id the document lacks or two clusters carry
 (ValueError, from `corpus.relation_positions`).
 """
@@ -32,7 +33,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .corpus import Document, cluster_overlaps, pair_documents, unit_overlaps
+from .corpus import Document, cluster_overlaps, iter_pairs, unit_overlaps
 
 ABSENT = "<absent>"
 
@@ -120,7 +121,7 @@ def multilabel_kappa(pairs: Mapping[str, AnnotationPair]) -> float:
 # Corpus-level alignment
 
 
-def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
+def entity_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
                      conditioned: bool = False) -> dict:
     """Mention detection kappa plus multi-label tag classification kappa.
 
@@ -132,7 +133,7 @@ def entity_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     return _labelled_agreement(docs_a, docs_b, "ner", conditioned)
 
 
-def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
+def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
                        conditioned: bool = False) -> dict:
     """Relation detection and type classification over mention pairs.
 
@@ -142,7 +143,7 @@ def relation_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     return _labelled_agreement(docs_a, docs_b, "re", conditioned)
 
 
-def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
+def _labelled_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
                         task: str, conditioned: bool) -> dict:
     """Detection kappa over the items either annotator gave labels to, and
     per-label binary kappas over the classification items.
@@ -158,7 +159,7 @@ def _labelled_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document],
     detect: Counter = Counter()
     tables: defaultdict[str, Counter] = defaultdict(Counter)
     n_class_items = 0
-    for da, db in pair_documents(docs_a, docs_b):
+    for da, db in iter_pairs(docs_a, docs_b):
         units_a, units_b, blocks = unit_overlaps(da, db, task)
         for (ua, ub), n in blocks.items():
             la, lb = units_a.get(ua), units_b.get(ub)
@@ -195,7 +196,7 @@ def _pairs_within(cluster_sizes: Iterable[int]) -> int:
     return sum(n * (n - 1) // 2 for n in cluster_sizes)
 
 
-def coref_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
+def coref_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]
                     ) -> dict:
     """Binary same-cluster agreement over pairs of jointly detected spans.
 
@@ -204,7 +205,7 @@ def coref_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
     row (a cluster of a) for a, pairs inside one column for b.
     """
     counts: Counter = Counter()
-    for da, db in pair_documents(docs_a, docs_b):
+    for da, db in iter_pairs(docs_a, docs_b):
         cells = _shared_cells(da, db)
         rows, cols = Counter(), Counter()
         for (i, j), n in cells.items():
@@ -223,7 +224,7 @@ def coref_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
     return _kappa_summary(AnnotationPair(counts))
 
 
-def linking_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
+def linking_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]
                       ) -> dict:
     """Link-id agreement over jointly detected mentions; NIL and unannotated
     links are distinct labels."""
@@ -234,7 +235,7 @@ def linking_agreement(docs_a: Sequence[Document], docs_b: Sequence[Document]
         return "<nil>" if link is None else ABSENT
 
     counts: Counter = Counter()
-    for da, db in pair_documents(docs_a, docs_b):
+    for da, db in iter_pairs(docs_a, docs_b):
         for (i, j), n in _shared_cells(da, db).items():
             counts[link_label(da.clusters[i].link),
                    link_label(db.clusters[j].link)] += n

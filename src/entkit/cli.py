@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, cluster_overlaps, iter_corpus, iter_valid_corpus,
-                     pair_documents, parse_corpus, read_json, serialize_corpus,
+from .corpus import (CorpusError, _unit_blocks, cluster_overlaps, iter_corpus,
+                     iter_pairs, iter_valid_corpus, read_json, serialize_corpus,
                      validate_corpus)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
@@ -99,8 +99,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _score_task(pairs, task: str, levels: list[str], per_label: bool) -> dict:
-    views = [metrics.build_eval_view(g, p, task) for g, p in pairs]
+def _score_task(views: list, levels: list[str], per_label: bool) -> dict:
     out: dict = {}
     for level in levels:
         out[level] = metrics.score_level(views, level).to_json()
@@ -112,19 +111,26 @@ def _score_task(pairs, task: str, levels: list[str], per_label: bool) -> dict:
 
 
 def _cmd_score(args) -> int:
-    pairs = pair_documents(parse_corpus(args.gold), parse_corpus(args.pred))
     levels = list(metrics.LEVELS) if args.level == "all" else [args.level]
-    payload: dict = {}
-    tasks = ["ner", "re", "coref"] if args.task == "all" else [args.task]
-    for task in tasks:
-        if task == "coref":
-            payload["coref"] = coref.coref_report(
-                cluster_overlaps(g, p) for g, p in pairs)
-        else:
-            payload[task] = _score_task(pairs, task, levels, args.per_label)
-    if len(tasks) == 1:
-        payload = payload[tasks[0]]
-    _emit(payload, args.out)
+    pairs = iter_pairs(iter_valid_corpus(args.gold), iter_valid_corpus(args.pred))
+    if args.task in metrics.TASKS:
+        views = [metrics.build_eval_view(g, p, args.task) for g, p in pairs]
+        _emit(_score_task(views, levels, args.per_label), args.out)
+        return 0
+    by_task: dict[str, list] = {"ner": [], "re": []} if args.task == "all" else {}
+
+    def tables():
+        # one table per pair, from which its ner and re views are read too
+        for g, p in pairs:
+            cells = cluster_overlaps(g, p)
+            for task, views in by_task.items():
+                views.append(metrics._eval_view(task, *_unit_blocks(g, p, task, cells)))
+            yield cells
+
+    payload = {"coref": coref.coref_report(tables())}
+    for task, views in by_task.items():
+        payload[task] = _score_task(views, levels, args.per_label)
+    _emit(payload if by_task else payload["coref"], args.out)
     return 0
 
 
@@ -173,7 +179,7 @@ def _cmd_rules_check(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    docs_a, docs_b = parse_corpus(args.a), parse_corpus(args.b)
+    docs_a, docs_b = iter_valid_corpus(args.a), iter_valid_corpus(args.b)
     if args.task == "entity":
         result = agreement.entity_agreement(docs_a, docs_b,
                                             conditioned=args.conditioned)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, repeat
 from typing import Hashable, Iterable, Sequence
 
 from .corpus import Document, overlap_cells
@@ -173,26 +174,27 @@ def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
 def _scores(tables: Iterable[Counter]) -> dict[str, PRFReport]:
     """MUC, B-cubed and CEAF-e in one pass over `corpus.cluster_overlaps`
     tables, scored as one table of all their clusters. A cluster's size is the
-    sum of its row (gold) or column (pred); a cell with no None key is shared."""
+    sum of its row (gold) or column (pred); a cell with no None key is shared.
+    Each table is folded into counts before the next is read."""
     links = 0  # the MUC numerator of both sides
-    gold, pred = [], []  # the size of every gold and every pred cluster
-    recall_terms, precision_terms = [], []
-    matched: list[float] = []  # phi of every CEAF-e aligned pair
+    mentions, clusters = [0, 0], [0, 0]  # gold, pred
+    # term -> count: one B-cubed term n/|cluster| per shared mention and
+    # side, the phi of every CEAF-e aligned pair; `_fsum` is order-free
+    recall_terms, precision_terms, matched = Counter(), Counter(), Counter()
     for table in tables:
         gold_size, pred_size = Counter(), Counter()
         for (i, j), n in table.items():
             gold_size[i] += n
             pred_size[j] += n
         del gold_size[None], pred_size[None]
-        gold.extend(gold_size.values())
-        pred.extend(pred_size.values())
+        for side, size in enumerate((gold_size, pred_size)):
+            mentions[side] += sum(size.values())
+            clusters[side] += len(size)
         cells = Counter({key: n for key, n in table.items() if None not in key})
         links += sum(cells.values()) - len(cells)
-        # one B-cubed term n/|cluster| per shared mention and side; fsum
-        # keeps the score independent of the order of the terms
         for (i, j), n in cells.items():
-            recall_terms.extend([n / gold_size[i]] * n)
-            precision_terms.extend([n / pred_size[j]] * n)
+            recall_terms[n / gold_size[i]] += n
+            precision_terms[n / pred_size[j]] += n
         for members in _components(cells, len(gold_size), len(pred_size)):
             # indices in table order, so each matrix is a block of |G| x |P|
             rows = sorted({i for i, _ in members})
@@ -200,14 +202,19 @@ def _scores(tables: Iterable[Counter]) -> dict[str, PRFReport]:
             # a pair that shares no mention reads 0 from the Counter: phi is 0.0
             sim = [[2 * cells[i, j] / (gold_size[i] + pred_size[j]) for j in cols]
                    for i in rows]
-            matched.extend(sim[r][c] for r, c in _max_weight_assignment(sim))
-    total = math.fsum(matched)
-    return {"muc": PRFReport.from_pr(_safe_div(links, sum(pred) - len(pred)),
-                                     _safe_div(links, sum(gold) - len(gold))),
-            "b3": PRFReport.from_pr(_safe_div(math.fsum(precision_terms), sum(pred)),
-                                    _safe_div(math.fsum(recall_terms), sum(gold))),
-            "ceafe": PRFReport.from_pr(_safe_div(total, len(pred)),
-                                       _safe_div(total, len(gold)))}
+            matched.update(sim[r][c] for r, c in _max_weight_assignment(sim))
+    total = _fsum(matched)
+    return {"muc": PRFReport.from_pr(_safe_div(links, mentions[1] - clusters[1]),
+                                     _safe_div(links, mentions[0] - clusters[0])),
+            "b3": PRFReport.from_pr(_safe_div(_fsum(precision_terms), mentions[1]),
+                                    _safe_div(_fsum(recall_terms), mentions[0])),
+            "ceafe": PRFReport.from_pr(_safe_div(total, clusters[1]),
+                                       _safe_div(total, clusters[0]))}
+
+
+def _fsum(terms: Counter) -> float:
+    """`math.fsum` of every term, repeated as often as it counts."""
+    return math.fsum(chain.from_iterable(map(repeat, terms, terms.values())))
 
 
 def coref_report(tables: Iterable[Counter]) -> dict:

@@ -25,9 +25,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -289,24 +289,53 @@ def _validated(docs: Iterable[Document], report: ValidationReport
         for doc_id, n in counts.items() if n > 1]
 
 
-def pair_documents(docs_a: Sequence[Document], docs_b: Sequence[Document]
+def pair_documents(docs_a: Iterable[Document], docs_b: Iterable[Document]
                    ) -> list[tuple[Document, Document]]:
-    """The documents of two corpora paired by id, in id order. Both must hold
-    each id once, cover the same ids and tokenize each document alike."""
-    by_id_a = {d.id: d for d in docs_a}
-    by_id_b = {d.id: d for d in docs_b}
-    if len(by_id_a) != len(docs_a) or len(by_id_b) != len(docs_b):
+    """Every pair of `iter_pairs(docs_a, docs_b)`, in id order."""
+    return sorted(iter_pairs(docs_a, docs_b), key=lambda pair: pair[0].id)
+
+
+def iter_pairs(docs_a: Iterable[Document], docs_b: Iterable[Document]
+               ) -> Iterator[tuple[Document, Document]]:
+    """The documents of two corpora paired by id. The two are read in turns,
+    holding only documents whose partner has not come: one pair if they
+    share an order, one corpus at most if they share their ids. Once both
+    are read, a repeated id, ids of one corpus only or else a token-space
+    mismatch (the first by id) raises ValueError; no pair follows a repeat
+    or a mismatch. An error in reading `docs_b` waits for `docs_a` to end."""
+    waiting, paired, held = ({}, {}), set(), []
+    repeated, mismatched = False, []
+
+    def second():
+        try:
+            yield from docs_b
+        except (CorpusError, ValueError, OSError) as e:  # raised once docs_a ends
+            held.append(e)
+
+    for docs in zip_longest(docs_a, second()):
+        for side, d in enumerate(docs):
+            if d is None or held or repeated:
+                continue  # read on only for the corpora's own errors
+            if d.id in paired or d.id in waiting[side]:
+                repeated = True
+            elif (partner := waiting[1 - side].pop(d.id, None)) is None:
+                waiting[side][d.id] = d
+            else:
+                paired.add(d.id)
+                if d.tokens != partner.tokens:
+                    mismatched.append(d.id)
+                elif not mismatched:
+                    yield (partner, d) if side else (d, partner)
+    if held:
+        raise held[0]
+    if repeated:
         raise ValueError("a corpus repeats a document id")
-    if by_id_a.keys() != by_id_b.keys():
-        only_a = sorted(by_id_a.keys() - by_id_b.keys())[:3]
-        only_b = sorted(by_id_b.keys() - by_id_a.keys())[:3]
+    if waiting[0] or waiting[1]:
+        only_a, only_b = (sorted(w)[:3] for w in waiting)
         raise ValueError(f"the corpora cover different document ids "
                          f"(only in the first: {only_a}, only in the second: {only_b})")
-    pairs = [(by_id_a[i], by_id_b[i]) for i in sorted(by_id_a)]
-    for a, b in pairs:
-        if a.tokens != b.tokens:
-            raise ValueError(f"token-space mismatch in document {a.id!r}")
-    return pairs
+    if mismatched:
+        raise ValueError(f"token-space mismatch in document {min(mismatched)!r}")
 
 
 def _cluster_positions(d: Document) -> dict[Mention, int]:
@@ -394,7 +423,11 @@ def unit_overlaps(a: Document, b: Document, task: str
     and a tail cell of `cluster_overlaps`; that of a related pair of ``b``
     with None holds its |head| x |tail| pairs less its other blocks.
     """
-    cells = cluster_overlaps(a, b)
+    return _unit_blocks(a, b, task, cluster_overlaps(a, b))
+
+
+def _unit_blocks(a: Document, b: Document, task: str, cells: Counter) -> tuple:
+    """`unit_overlaps` from the pair's `cluster_overlaps` table."""
     units_a, units_b = _labelled_units(a, task), _labelled_units(b, task)
     if task == "ner":
         return units_a, units_b, {

@@ -92,7 +92,12 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
     if gold.tokens != pred.tokens:
         raise ValueError(f"token-space mismatch between gold {gold.id!r} "
                          f"and pred {pred.id!r}")
-    gold_units, pred_units, blocks = unit_overlaps(gold, pred, task)
+    return _eval_view(task, *unit_overlaps(gold, pred, task))
+
+
+def _eval_view(task: str, gold_units: dict, pred_units: dict, blocks: dict
+               ) -> EvalView:
+    """`build_eval_view` from the pair's `corpus.unit_overlaps` tables."""
     sizes: tuple[dict, dict] = ({}, {})     # per side: unit -> instances
     hits: tuple[dict, dict] = ({}, {})      # per side: (unit, label) -> hits
     for (g, p), n in blocks.items():

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from entkit import cli
+from entkit import agreement, cli
 from entkit.corpus import (DUPLICATE_DOC_ID, CorpusError, CorpusValidationError,
-                           load_corpus, parse_corpus, validate_corpus)
+                           document_from_json, load_corpus, parse_corpus,
+                           validate_corpus)
 
 DOC = {"id": "d1", "split": "train", "tokens": ["a", "b", "c"],
        "sentences": [[0, 3]],
@@ -152,6 +153,57 @@ def test_a_corpus_error_beats_a_pairing_error(tmp_path, command, side, kind,
     want = _broken(paths[side], kind, [mismatch])
     code, out, err = _run([a.format(**paths) for a in command])
     assert (code, out, err.splitlines()) == (2, "", [want])
+
+
+def _ids(*ids, tokens=DOC["tokens"]) -> list[dict]:
+    """DOC under each of `ids`, tokenized as `tokens`."""
+    return [{**DOC, "id": i, "tokens": tokens} for i in ids]
+
+
+OTHER = OTHER_TOKENS["tokens"]
+
+
+# (first corpus, second corpus, the pairing error); each second corpus is
+# also written reversed and shuffled
+PAIRING_CASES = {
+    "tokens": (_ids("d1", "d2", "d3", "d4", "d5", "d6"),
+               _ids("d1", "d2", "d4", "d6") + _ids("d5", "d3", tokens=OTHER),
+               "token-space mismatch in document 'd3'"),
+    "ids": (_ids("d1", "x5", "d2", "x1", "x4", "x2") + _ids("d3", tokens=OTHER),
+            _ids("d2", "y3", "d1", "d3", "y1"),
+            "the corpora cover different document ids (only in the first: "
+            "['x1', 'x2', 'x4'], only in the second: ['y1', 'y3'])"),
+}
+ORDERS = {"same": lambda docs: docs, "reversed": lambda docs: docs[::-1],
+          "shuffled": lambda docs: docs[1::2] + docs[::2]}
+
+
+@pytest.mark.parametrize("command", PAIRED_COMMANDS.values(), ids=list(PAIRED_COMMANDS))
+@pytest.mark.parametrize("case", PAIRING_CASES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_pairing_errors_do_not_depend_on_document_order(tmp_path, command, case,
+                                                        order):
+    first, second, want = PAIRING_CASES[case]
+    paths = {"first": tmp_path / "first.jsonl", "second": tmp_path / "second.jsonl"}
+    paths["first"].write_text(_lines(*first))
+    paths["second"].write_text(_lines(*ORDERS[order](second)))
+    code, out, err = _run([a.format(**paths) for a in command])
+    assert (code, out, err.splitlines()) == (2, "", [f"error: {want}"])
+
+
+@pytest.mark.parametrize("adapter", [
+    agreement.entity_agreement, agreement.relation_agreement,
+    agreement.coref_agreement, agreement.linking_agreement])
+@pytest.mark.parametrize("order", ORDERS)
+def test_agreement_on_lists_refuses_a_repeated_id_first(adapter, order):
+    docs = lambda *ids, tokens=DOC["tokens"]: list(
+        map(document_from_json, _ids(*ids, tokens=tokens)))
+    # the repeat comes last, after an id only one list has and a pair that
+    # tokenizes differently
+    first = docs("d1", "d2", "x1", "d1")
+    second = ORDERS[order](docs("d2", "y1") + docs("d1", tokens=OTHER))
+    with pytest.raises(ValueError, match="repeats a document id"):
+        adapter(first, second)
 
 
 @pytest.mark.parametrize("command", [
@@ -318,3 +370,66 @@ def assert_commands_stream(tmp: Path, n_docs=25, n_tokens=400, slack=256 * 2 ** 
 
 def test_single_corpus_commands_stream_their_documents(tmp_path):
     assert_commands_stream(tmp_path)
+
+
+def _predicted(doc: dict) -> dict:
+    """`doc` with every third cluster down to its first mention, so that
+    scores and kappas see spans only one side marks."""
+    return {**doc, "clusters": [{**c, "mentions": c["mentions"][:1]} if j % 3 == 0
+                                else c for j, c in enumerate(doc["clusters"])]}
+
+
+def assert_paired_commands_stream(tmp: Path, n_docs=25, n_tokens=400,
+                                  slack=256 * 2 ** 10):
+    """`score` (each task, every level, per label) and `kappa` (each task)
+    on two corpora of 4x the documents peak at most `slack` bytes above
+    their peak on `n_docs`, when both files list their documents in one
+    order: they hold one document pair and small per-pair counts.
+
+    `score --task all` is also run with the second file in reverse order.
+    The pairing then holds up to one corpus, so that case's budget is one
+    corpus more: what the 4x second file takes as a loaded list."""
+    for n in (1, n_docs, 4 * n_docs):
+        base = tmp / str(n)
+        base.mkdir(parents=True)
+        docs = [_document(i, n_tokens) for i in range(n)]
+        for name, ordered in (("gold", docs), ("pred", map(_predicted, docs)),
+                              ("reversed", map(_predicted, reversed(docs)))):
+            with open(base / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(d) + "\n" for d in ordered)
+
+    def commands(n):
+        base = tmp / str(n)
+        gold, pred = str(base / "gold.jsonl"), str(base / "pred.jsonl")
+        out = str(base / "report.json")
+        score = ["score", "--level", "all", "--per-label", "--gold", gold, "--out", out]
+        kappa = ["kappa", "--a", gold, "--b", pred, "--out", out]
+        return {
+            **{f"score-{task}": [*score, "--task", task, "--pred", pred]
+               for task in ("ner", "re", "coref", "all")},
+            **{f"kappa-{task}": [*kappa, "--task", task]
+               for task in ("entity", "relation", "coref", "linking")},
+            "score-all-reversed": [*score, "--task", "all",
+                                   "--pred", str(base / "reversed.jsonl")],
+        }
+
+    for argv in commands(1).values():  # built-in resources load once
+        _run(argv)
+    tracemalloc.start()
+    try:
+        one_corpus = load_corpus(tmp / str(4 * n_docs) / "reversed.jsonl")
+        corpus_size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del one_corpus
+    small, large = commands(n_docs), commands(4 * n_docs)
+    for name in small:
+        peaks = _peak(small[name]), _peak(large[name])
+        budget = peaks[0] + slack + (corpus_size if name.endswith("reversed") else 0)
+        assert peaks[1] <= budget, \
+            f"{name}: peak {peaks[1]} bytes on {4 * n_docs} pairs, " \
+            f"{peaks[0]} on {n_docs}, budget {budget}"
+
+
+def test_paired_commands_stream_their_document_pairs(tmp_path):
+    assert_paired_commands_stream(tmp_path)
