@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, _unit_blocks, cluster_overlaps, iter_corpus,
-                     iter_pairs, iter_valid_corpus, read_json, serialize_corpus,
-                     validate_corpus)
+from .corpus import (CorpusError, _unit_blocks, cluster_overlaps, iter_pairs,
+                     iter_valid_corpus, read_json, serialize_corpus, validate_path)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
 from .corpus import load_corpus, validate_document  # noqa: F401
@@ -52,14 +50,17 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    read = itertools.count()
-    # zip draws a number only after a document, so the next number is the count
-    report = validate_corpus(d for d, _ in zip(iter_corpus(args.corpus), read))
+    documents, report = validate_path(args.corpus)
     as_json = lambda findings: [
         {"doc": f.doc_id, "code": f.code, "message": f.message} for f in findings]
-    _emit({"documents": next(read), "errors": as_json(report.errors),
+    _emit({"documents": documents, "errors": as_json(report.errors),
            "warnings": as_json(report.warnings)}, args.out)
     return 1 if report.errors and args.strict else 0
+
+
+def _named(counts: dict, names: tuple[str, str]) -> dict:
+    """Each key of `counts`, as a string, -> its two counts by name."""
+    return {str(key): dict(zip(names, pair)) for key, pair in counts.items()}
 
 
 def _cmd_stats(args) -> int:
@@ -71,23 +72,17 @@ def _cmd_stats(args) -> int:
     summary = fold.summary()
     type_hist = fold.type_histogram()
     rel_hist, multilabel = fold.relation_histograms()
+    entity, pairs = ("clusters", "mentions"), ("entity_pairs", "mention_pairs")
     payload = {
         "summary": summary.to_json(),
-        "entity_types": {
-            "direct": {t: {"clusters": c, "mentions": m}
-                       for t, (c, m) in sorted(type_hist.direct.items())},
-            "rollup": {t: {"clusters": c, "mentions": m}
-                       for t, (c, m) in sorted(type_hist.rollup.items())},
-        },
+        "entity_types": {"direct": _named(type_hist.direct, entity),
+                         "rollup": _named(type_hist.rollup, entity)},
         "relation_types": {
-            "per_type": {t: {"entity_pairs": e, "mention_pairs": m}
-                         for t, (e, m) in sorted(rel_hist.per_type.items())},
+            "per_type": _named(rel_hist.per_type, pairs),
             "total_entity_pairs": rel_hist.total_entity_pairs,
             "total_mention_pairs": rel_hist.total_mention_pairs,
         },
-        "relation_labels_per_pair": {
-            str(b): {"entity_pairs": e, "mention_pairs": m}
-            for b, (e, m) in multilabel.items()},
+        "relation_labels_per_pair": _named(multilabel, pairs),
     }
     if args.plot_data:
         with open(args.plot_data, "w", encoding="utf-8") as fh:
@@ -102,11 +97,12 @@ def _cmd_stats(args) -> int:
 def _score_task(views: list, levels: list[str], per_label: bool) -> dict:
     out: dict = {}
     for level in levels:
-        out[level] = metrics.score_level(views, level).to_json()
+        # `score_level` and `per_label_prf` from one build of the level's rows
+        rows = metrics._label_rows(views, level)
+        out[level] = metrics._reduce(counts for _label, counts in rows).to_json()
         if per_label:
             out.setdefault("per_label", {})[level] = {
-                label: r.to_json()
-                for label, r in metrics.per_label_prf(views, level).items()}
+                label: r.to_json() for label, r in metrics._per_label(rows).items()}
     return out
 
 
@@ -180,16 +176,10 @@ def _cmd_rules_check(args) -> int:
 
 def _cmd_kappa(args) -> int:
     docs_a, docs_b = iter_valid_corpus(args.a), iter_valid_corpus(args.b)
-    if args.task == "entity":
-        result = agreement.entity_agreement(docs_a, docs_b,
-                                            conditioned=args.conditioned)
-    elif args.task == "relation":
-        result = agreement.relation_agreement(docs_a, docs_b,
-                                              conditioned=args.conditioned)
-    elif args.task == "coref":
-        result = agreement.coref_agreement(docs_a, docs_b)
-    else:
-        result = agreement.linking_agreement(docs_a, docs_b)
+    # looked up by name, so a tracer's wrapper of the adapter is called
+    adapter = getattr(agreement, f"{args.task}_agreement")
+    options = {"conditioned": args.conditioned} if args.task in ("entity", "relation") else {}
+    result = adapter(docs_a, docs_b, **options)
     _emit({"task": args.task, "result": result}, args.out)
     return 0
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from itertools import chain, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
+from operator import countOf, eq, lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -161,10 +162,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.errors.extend(other.errors)
-        self.warnings.extend(other.warnings)
-
 
 # --------------------------------------------------------------------------
 # Vocabularies
@@ -266,33 +263,34 @@ def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
     """The corpus-level DUPLICATE_DOC_ID errors, one per repeated id in order
     of first appearance, then every document's findings in corpus order."""
     report = ValidationReport()
-    for _ in _validated(docs, report):
-        pass
+    deque(_validated(zip(docs, repeat(False)), report), 0)
     return report
 
 
-def _validated(docs: Iterable[Document], report: ValidationReport
-               ) -> Iterator[Document]:
-    """Each document of `docs` that has no error, validated as it is read;
-    every finding goes into `report`. After the last document, the
-    DUPLICATE_DOC_ID errors are put before all others, as `validate_corpus`
-    orders them."""
+def validate_path(path: str | Path) -> tuple[int, ValidationReport]:
+    """The number of documents of `iter_corpus(path)` and their
+    `validate_corpus` report, each document checked as it is read."""
+    report = ValidationReport()
+    return sum(1 for _ in _validated(_read(path, _read_document), report)), report
+
+
+def _validated(checked: Iterable[tuple[Document, bool]], report: ValidationReport
+               ) -> Iterator[tuple[Document, bool]]:
+    """(document, no error) for each (document, known to have no finding) of
+    `checked`; any other is walked by `validate_document`, into `report`.
+    At the end, the DUPLICATE_DOC_ID errors are put before all others."""
     counts: Counter = Counter()
-    for d in docs:
+    for d, clean in checked:
         counts[d.id] += 1
-        found = validate_document(d)
-        report.extend(found)
-        if found.ok:
-            yield d
+        if not clean:
+            found = validate_document(d)
+            report.errors += found.errors
+            report.warnings += found.warnings
+            clean = found.ok
+        yield d, clean
     report.errors[:0] = [
         Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
         for doc_id, n in counts.items() if n > 1]
-
-
-def pair_documents(docs_a: Iterable[Document], docs_b: Iterable[Document]
-                   ) -> list[tuple[Document, Document]]:
-    """Every pair of `iter_pairs(docs_a, docs_b)`, in id order."""
-    return sorted(iter_pairs(docs_a, docs_b), key=lambda pair: pair[0].id)
 
 
 def iter_pairs(docs_a: Iterable[Document], docs_b: Iterable[Document]
@@ -469,11 +467,11 @@ def _every(items: Iterable, cls) -> bool:
 
 
 def _are_spans(pairs: list) -> bool:
-    """Whether every item of the JSON list `pairs` is a `[begin, end]`
-    integer pair. Types are checked exactly, so a JSON boolean is not an
-    integer."""
-    return (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int})
+    """Whether every item of the JSON list `pairs` is a `[begin, end]` pair
+    of integers, types checked exactly (a JSON boolean is not one) in C."""
+    n = len(pairs)
+    return (countOf(map(type, pairs), list) == n and countOf(map(len, pairs), 2) == n
+            and countOf(map(type, chain.from_iterable(pairs)), int) == 2 * n)
 
 
 def _are_string_lists(lists: list) -> bool:
@@ -482,19 +480,19 @@ def _are_string_lists(lists: list) -> bool:
             and set(map(type, chain.from_iterable(lists))) <= {str})
 
 
-# Mention._make and RelationTriple._make without their length check, for
-# items whose length the schema check has fixed; these run in C
-_new_mention = functools.partial(tuple.__new__, Mention)
-_new_relation = functools.partial(tuple.__new__, RelationTriple)
+# map(Mention._make, ...) and map(RelationTriple._make, ...) without the
+# length check, for items whose length the schema check has fixed; in C
+_mentions = functools.partial(map, tuple.__new__, repeat(Mention))
+_relations = functools.partial(map, tuple.__new__, repeat(RelationTriple))
 
 
-def spans_from_json(pairs: list, where: str, what: str) -> list[Mention]:
+def spans_from_json(pairs: list, where: str, what: str) -> tuple[Mention, ...]:
     """The `[begin, end]` integer pairs of the JSON list `pairs` as Mentions.
     Types are checked exactly, so a JSON boolean is not an integer; a schema
     error says "<where>: <what> must be [begin, end] integer pairs"."""
     _require(_are_spans(pairs),
              "%s: %s must be [begin, end] integer pairs", where, what)
-    return list(map(_new_mention, pairs))
+    return tuple(_mentions(pairs))
 
 
 def document_from_json(obj: dict) -> Document:
@@ -504,11 +502,16 @@ def document_from_json(obj: dict) -> Document:
     a document that fails that check is walked item by item
     (`_raise_entity_error`), to name its first bad item.
     """
+    return _read_document(obj, False)[0]
+
+
+def _read_document(obj: dict, check: bool = True) -> tuple[Document, bool]:
+    """`document_from_json(obj)`, and with `check` whether it is `_clean`."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     _require(isinstance(obj.get("id"), str), "field 'id' must be a string")
     doc_id = obj["id"]
     tokens = obj.get("tokens")
-    _require(type(tokens) is list and set(map(type, tokens)) <= {str},
+    _require(type(tokens) is list and countOf(map(type, tokens), str) == len(tokens),
              "%s: field 'tokens' must be a list of strings", doc_id)
     sentences = obj.get("sentences")
     _require(isinstance(sentences, list), "%s: field 'sentences' must be a list", doc_id)
@@ -516,34 +519,57 @@ def document_from_json(obj: dict) -> Document:
     fields = _entity_fields(obj)
     if fields is None:
         _raise_entity_error(obj, doc_id)
-    ids, mentions, tags, links, relations = fields
+    ids, mentions, pairs, tags, links, ends = fields
     split = obj.get("split", "unsplit")
     _require(isinstance(split, str), "%s: field 'split' must be a string", doc_id)
-    clusters = map(_cluster, ids, mentions, map(frozenset, tags), links)
-    return Document(doc_id, tuple(tokens), tuple(sents), tuple(clusters),
-                    tuple(map(_new_relation, relations)), split)
+    # one flat map of the spans, cut into the clusters' mentions; only if some
+    # cluster's do not come increasing are they sorted and deduplicated
+    spans = tuple(_mentions(pairs))
+    stops = list(accumulate(map(len, mentions)))
+    members = list(map(spans.__getitem__, map(slice, [0, *stops], stops)))
+    increasing = [True, *map(lt, spans, spans[1:]), True]
+    deque(map(increasing.__setitem__, stops, repeat(True)), 0)  # not across clusters
+    if not all(increasing):
+        members = [tuple(sorted(set(m))) for m in members]
+        spans = tuple(chain.from_iterable(members))
+    # set field by field in the constructor's order, as its vars() has them
+    clusters = list(map(object.__new__, repeat(EntityCluster, len(ids))))
+    for name, column in zip(("id", "mentions", "tags", "link"),
+                            (ids, members, map(frozenset, tags), links)):
+        deque(map(object.__setattr__, clusters, repeat(name), column), 0)
+    d = Document(doc_id, tuple(tokens), sents, tuple(clusters),
+                 tuple(_relations(zip(*ends))), split)
+    return d, check and _clean(d, ids, members, spans, tags, *ends)
 
 
-def _cluster(cid: str, pairs: list, tags: frozenset, link) -> EntityCluster:
-    """The EntityCluster of checked fields. Strictly increasing mentions, as
-    `serialize_corpus` writes them, skip the constructor's sort and dedup."""
-    mentions = tuple(map(_new_mention, pairs))
-    if len(pairs) > 1 and not all(map(list.__lt__, pairs, pairs[1:])):
-        return EntityCluster(cid, mentions, tags, link)
-    # set in the constructor's order, so vars() and the shared-key layout match
-    cluster = object.__new__(EntityCluster)
-    object.__setattr__(cluster, "id", cid)
-    object.__setattr__(cluster, "mentions", mentions)
-    object.__setattr__(cluster, "tags", tags)
-    object.__setattr__(cluster, "link", link)
-    return cluster
+def _clean(d: Document, ids: list, members: list, spans: tuple, tags: list,
+           heads: list, types: list, tails: list) -> bool:
+    """Whether `validate_document(d)` finds nothing, judged in bulk from the
+    columns `d` was built from (`spans`: its clusters' mentions, in order)."""
+    n = len(d.tokens)
+    starts, stops = zip(*d.sentences) if d.sentences else ((), ())
+    begins, ends = zip(*spans) if spans else ((), ())
+    known, tag_vocab = set(ids), builtin_tag_vocabulary()
+    return (d.split in SPLITS
+            # each sentence is non-empty and begins where the last ended
+            and (0, *stops) == (*starts, n) and all(map(lt, starts, stops))
+            and len(known) == len(ids) and all(members)
+            and len(set(spans)) == len(spans)  # no span in two clusters
+            and all(map(lt, begins, ends))
+            and min(begins, default=0) >= 0 and max(ends, default=0) <= n
+            and (tag_vocab.issuperset(chain.from_iterable(tags))
+                 or all(tag.rsplit("::", 1)[-1] in tag_vocab  # "type::person" is known
+                        for tag in set(chain.from_iterable(tags)) - tag_vocab))
+            and known.issuperset(heads) and known.issuperset(tails)
+            and not any(map(eq, heads, tails))
+            and builtin_relation_vocabulary().issuperset(types))
 
 
 def _entity_fields(obj: dict) -> tuple | None:
-    """The ids, mention lists, tag lists and links of the clusters of `obj`
-    and the (head, type, tail) of each relation, each field gathered across
-    all items and checked at once; None if any item breaks the schema.
-    Accepts exactly the items `_raise_entity_error` accepts."""
+    """The ids, mention lists, all their `[begin, end]` lists, tag lists and
+    links of the clusters of `obj` and the heads, types and tails of its
+    relations, each gathered across all items and checked at once; None if
+    any item breaks the schema. Accepts exactly what `_raise_entity_error` does."""
     clusters = obj.get("clusters", [])
     relations = obj.get("relations", [])
     if not (isinstance(clusters, list) and isinstance(relations, list)
@@ -554,14 +580,14 @@ def _entity_fields(obj: dict) -> tuple | None:
     tags = _gather(clusters, "tags", [])
     ends = [_gather(relations, key) for key in ("head", "type", "tail")]
     if not (_every(ids, str) and _every(mentions, list)
-            and _are_spans(list(chain.from_iterable(mentions)))
+            and _are_spans(pairs := list(chain.from_iterable(mentions)))
             and _are_string_lists(tags)
             and _every(_gather(clusters, "link"), (str, type(None)))
             and _every(chain.from_iterable(ends), str)):
         return None
     # an absent and a null link both passed; the cluster tells them apart
     links = _gather(clusters, "link", UNANNOTATED)
-    return ids, mentions, tags, links, list(zip(*ends))
+    return ids, mentions, pairs, tags, links, ends
 
 
 def _gather(items: list, key: str, default=None) -> list:
@@ -669,17 +695,22 @@ def iter_corpus(path: str | Path) -> Iterator[Document]:
     """Read documents one at a time without invariant checking (syntax and
     schema only): a directory as one document per *.json file in sorted file
     order, any other path as JSON Lines."""
+    return _read(path, document_from_json)
+
+
+def _read(path: str | Path, build: Callable) -> Iterator:
+    """`build` of each record of `iter_corpus(path)`, in its order."""
     path = Path(path)
     if not path.is_dir():
-        return _iter_jsonl(path)
-    return (read_json(f, document_from_json) for f in sorted(path.glob("*.json")))
+        return _iter_jsonl(path, build)
+    return (read_json(f, build) for f in sorted(path.glob("*.json")))
 
 
-def _iter_jsonl(path: Path) -> Iterator[Document]:
-    """One document per line, with only JSON whitespace (ASCII) around it; a
+def _iter_jsonl(path: Path, build: Callable) -> Iterator:
+    """One record per line, with only JSON whitespace (ASCII) around it; a
     failing line is re-decoded without it, to locate the error in the record."""
     offset = 0
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=1 << 16) as fh:  # a record is often over 8 KiB
         for raw in fh:
             start, offset = offset, offset + len(raw)
             line = _utf8(raw, path, start)
@@ -690,7 +721,7 @@ def _iter_jsonl(path: Path) -> Iterator[Document]:
                     continue
                 obj = decode_json(record, path, start + line.find(record))
             try:
-                yield document_from_json(obj)
+                yield build(obj)
             except ValueError as e:
                 raise ParseError(str(e), path=path, byte_offset=start) from e
 
@@ -707,7 +738,7 @@ def iter_valid_corpus(path: str | Path) -> Iterator[Document]:
     raises CorpusValidationError, so a ParseError anywhere in the file comes
     first; warnings never raise."""
     report = ValidationReport()
-    yield from _validated(iter_corpus(path), report)
+    yield from (d for d, ok in _validated(_read(path, _read_document), report) if ok)
     if report.errors:
         raise CorpusValidationError(report.errors, path)
 

@@ -223,8 +223,12 @@ def soft_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
 def per_label_prf(view_or_views: EvalView | Iterable[EvalView],
                   level: str) -> dict[str, PRFReport]:
     """The chosen level restricted to each label separately."""
+    return _per_label(_label_rows(view_or_views, level))
+
+
+def _per_label(rows: list[tuple[str, tuple]]) -> dict[str, PRFReport]:
+    """`per_label_prf` from the level's `_label_rows`."""
     by_label: dict[str, list[tuple]] = {}
-    for label, counts in _label_rows(view_or_views, level):
+    for label, counts in rows:
         by_label.setdefault(label, []).append(counts)
-    return {label: _reduce(by_label[label])
-            for label in sorted(by_label)}
+    return {label: _reduce(by_label[label]) for label in sorted(by_label)}

@@ -111,8 +111,9 @@ def _entries(obj: dict, key: str, size: int, shape: str) -> list:
 def per_entry_decode_input_from_json(obj: dict) -> DecodeInput:
     """The `decode` input loader that checks and builds one entry and one
     span at a time: the reference for which inputs are accepted, the
-    DecodeInput built and the first schema error's message. The fields'
-    shapes are checked first (p_cl, p_men, p_rel), then their spans."""
+    DecodeInput built and the first error's message. The fields' shapes are
+    checked first (p_cl, p_men, p_rel), then their spans' types, then, in
+    the same order, empty clusters and empty or reversed spans."""
     _require(isinstance(obj, dict), "predictions must be a JSON object")
     p_cl = obj.get("p_cl", {})
     _require(isinstance(p_cl, dict),
@@ -127,6 +128,14 @@ def per_entry_decode_input_from_json(obj: dict) -> DecodeInput:
     tagged = [(_one_span(s, "p_men"), tag) for s, tag in p_men]
     related = [(_one_span(h, "p_rel"), t, _one_span(tl, "p_rel"))
                for h, t, tl in p_rel]
+    for cid, spans in clusters.items():
+        _require(spans, "cluster %r has no mention spans", cid)
+        for b, e in spans:
+            _require(b < e, "cluster %r: bad span [%d,%d)", cid, b, e)
+    for (b, e), _tag in tagged:
+        _require(b < e, "tagged span [%d,%d) is empty or reversed", b, e)
+    for b, e in itertools.chain.from_iterable((h, tl) for h, _t, tl in related):
+        _require(b < e, "relation span [%d,%d) is empty or reversed", b, e)
     return DecodeInput(clusters, tuple(tagged), tuple(related))
 
 

@@ -12,22 +12,28 @@ write the per-threshold coverage of the pairwise distance records. The four
 print the brute-force agreement over explicit item lists, or exit 2 where
 that has no items. `validate`, on generated corpora with invalid documents,
 must print the findings of the one-check-at-a-time `oracles.validate_findings`.
-Outputs are parsed and compared by `==`.
+Outputs are parsed and compared by `==`. On the same documents, the loader's
+bulk "clean" verdict must hold exactly when `validate_document` finds
+nothing, and `iter_valid_corpus` must yield exactly the documents the oracle
+finds no error in, then raise the oracle's errors.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entkit.corpus import UNANNOTATED
+from entkit.corpus import (UNANNOTATED, CorpusValidationError, _read_document,
+                           iter_valid_corpus, validate_document)
 from entkit.metrics import LEVELS
 from conftest import make_doc
 from test_cli_contract import _run
-from test_oracle_properties import TYPE_TAGS, corpus_pairs
+from test_oracle_properties import TYPE_TAGS, corpus_pairs, documents
 
 
 def _as_json(doc) -> dict:
@@ -203,3 +209,73 @@ def test_validate_equals_oracle_findings(docs):
         code, out, err = _run(["validate", corpus, "--strict"])
         assert (code, err) == (1 if errors else 0, "")
         assert json.loads(out) == want
+
+
+def _known_types(doc):
+    return doc._replace(relations=tuple(r._replace(type="in0") for r in doc.relations))
+
+
+@st.composite
+def invalid_records(draw):
+    """The file record of an `invalid_documents()` document or of a valid
+    one, each cluster's mentions shuffled, maybe with some of the document's
+    spans repeated, its own or another cluster's."""
+    obj = _as_json(draw(st.one_of(
+        invalid_documents(), documents("d", TYPE_TAGS).map(_known_types))))
+    spans = [pair for cluster in obj["clusters"] for pair in cluster["mentions"]]
+    for cluster in obj["clusters"]:
+        pairs = cluster["mentions"]
+        if spans and draw(st.integers(0, 3)) == 0:
+            pairs = pairs + draw(st.lists(st.sampled_from(spans), max_size=2))
+        cluster["mentions"] = draw(st.permutations(pairs))
+    return obj
+
+
+def _record(clusters=(), relations=(), n_tokens=4, sentences=None):
+    return {"id": "d", "split": "train", "tokens": ["t"] * n_tokens,
+            "sentences": sentences if sentences is not None
+            else [[0, n_tokens]] if n_tokens else [],
+            "clusters": [{"id": cid, "mentions": pairs, "tags": tags}
+                         for cid, pairs, tags in clusters],
+            "relations": [{"head": h, "type": t, "tail": tl} for h, t, tl in relations]}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invalid_records())
+@example(_record(n_tokens=0))
+@example(_record([("c0", [[0, 1]], ["type::person"])]))
+@example(_record([("c0", [[0, 1]], ["person"]), ("c0", [[2, 3], [0, 1]], ["person"])]))
+@example(_record([("c0", [[2, 3], [0, 1], [2, 3]], ["person"])]))
+@example(_record([("c0", [[0, 1]], []), ("c1", [[1, 2]], [])], [("c0", "in0", "c0")]))
+@example(_record([("c0", [[0, 1]], []), ("c1", [[1, 2]], [])], [("c0", "bogus", "c1")]))
+@example(_record([("c0", [[0, 1]], []), ("c1", [[1, 2], [0, 1]], [])]))
+@example(_record(sentences=[[0, 0], [0, 4]]))
+@example(_record([("c0", [[-1, 1]], [])]))
+@example(_record([("c0", [[3, 5]], [])]))
+def test_bulk_verdict_is_clean_exactly_when_validation_finds_nothing(obj):
+    doc, clean = _read_document(obj)
+    assert doc == oracles.per_item_document_from_json(obj)
+    report = validate_document(doc)
+    assert clean == (not report.errors and not report.warnings)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(invalid_documents(), max_size=4))
+@example([make_doc("d0", n_tokens=2), make_doc("d0", n_tokens=2, split="dev"),
+          make_doc("d1", n_tokens=2)])
+def test_valid_reader_yields_the_error_free_documents_then_the_oracle_errors(docs):
+    errors, _warnings = oracles.validate_findings(docs)
+    want = [d for d in docs if not oracles.validate_findings([d])[0]]
+    got = []
+    with tempfile.TemporaryDirectory() as tmp:
+        reader = iter_valid_corpus(_write(Path(tmp) / "corpus.jsonl", docs))
+        if errors:
+            with pytest.raises(CorpusValidationError) as raised:
+                got.extend(reader)
+            assert [{"doc": f.doc_id, "code": f.code, "message": f.message}
+                    for f in raised.value.findings] == errors
+        else:
+            got.extend(reader)
+    assert got == want

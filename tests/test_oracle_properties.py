@@ -761,7 +761,9 @@ def test_bulk_loader_equals_per_item_oracle(obj):
         assert document_from_json(obj) == want
 
 
-SPAN = st.integers(0, 5).map(lambda b: [b, b + 1])
+# mostly well-formed, but also empty and reversed
+SPAN = st.integers(0, 5).flatmap(
+    lambda b: st.sampled_from([[b, b + 1], [b, b + 2], [b, b], [b + 1, b]]))
 
 
 @st.composite
@@ -787,6 +789,10 @@ def mutated_predictions(draw):
                  p_rel=[[[0, 1], StrSub("R1"), [2, 3]]]))
 @example({"p_men": [[[0, 1], "L1"], [[0, 1.0], "L2"]], "p_rel": [[[0], "R1"]]})
 @example({"p_men": [[[0, 1], "L1", [2, 3]]], "p_rel": [[[0, 1], "R1"]]})
+@example({"p_cl": {"c0": [[0, 1]], "c1": []}, "p_men": [[[2, 2], "L1"]]})
+@example({"p_cl": {"c0": [[0, 1], [3, 2]], "c1": []}})
+@example({"p_men": [[[0, 1], "L1"]], "p_rel": [[[0, 1], "R1", [2, 1]]]})
+@example({"p_men": [[[1, 0], "L1"]], "p_rel": [[[0, 1], "R1", [2, 1]]]})
 def test_decode_input_loader_equals_per_entry_oracle(obj):
     try:
         want = oracles.per_entry_decode_input_from_json(obj)
