@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
 from .corpus import (CorpusError, _unit_blocks, cluster_overlaps, iter_pairs,
-                     iter_valid_corpus, read_json, serialize_corpus, validate_path)
+                     iter_valid_corpus, read_json, validate_path)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
-from .corpus import load_corpus, validate_document  # noqa: F401
+from .corpus import load_corpus, serialize_corpus, validate_document  # noqa: F401
 from .decoder import (decode_entity_centric, decode_input_from_json,
                       decode_output_to_json)
 
@@ -201,12 +201,10 @@ def _cmd_kernels_selftest(args) -> int:
 
 def _cmd_convert(args) -> int:
     report = dwie.ConversionReport()
-    serialize_corpus(dwie.iter_release(args.src, report), args.out_corpus)
-    _emit({"documents": report.documents,
-           "dropped_concepts": report.dropped_concepts,
-           "dropped_relations": report.dropped_relations,
-           "unaligned_mentions": report.unaligned_mentions,
-           "notes": report.notes}, args.out)
+    lines = dwie.convert_release_lines(args.src, report)
+    with open(args.out_corpus, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    _emit(vars(report), args.out)
     return 0
 
 

@@ -58,22 +58,20 @@ class ParseError(CorpusError):
                  byte_offset: int | None = None):
         self.path = str(path) if path is not None else None
         self.byte_offset = byte_offset
-        loc = ""
-        if self.path is not None:
-            loc = f" [{self.path}"
-            if byte_offset is not None:
-                loc += f" @ byte {byte_offset}"
-            loc += "]"
-        super().__init__(message + loc)
+        at = f" @ byte {byte_offset}" if byte_offset is not None else ""
+        super().__init__(message if path is None else f"{message} [{path}{at}]")
 
 
 class CorpusValidationError(CorpusError):
     """One or more documents of the corpus at `path` violate a hard invariant."""
 
     def __init__(self, findings: list["Finding"], path: str | Path):
-        self.findings = findings
+        self.findings, self.path = findings, path
         super().__init__(f"corpus fails validation ({len(findings)} error(s)); "
                          f"run `entkit validate` for the full report [{path}]")
+
+    def __reduce__(self):  # rebuilt from its arguments in another process
+        return type(self), (self.findings, self.path)
 
 
 class MentionMultiClusterError(CorpusError):
@@ -743,11 +741,15 @@ def iter_valid_corpus(path: str | Path) -> Iterator[Document]:
         raise CorpusValidationError(report.errors, path)
 
 
+def canonical_line(d: Document) -> str:
+    """`d` as one canonical JSON Lines record, newline included."""
+    return json.dumps(document_to_json(d), ensure_ascii=False) + "\n"
+
+
 def serialize_corpus(docs: Iterable[Document], path: str | Path) -> None:
     """Write documents as canonical JSON Lines. The file is opened only once
     every document is serialized, so a failure while `docs` is read (a lazy
     conversion, say) leaves an existing file as it was."""
-    lines = [json.dumps(document_to_json(d), ensure_ascii=False) + "\n"
-             for d in docs]
+    lines = list(map(canonical_line, docs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

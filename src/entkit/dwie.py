@@ -25,6 +25,7 @@ drop counts are reported.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
@@ -32,10 +33,11 @@ from pathlib import Path
 from typing import Iterator
 
 from .corpus import (Document, EntityCluster, Mention, RelationTriple,
-                     UNANNOTATED, _every, _require, read_json)
+                     UNANNOTATED, _every, _require, canonical_line, read_json)
 
 _TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
 _BREAK_RE = re.compile(r"[.!?]|\n")
+_FILES_PER_TASK = 16  # one file a task costs the parent more in messages
 
 
 class ConversionReport:
@@ -43,6 +45,11 @@ class ConversionReport:
         self.documents = self.dropped_concepts = self.dropped_relations = 0
         self.unaligned_mentions = 0
         self.notes: list[str] = []
+
+    def add(self, *fields) -> None:
+        """Count in a worker's report, given as its fields in `vars` order."""
+        for name, value in zip(vars(self), fields):
+            setattr(self, name, getattr(self, name) + value)
 
 
 def _tokenize(text: str) -> tuple[list[str], list[int], list[int]]:
@@ -151,9 +158,39 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
 
 def iter_release(src_dir: str | Path, report: ConversionReport) -> Iterator[Document]:
     """`convert_release`'s documents one at a time, each file read as it is
-    reached; `report` counts what the files read so far dropped. A `src_dir`
-    that is not a directory raises NotADirectoryError (a glob finds nothing)."""
+    reached; `report` counts what the files read so far dropped."""
+    for path in _release_files(src_dir):
+        yield read_json(path, lambda obj: convert_annotation(obj, report))
+
+
+def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list[str]:
+    """`iter_release`'s documents as canonical lines, converted by one worker
+    process per CPU this process may run on (at most one per file). The first
+    file in filename order that fails raises its error; pending files are
+    cancelled, and every worker has exited when this returns or raises."""
+    from concurrent.futures import ProcessPoolExecutor
+    paths = _release_files(src_dir)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    lines = []
+    # a pool starts its workers at the first submitted task, so none for no files
+    with ProcessPoolExecutor(max(1, min(cpus, len(paths)))) as pool:
+        for line, *fields in pool.map(convert_file, paths, chunksize=_FILES_PER_TASK):
+            report.add(*fields)
+            lines.append(line)
+    return lines
+
+
+def convert_file(path: Path) -> tuple[str, int, int, int, int, list[str]]:
+    """The pool's worker, sent by name: one release file's canonical line,
+    then its report's fields (`ConversionReport.add`)."""
+    report = ConversionReport()
+    doc = read_json(path, lambda obj: convert_annotation(obj, report))
+    return (canonical_line(doc), *vars(report).values())
+
+
+def _release_files(src_dir: str | Path) -> list[Path]:
+    """The release's files in filename order; a glob of a non-directory finds none."""
     if not Path(src_dir).is_dir():
         raise NotADirectoryError(f"{src_dir}: not a directory")
-    for path in sorted(Path(src_dir).glob("*.json")):
-        yield read_json(path, lambda obj: convert_annotation(obj, report))
+    return sorted(Path(src_dir).glob("*.json"))

@@ -51,10 +51,7 @@ class DistanceProfile:
         if not self.records:
             return []
         n = len(self.records)
-        columns = [sorted(r.min_token_gap for r in self.records),
-                   sorted(r.max_token_gap for r in self.records),
-                   sorted(r.min_sentence_dist for r in self.records),
-                   sorted(r.max_sentence_dist for r in self.records)]
+        columns = list(map(sorted, zip(*self.records)))  # in DistanceRecord's order
         top = max(columns[1][-1], columns[3][-1])
         return [(d, *(bisect_right(column, d) / n for column in columns))
                 for d in range(top + 1)]
@@ -172,13 +169,9 @@ def load_type_hierarchy() -> dict[str, str | None]:
 def ancestors(tag: str, hierarchy: dict[str, str | None]) -> list[str]:
     """Tag itself plus every ancestor up to the hierarchy root."""
     chain = [tag]
-    seen = {tag}
-    while True:
-        parent = hierarchy.get(chain[-1])
-        if parent is None or parent in seen:
-            return chain
+    while (parent := hierarchy.get(chain[-1])) is not None and parent not in chain:
         chain.append(parent)
-        seen.add(parent)
+    return chain
 
 
 class TypeHistogram(NamedTuple):

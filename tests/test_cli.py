@@ -478,10 +478,10 @@ MODULES_PROBE = """
 import contextlib, io, sys
 import entkit.cli
 from entkit import corpus, rules, stats
-package, argv = sys.argv[1], sys.argv[2:]
+packages, argv = sys.argv[1].split(","), sys.argv[2:]
 with contextlib.redirect_stdout(io.StringIO()):
     code = entkit.cli.run(argv) if argv else 0
-print(code, sorted(m for m in sys.modules if m.partition(".")[0] == package))
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] in packages))
 """
 
 
@@ -497,8 +497,9 @@ def _fresh_interpreter(probe, *args) -> str:
 
 def _modules_after(package, argv):
     """Run one command in a fresh interpreter and name the modules of
-    `package` it loaded; with no command, only import the CLI and the corpus
-    layers. The pytest process has scipy and numpy already."""
+    `package` (or of each of several, comma-separated) it loaded; with no
+    command, only import the CLI and the corpus layers. The pytest process
+    has scipy and numpy already."""
     code, modules = _fresh_interpreter(MODULES_PROBE, package, *argv).split(" ", 1)
     assert code == "0"
     return modules.strip()
@@ -548,6 +549,18 @@ def test_only_kernel_commands_import_numpy(tmp_path, command):
     modules = _modules_after("numpy", _argv(command, tmp_path))
     if command[:2] == ["kernels", "selftest"]:
         assert "'numpy'" in modules
+    else:
+        assert modules == "[]"
+
+
+@pytest.mark.parametrize("command", COMMANDS + [[]],
+                         ids=lambda command: _command_id(command) or "import")
+def test_only_convert_imports_the_process_pool(tmp_path, command):
+    """The pool modules cost every command's start-up 20-28 ms, so only
+    `convert`, which runs its files in worker processes, imports them."""
+    modules = _modules_after("concurrent,multiprocessing", _argv(command, tmp_path))
+    if command[:1] == ["convert"]:
+        assert "'concurrent.futures.process'" in modules and "'multiprocessing'" in modules
     else:
         assert modules == "[]"
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entkit.corpus import (CorpusValidationError, EntityCluster, Mention,
+from entkit.corpus import (CorpusValidationError, EntityCluster, Finding, Mention,
                            MentionMultiClusterError, ParseError,
                            UNANNOTATED, document_from_json,
                            document_to_json, load_corpus, parse_corpus,
@@ -61,6 +61,21 @@ def test_dangling_relation_rejected(tmp_path):
     with pytest.raises(CorpusValidationError) as exc:
         parse_corpus(path)
     assert any(f.code == "DANGLING_RELATION" for f in exc.value.findings)
+
+
+def test_corpus_errors_survive_pickling():
+    """An error raised in a worker process reaches the parent pickled."""
+    findings = [Finding("d", "DANGLING_RELATION", "m")]
+    error = pickle.loads(pickle.dumps(CorpusValidationError(findings, "p.jsonl")))
+    assert type(error) is CorpusValidationError
+    assert (error.findings, error.path) == (findings, "p.jsonl")
+    assert str(error) == str(CorpusValidationError(findings, "p.jsonl"))
+    for want in (ParseError("bad", "p.jsonl", 7), ParseError("bad", "p.jsonl"),
+                 ParseError("bad")):
+        error = pickle.loads(pickle.dumps(want))
+        assert type(error) is ParseError
+        assert (error.path, error.byte_offset, str(error)) == (
+            want.path, want.byte_offset, str(want))
 
 
 def test_syntax_error_reports_byte_offset(tmp_path):

@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from entkit.corpus import Mention, ParseError, UNANNOTATED, validate_document
+from entkit import cli, dwie
+from entkit.corpus import (Mention, ParseError, UNANNOTATED, serialize_corpus,
+                           validate_document)
 from entkit.dwie import ConversionReport, convert_annotation, convert_release
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 RELEASE_DOC = {
     "id": "DW_001",
@@ -112,3 +123,91 @@ def test_mentions_aligning_to_one_token_span_become_one_mention(tmp_path):
     c0 = next(c for c in doc.clusters if c.id == "c0")
     assert c0.mentions == (Mention(0, 2), Mention(5, 6))
     assert validate_document(doc).ok
+
+
+# --------------------------------------------------------------------------
+# The pooled `convert` against the serial reader
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _generated_release(src: Path, n: int = 40) -> Path:
+    """`n` files over several pool tasks; each drops a concept and its
+    relation and has an unaligned mention, and every seventh has no
+    content (a note)."""
+    src.mkdir()
+    unaligned = {"begin": 100, "end": 110, "concept": 1}
+    for i in range(n):
+        doc = dict(RELEASE_DOC, id=f"DW_{i:03d}",
+                   mentions=RELEASE_DOC["mentions"] + [unaligned])
+        if i % 7 == 3:
+            doc["content"] = ""
+        (src / f"{i:03d}.json").write_text(json.dumps(doc))
+    return src
+
+
+def _serial_convert(src: Path, out_corpus: Path) -> str:
+    """`convert`'s stdout for `src`, its corpus written by the serial reader."""
+    report = ConversionReport()
+    serialize_corpus(dwie.iter_release(src, report), out_corpus)
+    return json.dumps({"schema_version": cli.SCHEMA_VERSION, **vars(report)},
+                      indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+ONE_CPU_PROBE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from entkit.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def _convert_on_one_cpu(argv) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+@pytest.mark.parametrize("release", ["golden", "generated"])
+def test_pooled_convert_equals_the_serial_reader(tmp_path, release, cpus):
+    if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    src = Path(__file__).parent / "fixtures" / "release" if release == "golden" \
+        else _generated_release(tmp_path / "release")
+    want_out = _serial_convert(src, tmp_path / "want.jsonl")
+    argv = ["convert", str(src), "--out-corpus", str(tmp_path / "got.jsonl")]
+    got = _run(argv) if cpus == "all" else _convert_on_one_cpu(argv)
+    assert got == (0, want_out, "")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    if release == "generated":
+        report = json.loads(want_out)
+        assert len(report["notes"]) == 6 and min(
+            report[k] for k in ("unaligned_mentions", "dropped_concepts",
+                                "dropped_relations")) >= 40
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_convert_names_the_first_broken_file_in_filename_order(tmp_path):
+    # the first broken file ends one pool task and the second starts the
+    # next, so the second worker fails first
+    src = _generated_release(tmp_path / "release", 3 * dwie._FILES_PER_TASK)
+    first, second = sorted(src.glob("*.json"))[dwie._FILES_PER_TASK - 1:][:2]
+    first.write_text('{"id": ')
+    second.write_text(json.dumps(dict(RELEASE_DOC, mentions=5)))
+    with pytest.raises(ParseError) as serial:
+        convert_release(src)
+    out_corpus = tmp_path / "converted.jsonl"
+    out_corpus.write_text("an earlier corpus\n")
+    code, out, err = _run(["convert", str(src), "--out-corpus", str(out_corpus)])
+    assert (code, out, err) == (2, "", f"error: {serial.value}\n")
+    assert f"[{first} @ byte 7]" in err and str(second) not in err
+    assert out_corpus.read_bytes() == b"an earlier corpus\n"
+    assert multiprocessing.active_children() == []
