@@ -42,13 +42,15 @@ ABSENT = "<absent>"
 class AnnotationPair:
     """Contingency counts of (annotator-1 label, annotator-2 label) decisions
     over N > 0 items. Built from the items themselves or from a mapping of
-    label pair to count."""
+    label pair to a non-negative int count."""
 
     counts: Counter
 
     def __init__(self, items: Iterable[tuple[Hashable, Hashable]]
                  | Mapping[tuple[Hashable, Hashable], int]):
         object.__setattr__(self, "counts", Counter(items))
+        if not all(type(n) is int and n >= 0 for n in self.counts.values()):
+            raise ValueError("each count must be a non-negative int")
         if len(self) <= 0:
             raise ValueError("annotation pair needs at least one item")
 

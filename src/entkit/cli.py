@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, _unit_blocks, cluster_overlaps, iter_pairs,
-                     iter_valid_corpus, read_json, validate_path)
+from .corpus import (CorpusError, cluster_overlaps, iter_pairs, iter_valid_corpus,
+                     read_json, validate_path)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
 from .corpus import load_corpus, serialize_corpus, validate_document  # noqa: F401
@@ -94,39 +94,19 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _score_task(views: list, levels: list[str], per_label: bool) -> dict:
-    out: dict = {}
-    for level in levels:
-        # `score_level` and `per_label_prf` from one build of the level's rows
-        rows = metrics._label_rows(views, level)
-        out[level] = metrics._reduce(counts for _label, counts in rows).to_json()
-        if per_label:
-            out.setdefault("per_label", {})[level] = {
-                label: r.to_json() for label, r in metrics._per_label(rows).items()}
-    return out
-
-
 def _cmd_score(args) -> int:
     levels = list(metrics.LEVELS) if args.level == "all" else [args.level]
-    pairs = iter_pairs(iter_valid_corpus(args.gold), iter_valid_corpus(args.pred))
-    if args.task in metrics.TASKS:
-        views = [metrics.build_eval_view(g, p, args.task) for g, p in pairs]
-        _emit(_score_task(views, levels, args.per_label), args.out)
-        return 0
-    by_task: dict[str, list] = {"ner": [], "re": []} if args.task == "all" else {}
-
-    def tables():
-        # one table per pair, from which its ner and re views are read too
-        for g, p in pairs:
-            cells = cluster_overlaps(g, p)
-            for task, views in by_task.items():
-                views.append(metrics._eval_view(task, *_unit_blocks(g, p, task, cells)))
-            yield cells
-
-    payload = {"coref": coref.coref_report(tables())}
-    for task, views in by_task.items():
-        payload[task] = _score_task(views, levels, args.per_label)
-    _emit(payload if by_task else payload["coref"], args.out)
+    tasks = ("ner", "re", "coref") if args.task == "all" else (args.task,)
+    folds = {task: coref.CorefFold() if task == "coref" else metrics.ScoreFold(levels)
+             for task in tasks}
+    for g, p in iter_pairs(iter_valid_corpus(args.gold), iter_valid_corpus(args.pred)):
+        cells = cluster_overlaps(g, p)  # one table per pair, read by every fold
+        for task, fold in folds.items():
+            fold.add(cells if task == "coref"
+                     else metrics.build_eval_view(g, p, task, cells))
+    payload = {task: fold.report() if task == "coref" else fold.report(args.per_label)
+               for task, fold in folds.items()}
+    _emit(payload if args.task == "all" else payload[args.task], args.out)
     return 0
 
 

@@ -79,11 +79,11 @@ def muc(gold: Partition, pred: Partition) -> PRFReport:
     mention as its own part); precision swaps the roles. Summed over
     clusters, both numerators are the overlap total minus the number of
     overlapping cluster pairs."""
-    return _scores([_overlaps(gold, pred)])["muc"]
+    return CorefFold([_overlaps(gold, pred)]).scores()["muc"]
 
 
 def b_cubed(gold: Partition, pred: Partition) -> PRFReport:
-    return _scores([_overlaps(gold, pred)])["b3"]
+    return CorefFold([_overlaps(gold, pred)]).scores()["b3"]
 
 
 def _components(cells: Counter, n_gold: int, n_pred: int
@@ -168,33 +168,39 @@ def ceaf_e(gold: Partition, pred: Partition) -> PRFReport:
     """Clusters that share no mention have similarity 0, so the optimal
     alignment is solved exactly on each connected component of the overlap
     graph; no similarity matrix is larger than one component."""
-    return _scores([_overlaps(gold, pred)])["ceafe"]
+    return CorefFold([_overlaps(gold, pred)]).scores()["ceafe"]
 
 
-def _scores(tables: Iterable[Counter]) -> dict[str, PRFReport]:
-    """MUC, B-cubed and CEAF-e in one pass over `corpus.cluster_overlaps`
-    tables, scored as one table of all their clusters. A cluster's size is the
-    sum of its row (gold) or column (pred); a cell with no None key is shared.
-    Each table is folded into counts before the next is read."""
-    links = 0  # the MUC numerator of both sides
-    mentions, clusters = [0, 0], [0, 0]  # gold, pred
-    # term -> count: one B-cubed term n/|cluster| per shared mention and
-    # side, the phi of every CEAF-e aligned pair; `_fsum` is order-free
-    recall_terms, precision_terms, matched = Counter(), Counter(), Counter()
-    for table in tables:
+class CorefFold:
+    """MUC, B-cubed and CEAF-e over `corpus.cluster_overlaps` tables, scored
+    as one table of all their clusters; each table is folded into counts as
+    it is added. A cluster's size is the sum of its row (gold) or column
+    (pred); a cell with no None key is shared."""
+
+    def __init__(self, tables: Iterable[Counter] = ()):
+        self.links = 0  # the MUC numerator of both sides
+        self.mentions, self.clusters = [0, 0], [0, 0]  # gold, pred
+        # term -> count: one B-cubed term n/|cluster| per shared mention and
+        # side, the phi of every CEAF-e aligned pair; `_fsum` is order-free
+        self.recall_terms, self.precision_terms = Counter(), Counter()
+        self.matched = Counter()
+        for table in tables:
+            self.add(table)
+
+    def add(self, table: Counter) -> None:
         gold_size, pred_size = Counter(), Counter()
         for (i, j), n in table.items():
             gold_size[i] += n
             pred_size[j] += n
         del gold_size[None], pred_size[None]
         for side, size in enumerate((gold_size, pred_size)):
-            mentions[side] += sum(size.values())
-            clusters[side] += len(size)
+            self.mentions[side] += sum(size.values())
+            self.clusters[side] += len(size)
         cells = Counter({key: n for key, n in table.items() if None not in key})
-        links += sum(cells.values()) - len(cells)
+        self.links += sum(cells.values()) - len(cells)
         for (i, j), n in cells.items():
-            recall_terms[n / gold_size[i]] += n
-            precision_terms[n / pred_size[j]] += n
+            self.recall_terms[n / gold_size[i]] += n
+            self.precision_terms[n / pred_size[j]] += n
         for members in _components(cells, len(gold_size), len(pred_size)):
             # indices in table order, so each matrix is a block of |G| x |P|
             rows = sorted({i for i, _ in members})
@@ -202,14 +208,24 @@ def _scores(tables: Iterable[Counter]) -> dict[str, PRFReport]:
             # a pair that shares no mention reads 0 from the Counter: phi is 0.0
             sim = [[2 * cells[i, j] / (gold_size[i] + pred_size[j]) for j in cols]
                    for i in rows]
-            matched.update(sim[r][c] for r, c in _max_weight_assignment(sim))
-    total = _fsum(matched)
-    return {"muc": PRFReport.from_pr(_safe_div(links, mentions[1] - clusters[1]),
-                                     _safe_div(links, mentions[0] - clusters[0])),
-            "b3": PRFReport.from_pr(_safe_div(_fsum(precision_terms), mentions[1]),
-                                    _safe_div(_fsum(recall_terms), mentions[0])),
-            "ceafe": PRFReport.from_pr(_safe_div(total, clusters[1]),
-                                       _safe_div(total, clusters[0]))}
+            self.matched.update(sim[r][c] for r, c in _max_weight_assignment(sim))
+
+    def scores(self) -> dict[str, PRFReport]:
+        (n_gold, n_pred), (k_gold, k_pred) = self.mentions, self.clusters
+        total = _fsum(self.matched)
+        return {"muc": PRFReport.from_pr(_safe_div(self.links, n_pred - k_pred),
+                                         _safe_div(self.links, n_gold - k_gold)),
+                "b3": PRFReport.from_pr(_safe_div(_fsum(self.precision_terms), n_pred),
+                                        _safe_div(_fsum(self.recall_terms), n_gold)),
+                "ceafe": PRFReport.from_pr(_safe_div(total, k_pred),
+                                           _safe_div(total, k_gold))}
+
+    def report(self) -> dict:
+        """`scores` as JSON, and their mean F1."""
+        reports = self.scores()
+        out: dict = {name: r.to_json() for name, r in reports.items()}
+        out["avg_f1"] = sum(r.f1 for r in reports.values()) / 3.0
+        return out
 
 
 def _fsum(terms: Counter) -> float:
@@ -218,11 +234,8 @@ def _fsum(terms: Counter) -> float:
 
 
 def coref_report(tables: Iterable[Counter]) -> dict:
-    """`_scores` and their mean F1, one table per document pair."""
-    reports = _scores(tables)
-    out: dict = {name: r.to_json() for name, r in reports.items()}
-    out["avg_f1"] = sum(r.f1 for r in reports.values()) / 3.0
-    return out
+    """`CorefFold.report` of one table per document pair."""
+    return CorefFold(tables).report()
 
 
 def avg_coref_f1(gold: Partition, pred: Partition) -> float:

@@ -407,10 +407,11 @@ def _labelled_units(d: Document, task: str) -> dict[tuple[int, ...], frozenset[s
     return {pair: frozenset(labels) for pair, labels in types.items()}
 
 
-def unit_overlaps(a: Document, b: Document, task: str
-                  ) -> tuple[dict, dict, dict]:
+def unit_overlaps(a: Document, b: Document, task: str,
+                  cells: Counter | None = None) -> tuple[dict, dict, dict]:
     """The labelled units of ``a`` and of ``b`` (see `_labelled_units`) and
-    the blocks (unit of ``a`` or None, unit of ``b`` or None) -> n.
+    the blocks (unit of ``a`` or None, unit of ``b`` or None) -> n, read
+    from `cells`, the pair's `cluster_overlaps` table, built if not given.
 
     A unit's instances are its mention spans (NER) or its head x tail
     mention pairs (RE). Every instance of every unit lies in exactly one
@@ -419,11 +420,8 @@ def unit_overlaps(a: Document, b: Document, task: str
     and a tail cell of `cluster_overlaps`; that of a related pair of ``b``
     with None holds its |head| x |tail| pairs less its other blocks.
     """
-    return _unit_blocks(a, b, task, cluster_overlaps(a, b))
-
-
-def _unit_blocks(a: Document, b: Document, task: str, cells: Counter) -> tuple:
-    """`unit_overlaps` from the pair's `cluster_overlaps` table."""
+    if cells is None:
+        cells = cluster_overlaps(a, b)
     units_a, units_b = _labelled_units(a, task), _labelled_units(b, task)
     if task == "ner":
         return units_a, units_b, {

@@ -77,9 +77,10 @@ class EvalView(NamedTuple):
     labels: dict[str, LabelCounts]
 
 
-def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
-    """Count each label of a document pair from the blocks of
-    `corpus.unit_overlaps`; gold and pred must share the token space, and
+def build_eval_view(gold: Document, pred: Document, task: str,
+                    cells: dict | None = None) -> EvalView:
+    """Count each label of a document pair from `corpus.unit_overlaps`, which
+    reads `cells` if given; gold and pred must share the token space, and
     each mention must lie in exactly one non-empty cluster of its document.
 
     A unit's size is the sum of its blocks. Units of one label are disjoint,
@@ -92,12 +93,7 @@ def build_eval_view(gold: Document, pred: Document, task: str) -> EvalView:
     if gold.tokens != pred.tokens:
         raise ValueError(f"token-space mismatch between gold {gold.id!r} "
                          f"and pred {pred.id!r}")
-    return _eval_view(task, *unit_overlaps(gold, pred, task))
-
-
-def _eval_view(task: str, gold_units: dict, pred_units: dict, blocks: dict
-               ) -> EvalView:
-    """`build_eval_view` from the pair's `corpus.unit_overlaps` tables."""
+    gold_units, pred_units, blocks = unit_overlaps(gold, pred, task, cells)
     sizes: tuple[dict, dict] = ({}, {})     # per side: unit -> instances
     hits: tuple[dict, dict] = ({}, {})      # per side: (unit, label) -> hits
     for (g, p), n in blocks.items():
@@ -180,21 +176,6 @@ def _label_counts(lc: LabelCounts, level: str) -> tuple:
     return c.tp_p, c.tp_p + c.fp, c.tp_g, c.tp_g + c.fn
 
 
-def _label_rows(view_or_views: EvalView | Iterable[EvalView], level: str
-                ) -> list[tuple[str, tuple]]:
-    """One (label, counts) row per label of each view; the views must share
-    one task. `_reduce` sums the rows exactly, so their order is free."""
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    views = [view_or_views] if isinstance(view_or_views, EvalView) \
-        else list(view_or_views)
-    tasks = {v.task for v in views}
-    if len(tasks) > 1:
-        raise ValueError(f"cannot mix tasks {sorted(tasks)} in one score")
-    return [(label, _label_counts(lv, level))
-            for v in views for label, lv in v.labels.items()]
-
-
 def _reduce(counts: Iterable[tuple]) -> PRFReport:
     """Micro-averaged P/R/F1 from the per-label counts, each column summed
     exactly, so that no score depends on the order of labels or documents."""
@@ -204,8 +185,50 @@ def _reduce(counts: Iterable[tuple]) -> PRFReport:
                              _ratio(hits_g, n_gold, n_pred))
 
 
+class ScoreFold:
+    """The scores of one task at `levels`, folded one `EvalView` at a time:
+    each label's `LabelCounts` become that label's counts at each level, once.
+    `_reduce` sums them exactly, so their order is free."""
+
+    def __init__(self, levels: Iterable[str],
+                 views: EvalView | Iterable[EvalView] = ()):
+        # level -> label -> its counts at that level, one row per view
+        self.rows: dict[str, dict[str, list[tuple]]] = {level: {} for level in levels}
+        if bad := [level for level in self.rows if level not in LEVELS]:
+            raise ValueError(f"level must be one of {LEVELS}, got {bad[0]!r}")
+        self.task: str | None = None
+        for view in [views] if isinstance(views, EvalView) else views:
+            self.add(view)
+
+    def add(self, view: EvalView) -> None:
+        if self.task not in (None, view.task):
+            raise ValueError(f"cannot mix tasks {sorted((self.task, view.task))} "
+                             f"in one score")
+        self.task = view.task
+        for level, rows in self.rows.items():
+            for label, counts in view.labels.items():
+                rows.setdefault(label, []).append(_label_counts(counts, level))
+
+    def score(self, level: str) -> PRFReport:
+        return _reduce(row for rows in self.rows[level].values() for row in rows)
+
+    def per_label(self, level: str) -> dict[str, PRFReport]:
+        """The level restricted to each label separately."""
+        rows = self.rows[level]
+        return {label: _reduce(rows[label]) for label in sorted(rows)}
+
+    def report(self, per_label: bool) -> dict:
+        """Each level's score as JSON, with `per_label` each label's too."""
+        out: dict = {level: self.score(level).to_json() for level in self.rows}
+        if per_label:
+            out["per_label"] = {level: {label: r.to_json() for label, r in
+                                        self.per_label(level).items()}
+                                for level in self.rows}
+        return out
+
+
 def score_level(view_or_views: EvalView | Iterable[EvalView], level: str) -> PRFReport:
-    return _reduce(counts for _label, counts in _label_rows(view_or_views, level))
+    return ScoreFold([level], view_or_views).score(level)
 
 
 def mention_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
@@ -223,12 +246,4 @@ def soft_entity_prf(view_or_views: EvalView | Iterable[EvalView]) -> PRFReport:
 def per_label_prf(view_or_views: EvalView | Iterable[EvalView],
                   level: str) -> dict[str, PRFReport]:
     """The chosen level restricted to each label separately."""
-    return _per_label(_label_rows(view_or_views, level))
-
-
-def _per_label(rows: list[tuple[str, tuple]]) -> dict[str, PRFReport]:
-    """`per_label_prf` from the level's `_label_rows`."""
-    by_label: dict[str, list[tuple]] = {}
-    for label, counts in rows:
-        by_label.setdefault(label, []).append(counts)
-    return {label: _reduce(by_label[label]) for label in sorted(by_label)}
+    return ScoreFold([level], view_or_views).per_label(level)

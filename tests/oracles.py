@@ -23,7 +23,7 @@ from entkit.corpus import (UNANNOTATED, Document, EntityCluster, Mention,
                            builtin_tag_vocabulary)
 from entkit.decoder import DecodeInput
 from entkit.kernels import _as_array
-from entkit.metrics import PRFReport, SoftCounts, _reduce
+from entkit.metrics import PRFReport, SoftCounts
 from entkit.rules import Atom, FactBase, Rule, _ground_head, is_variable
 from entkit.stats import (DistanceRecord, RelationTypeHistogram, TypeHistogram,
                           ancestors, load_type_hierarchy, token_gap)
@@ -458,9 +458,21 @@ def _label_rows(views: list[EvalView], level: str) -> list[tuple[str, tuple]]:
             for v in views for label, lv in v.labels.items()]
 
 
+def _micro_prf(rows: list[tuple]) -> PRFReport:
+    """P/R/F1 from (pred-side hits, #pred, gold-side hits, #gold) rows, each
+    column summed by `math.fsum`. A side whose denominator is 0 scores 1.0
+    when the other side's is 0 too, and 0.0 otherwise."""
+    hits_p, n_pred, hits_g, n_gold = (math.fsum(row[k] for row in rows)
+                                      for k in range(4))
+    precision = hits_p / n_pred if n_pred else 1.0 if n_gold == 0 else 0.0
+    recall = hits_g / n_gold if n_gold else 1.0 if n_pred == 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return PRFReport(precision, recall, f1)
+
+
 def item_list_score(views: list[EvalView], level: str) -> PRFReport:
     """`entkit.metrics.score_level` over item-list views."""
-    return _reduce(counts for _label, counts in _label_rows(views, level))
+    return _micro_prf([counts for _label, counts in _label_rows(views, level)])
 
 
 def item_list_per_label(views: list[EvalView], level: str) -> dict[str, PRFReport]:
@@ -468,7 +480,7 @@ def item_list_per_label(views: list[EvalView], level: str) -> dict[str, PRFRepor
     by_label: dict[str, list[tuple]] = {}
     for label, counts in _label_rows(views, level):
         by_label.setdefault(label, []).append(counts)
-    return {label: _reduce(by_label[label])
+    return {label: _micro_prf(by_label[label])
             for label in sorted(by_label)}
 
 

@@ -22,6 +22,19 @@ def test_empty_pair_rejected():
         AnnotationPair.from_sequences(["x"], [])
 
 
+@pytest.mark.parametrize("counts", [
+    {("a", "a"): 5, ("a", "b"): -1},
+    {("a", "a"): 2.0},
+    {("a", "a"): 1, ("a", "b"): 0.5},
+    {("a", "a"): True},
+])
+def test_malformed_counts_rejected(counts):
+    """A negative, fractional or boolean count is no count of items: no
+    kappa is read from it."""
+    with pytest.raises(ValueError, match="non-negative int"):
+        AnnotationPair(counts)
+
+
 def test_observed_agreement():
     assert observed_agreement(pair("aabb", "aabb")) == 1.0
     assert observed_agreement(pair("aaaabbbbcc", "aaaabbbbdd")) == 0.8

@@ -5,9 +5,12 @@ as a library function. Here the commands themselves run on generated valid
 corpus pairs, whose files list the documents in any order: `score --task all
 --level all --per-label` must print the item-list scores of the documents
 paired by id and the oracle coreference scores over (doc id, begin, end)
-partitions, and `stats --plot-data` must print the per-cluster summary, the
-per-cluster type histogram and the distinct-triple relation histograms, and
-write the per-threshold coverage of the pairwise distance records. The four
+partitions; one `score --task {ner,re,coref} --level {mention,hard,soft,all}`,
+with or without `--per-label`, drawn per example, must print the matching
+slice of that reference; and `stats --plot-data` must print the
+per-cluster summary, the per-cluster type histogram and the distinct-triple
+relation histograms, and write the per-threshold coverage of the pairwise
+distance records. The four
 `kappa` tasks, entity and relation with and without `--conditioned`, must
 print the brute-force agreement over explicit item lists, or exit 2 where
 that has no items. `validate`, on generated corpora with invalid documents,
@@ -81,6 +84,18 @@ def _score_reference(pairs) -> dict:
     return out
 
 
+def _score_slice(reference: dict, task: str, level: str, per_label: bool) -> dict:
+    """What `score --task TASK --level LEVEL [--per-label]` prints, cut from
+    the `score --task all --level all --per-label` reference."""
+    if task == "coref":  # coreference has no levels and no labels
+        return {"schema_version": 1, **reference["coref"]}
+    levels = LEVELS if level == "all" else (level,)
+    out = {"schema_version": 1, **{lv: reference[task][lv] for lv in levels}}
+    if per_label:
+        out["per_label"] = {lv: reference[task]["per_label"][lv] for lv in levels}
+    return out
+
+
 def _counts(hist: dict, names: tuple[str, str]) -> dict:
     return {key: dict(zip(names, counts)) for key, counts in hist.items()}
 
@@ -126,7 +141,16 @@ def test_score_and_stats_equal_oracle_references(pair, rng):
         code, out, err = _run(["score", "--task", "all", "--level", "all",
                                "--per-label", "--gold", gold, "--pred", pred])
         assert (code, err) == (0, "")
-        assert json.loads(out) == _score_reference(pairs)
+        reference = _score_reference(pairs)
+        assert json.loads(out) == reference
+
+        task = rng.choice(["ner", "re", "coref"])
+        level = rng.choice(["mention", "hard", "soft", "all"])
+        per_label = rng.random() < 0.5
+        code, out, err = _run(["score", "--task", task, "--level", level, "--gold",
+                               gold, "--pred", pred] + ["--per-label"] * per_label)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == _score_slice(reference, task, level, per_label)
 
         tsv = Path(tmp) / "stats.tsv"
         code, out, err = _run(["stats", gold, "--plot-data", str(tsv)])

@@ -344,23 +344,25 @@ def test_unit_overlaps_equals_instance_expansion(pair, task):
 
 
 @settings(max_examples=200, deadline=None)
-@given(corpus_pairs())
-@example(([ONE_SIDED_A], [ONE_SIDED_B]))
+@given(corpus_pairs(), st.randoms(use_true_random=False))
+@example(([ONE_SIDED_A], [ONE_SIDED_B]), random.Random(0))
 @example(([ONE_SIDED_A, THIRDS_GOLD._replace(id="d1")],
-          [ONE_SIDED_B, THIRDS_PRED._replace(id="d1")]))
-@example(([ONE_SIDED_A], [EMPTY_DOC]))
-@example(([EMPTY_DOC], [EMPTY_DOC]))
-def test_coref_report_over_tables_equals_corpus_partition_scores(pair):
+          [ONE_SIDED_B, THIRDS_PRED._replace(id="d1")]), random.Random(0))
+@example(([ONE_SIDED_A], [EMPTY_DOC]), random.Random(0))
+@example(([EMPTY_DOC], [EMPTY_DOC]), random.Random(0))
+def test_coref_report_over_tables_equals_corpus_partition_scores(pair, rng):
     """One `cluster_overlaps` table per document pair scores like the
-    (doc id, begin, end) partition of each whole corpus."""
+    (doc id, begin, end) partition of each whole corpus, whatever the order
+    of the tables."""
     golds, preds = pair
     gold, pred = coref.corpus_partition(golds), coref.corpus_partition(preds)
     reports = {"muc": coref.muc(gold, pred), "b3": coref.b_cubed(gold, pred),
                "ceafe": coref.ceaf_e(gold, pred)}
     want = {name: r.to_json() for name, r in reports.items()}
     want["avg_f1"] = sum(r.f1 for r in reports.values()) / 3.0
-    assert coref.coref_report(
-        cluster_overlaps(g, p) for g, p in zip(golds, preds)) == want
+    tables = [cluster_overlaps(g, p) for g, p in zip(golds, preds)]
+    assert coref.coref_report(iter(tables)) == want
+    assert coref.coref_report(rng.sample(tables, len(tables))) == want
 
 
 def _label_counts_oracle(lv: oracles.LabelView) -> LabelCounts:
