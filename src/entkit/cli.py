@@ -155,10 +155,13 @@ def _cmd_rules_check(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
+    if args.conditioned and args.task not in ("entity", "relation"):
+        raise ValueError(f"--conditioned applies to --task entity and relation "
+                         f"only, not {args.task}")
     docs_a, docs_b = iter_valid_corpus(args.a), iter_valid_corpus(args.b)
     # looked up by name, so a tracer's wrapper of the adapter is called
     adapter = getattr(agreement, f"{args.task}_agreement")
-    options = {"conditioned": args.conditioned} if args.task in ("entity", "relation") else {}
+    options = {"conditioned": True} if args.conditioned else {}
     result = adapter(docs_a, docs_b, **options)
     _emit({"task": args.task, "result": result}, args.out)
     return 0

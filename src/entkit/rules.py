@@ -17,6 +17,7 @@ computes the least fixpoint of a fact base under a rule set.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,8 +125,14 @@ def _parse_ruleset(text: str) -> list[Rule]:
 
 
 def builtin_ruleset() -> list[Rule]:
-    """The shipped relation-consistency rule set (41 rules, ids C.1-C.41)."""
-    return _parse_ruleset(_resource_text("consistency_rules.txt"))
+    """The shipped relation-consistency rule set (41 rules, ids C.1-C.41),
+    parsed on the first call; each call returns a new list of the rules."""
+    return list(_builtin_rules())
+
+
+@functools.cache
+def _builtin_rules() -> tuple[Rule, ...]:
+    return tuple(_parse_ruleset(_resource_text("consistency_rules.txt")))
 
 
 # --------------------------------------------------------------------------
@@ -161,16 +168,6 @@ def _ground_head(head: Atom, subst: dict[str, str]) -> tuple[str, str, str]:
     return (h, head.predicate, t)
 
 
-def _groundings(rules: Iterable[Rule], first: dict, index: dict
-                ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
-    """Ground each rule's first body atom in `first`, the second in `index`."""
-    for rule in rules:
-        for s1 in _match_atom(rule.body[0], first, {}):
-            rest = _match_atom(rule.body[1], index, s1) if len(rule.body) == 2 else (s1,)
-            for subst in rest:
-                yield rule, subst, _ground_head(rule.head, subst)
-
-
 def iter_groundings(facts: FactBase, rules: Iterable[Rule]
                     ) -> Iterator[tuple[Rule, dict[str, str], tuple[str, str, str]]]:
     """Every satisfied rule body, with its substitution and grounded head, in
@@ -178,7 +175,11 @@ def iter_groundings(facts: FactBase, rules: Iterable[Rule]
     of the body, so it grounds each body atom to exactly one fact: distinct
     fact pairs give distinct firings, and none repeats."""
     index = _index(facts)
-    return _groundings(rules, index, index)
+    for rule in rules:
+        for s1 in _match_atom(rule.body[0], index, {}):
+            rest = _match_atom(rule.body[1], index, s1) if len(rule.body) == 2 else (s1,)
+            for subst in rest:
+                yield rule, subst, _ground_head(rule.head, subst)
 
 
 class Violation(NamedTuple):
@@ -210,30 +211,22 @@ def closure(facts: FactBase, rules: Iterable[Rule] | None = None,
             delta: set[tuple[str, str, str]] | None = None) -> FactBase:
     """Least fixpoint of `facts` under `rules`; the input is not mutated.
 
-    Semi-naive: round one derives `delta`, by default the violation heads of
-    `ground(facts, rules)`; a later round grounds one body atom in the facts
-    the round before derived (each two-atom body is also tried reversed)
-    and the other in all facts. Every round but the last derives one of
-    #rules x #entities^2 facts; more rounds mean an engine bug and raise.
+    Round one adds `delta`, by default the violation heads of
+    `ground(facts, rules)`; each later round adds the grounded heads of
+    `iter_groundings` over the facts so far that are still missing, until a
+    round finds none. The loop ends: every round but the last adds at least
+    one fact, from the finite set of heads the rules can ground over the
+    entities and constants present.
     """
     rules = list(builtin_ruleset() if rules is None else rules)
     result = FactBase(set(facts.binary), set(facts.unary))
     if delta is None:
         delta = {v.head for v in ground(result, rules)[1]}
-    if not delta:
-        return result
-    entities = {e for h, _, t in result.binary for e in (h, t)}
-    entities |= {e for _, e in result.unary}
-    entities |= {t for r in rules for t in r.head.args if not is_variable(t)}
-    max_rounds = len(rules) * len(entities) ** 2 + 2
-    rules += [Rule(r.id, r.body[::-1], r.head) for r in rules if len(r.body) == 2]
-    for _ in range(max_rounds):
+    while delta:
         result.binary |= delta
-        groundings = _groundings(rules, _index(FactBase(delta)), _index(result))
-        delta = {head for *_, head in groundings if head not in result.binary}
-        if not delta:
-            return result
-    raise RuntimeError(f"closure did not converge within {max_rounds} rounds")
+        delta = {head for *_, head in iter_groundings(result, rules)
+                 if head not in result.binary}
+    return result
 
 
 def check_violations(d: Document, rules: Iterable[Rule] | None = None

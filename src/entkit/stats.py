@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from itertools import accumulate
-from operator import gt, itemgetter
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .corpus import (Document, EntityCluster, Mention, _content_lines,
+from .corpus import (Document, Mention, _content_lines,
                      _labelled_units, _resource_text)
 
 _RelationUnits = dict[tuple[int, ...], frozenset[str]]  # (head, tail) -> types
@@ -64,60 +63,16 @@ def token_gap(a: Mention, b: Mention) -> int:
     return max(0, b.begin - a.end)
 
 
-class _SortedSpans(NamedTuple):
-    """Spans sorted by (begin, end), each with begin <= end, as columns."""
-
-    begins: list[int]
-    ends: list[int]
-    max_ends: list[int]     # max_ends[k] = max(ends[:k + 1])
-    min_end: int
-
-
-def _cluster_columns(c: EntityCluster, sentence_begins: list[int], doc_id: str
-                     ) -> tuple[_SortedSpans | None, _SortedSpans]:
-    """The cluster's mention spans (None if one is reversed) and the
-    sentence index of each mention's begin, as (s, s) spans."""
-    if not c.mentions:
-        raise ValueError(f"{doc_id}: cluster {c.id!r} has no mentions")
-    begins, ends = map(list, zip(*c.mentions))
-    sentences = [bisect_right(sentence_begins, b) - 1 for b in begins]
-    points = _SortedSpans(sentences, sentences, sentences, sentences[0])
-    if any(map(gt, begins, ends)):
-        return None, points
-    return _SortedSpans(begins, ends, list(accumulate(ends, max)), min(ends)), points
-
-
-def _gap_range(a: _SortedSpans, b: _SortedSpans) -> tuple[int, int]:
-    """Smallest and largest `token_gap` between a span of `a` and one of `b`.
-
-    With begin <= end the gap is max(0, y.begin - x.end, x.begin - y.end),
-    so the largest comes from the last begins and the smallest ends. For the
-    smallest, each span of the shorter side meets two partners on the other:
-    among the spans that begin no later, the one ending last, and the first
-    span that begins later.
-    """
-    largest = max(0, b.begins[-1] - a.min_end, a.begins[-1] - b.min_end)
-    if len(a.begins) > len(b.begins):
-        a, b = b, a
-    begins, max_ends = b.begins, b.max_ends
-    smallest = largest
-    for begin, end in zip(a.begins, a.ends):
-        k = bisect_right(begins, begin)
-        if k and begin - max_ends[k - 1] < smallest:
-            smallest = max(0, begin - max_ends[k - 1])
-        if k < len(begins) and begins[k] - end < smallest:
-            smallest = max(0, begins[k] - end)
-    return smallest, largest
-
-
 def _distance_records(d: Document, units: _RelationUnits) -> list[DistanceRecord]:
     """One record per relation triple of `d`, in (head id, type, tail id)
-    order, min/max over cross mention pairs, read from sorted per-cluster
-    columns without visiting each pair. Each pair of the unit table `units`
-    (`corpus._labelled_units(d, "re")`) is measured once, in the order of
-    its first triple, so the first pair to raise holds the first triple."""
+    order: the min/max `token_gap` over every head x tail mention pair, and
+    the min/max sentence distance over every pair of the two clusters'
+    sentence indices, which are looked up once per cluster. Each pair of the
+    unit table `units` (`corpus._labelled_units(d, "re")`) is measured once,
+    in the order of its first triple, so the first pair to raise holds the
+    first triple."""
     begins = [b for b, _ in d.sentences]
-    columns: dict[int, tuple] = {}
+    sentences: dict[int, set[int]] = {}
     keyed = []
     for (i, j), types in units.items():
         head, tail = d.clusters[i], d.clusters[j]
@@ -125,18 +80,14 @@ def _distance_records(d: Document, units: _RelationUnits) -> list[DistanceRecord
             raise ValueError(
                 f"{d.id}: relation {min(types)!r} connects clusters "
                 f"{head.id!r} and {tail.id!r} that share a mention span")
-        for k in (i, j):
-            if k not in columns:
-                columns[k] = _cluster_columns(d.clusters[k], begins, d.id)
-        head_spans, head_points = columns[i]
-        tail_spans, tail_points = columns[j]
-        if head_spans is not None and tail_spans is not None:
-            min_gap, max_gap = _gap_range(head_spans, tail_spans)
-        else:
-            gaps = [token_gap(hm, tm) for hm in head.mentions
-                    for tm in tail.mentions]
-            min_gap, max_gap = min(gaps), max(gaps)
-        record = DistanceRecord(min_gap, max_gap, *_gap_range(head_points, tail_points))
+        for k, c in ((i, head), (j, tail)):
+            if not c.mentions:
+                raise ValueError(f"{d.id}: cluster {c.id!r} has no mentions")
+            if k not in sentences:
+                sentences[k] = {bisect_right(begins, m.begin) - 1 for m in c.mentions}
+        gaps = [token_gap(hm, tm) for hm in head.mentions for tm in tail.mentions]
+        dists = [abs(hs - ts) for hs in sentences[i] for ts in sentences[j]]
+        record = DistanceRecord(min(gaps), max(gaps), min(dists), max(dists))
         keyed.extend(((head.id, rel_type, tail.id), record) for rel_type in types)
     return [record for _, record in sorted(keyed, key=itemgetter(0))]
 

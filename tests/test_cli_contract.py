@@ -344,3 +344,26 @@ def test_an_integer_over_the_digit_limit_names_the_file_and_the_record():
             [msg] = err.splitlines()
             assert msg.startswith("error: Exceeds the limit"), argv
             assert msg.endswith(f"[{target} @ byte {byte}]"), argv
+
+
+# --------------------------------------------------------------------------
+# An option for some tasks only
+
+
+def test_kappa_refuses_conditioned_for_coref_and_linking():
+    """`--conditioned` restricts entity and relation kappa. With `--task
+    coref` or `linking` it exits 2 with one `error:` line naming the option
+    and its tasks, before either corpus is read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, missing = Path(tmp) / "c.jsonl", str(Path(tmp) / "missing.jsonl")
+        path.write_text(json.dumps(DOCUMENT) + "\n", encoding="utf-8")
+        for task in ("coref", "linking"):
+            code, out, err = _run(["kappa", "--a", missing, "--b", missing,
+                                   "--task", task, "--conditioned"])
+            assert code == 2 and out == "", task
+            assert err == (f"error: --conditioned applies to --task entity and "
+                           f"relation only, not {task}\n")
+        for task in ("entity", "relation"):
+            code, out, _err = _run(["kappa", "--a", str(path), "--b", str(path),
+                                    "--task", task, "--conditioned"])
+            assert code == 0 and json.loads(out)["task"] == task

@@ -3,10 +3,11 @@
 The library computes kappa from contingency counts, coverage from sorted
 columns, the coreference scores from one cluster-overlap table, the unit
 overlaps from products of its cells, the metric levels from per-label count
-rows and relation distances from sorted cluster columns; the oracles in
-`oracles.py` write every item out, count every threshold, map every mention,
-fill the dense similarity matrix, expand every unit into its instances,
-build every instance set and visit every mention pair. Kappa, coverage, the
+rows and sentence distances from each related cluster's sentence indices,
+looked up once; the oracles in `oracles.py` write every item out, count
+every threshold, map every mention, fill the dense similarity matrix,
+expand every unit into its instances, build every instance set and look up
+both sentences of every mention pair. Kappa, coverage, the
 coreference scores, the unit overlaps, the metric levels and the distance
 records must give the same values exactly, not approximately, and the metric
 levels must not change when clusters, relations or documents come in another

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from entkit import rules
 from entkit.rules import (Atom, FactBase, builtin_ruleset,
                           check_violations, closure, count_firings,
                           facts_from_document, parse_rule)
@@ -15,6 +16,27 @@ def rule_by_id(rule_id):
 
 def test_builtin_ruleset_has_41_rules():
     assert len(builtin_ruleset()) == 41
+
+
+def test_builtin_ruleset_is_parsed_once_into_fresh_lists(monkeypatch):
+    parsed = []
+    parse = rules._parse_ruleset
+    monkeypatch.setattr(rules, "_parse_ruleset",
+                        lambda text: parsed.append(text) or parse(text))
+    rules._builtin_rules.cache_clear()
+    try:
+        first, second = builtin_ruleset(), builtin_ruleset()
+        d = make_doc(clusters=[("a", [(0, 1)], []), ("b", [(2, 3)], [])],
+                     relations=[("a", "based_in2", "b")])
+        check_violations(d)
+        count_firings(d)
+        closure(facts_from_document(d))
+        assert len(parsed) == 1
+    finally:
+        rules._builtin_rules.cache_clear()
+    assert first == second and first is not second
+    first.clear()
+    assert builtin_ruleset() == second
 
 
 def test_chain_rule_c27_shape():

@@ -56,6 +56,21 @@ def test_distance_profile_rejects_shared_span():
         relation_distance_profile([d])
 
 
+@pytest.mark.parametrize("relation", [("a", "rel", "e"), ("e", "rel", "a")])
+def test_distance_profile_rejects_empty_cluster(relation):
+    d = make_doc(clusters=[("a", [(0, 1)], []), ("e", [], [])],
+                 relations=[relation])
+    with pytest.raises(ValueError, match="^d: cluster 'e' has no mentions$"):
+        relation_distance_profile([d])
+
+
+def test_distance_profile_shared_span_error_comes_before_empty_cluster():
+    d = make_doc(clusters=[("a", [(0, 1)], []), ("b", [(0, 1)], []), ("e", [], [])],
+                 relations=[("a", "rel", "e"), ("a", "rel", "b")])
+    with pytest.raises(ValueError, match="share a mention span"):
+        relation_distance_profile([d])
+
+
 def test_coverage_table_monotone_and_complete():
     docs = [make_doc(n_tokens=20, sentences=((0, 10), (10, 20)),
                      clusters=[("a", [(0, 1), (11, 12)], []),
