@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from itertools import accumulate, chain, repeat, zip_longest
-from operator import countOf, eq, lt
+from operator import countOf, lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -225,34 +225,38 @@ def validate_document(d: Document) -> ValidationReport:
     seen_ids: set[str] = set()
     span_owner: dict[Mention, str] = {}
     for c in d.clusters:
-        if c.id in seen_ids:
-            err(DUPLICATE_CLUSTER_ID, f"cluster id {c.id!r} appears twice")
-        seen_ids.add(c.id)
+        cid = c.id
+        if cid in seen_ids:
+            err(DUPLICATE_CLUSTER_ID, f"cluster id {cid!r} appears twice")
+        seen_ids.add(cid)
         if not c.mentions:
-            err(EMPTY_CLUSTER, f"cluster {c.id!r} has no mentions")
+            err(EMPTY_CLUSTER, f"cluster {cid!r} has no mentions")
         for m in c.mentions:
-            if m.begin >= m.end:
-                err(SPAN_ORDER, f"cluster {c.id!r}: span [{m.begin},{m.end}) is empty or reversed")
-            elif m.begin < 0 or m.end > n:
-                err(SPAN_BOUNDS, f"cluster {c.id!r}: span [{m.begin},{m.end}) outside [0,{n})")
-            if m in span_owner and span_owner[m] != c.id:
+            b, e = m
+            if b >= e:
+                err(SPAN_ORDER, f"cluster {cid!r}: span [{b},{e}) is empty or reversed")
+            elif b < 0 or e > n:
+                err(SPAN_BOUNDS, f"cluster {cid!r}: span [{b},{e}) outside [0,{n})")
+            owner = span_owner.setdefault(m, cid)
+            if owner != cid:  # reported against the last earlier owner
                 err(MENTION_MULTI_CLUSTER,
-                    f"span [{m.begin},{m.end}) belongs to clusters {span_owner[m]!r} and {c.id!r}")
-            span_owner[m] = c.id
-        for tag in sorted(c.tags - tag_vocab):
-            # namespaced tags ("type::person") count as known via their value
-            if tag.rsplit("::", 1)[-1] not in tag_vocab:
-                warn(UNKNOWN_TAG, f"cluster {c.id!r}: tag {tag!r} not in vocabulary")
+                    f"span [{b},{e}) belongs to clusters {owner!r} and {cid!r}")
+                span_owner[m] = cid
+        if not tag_vocab.issuperset(c.tags):
+            for tag in sorted(c.tags - tag_vocab):
+                # namespaced tags ("type::person") count as known via their value
+                if tag.rsplit("::", 1)[-1] not in tag_vocab:
+                    warn(UNKNOWN_TAG, f"cluster {cid!r}: tag {tag!r} not in vocabulary")
 
-    for r in d.relations:
-        if r.head not in seen_ids:
-            err(DANGLING_RELATION, f"relation head {r.head!r} is not a cluster id")
-        if r.tail not in seen_ids:
-            err(DANGLING_RELATION, f"relation tail {r.tail!r} is not a cluster id")
-        if r.head == r.tail:
-            err(SELF_RELATION, f"relation {r.type!r} connects {r.head!r} to itself")
-        if r.type not in relation_vocab:
-            warn(UNKNOWN_RELATION_TYPE, f"relation type {r.type!r} not in vocabulary")
+    for head, rel_type, tail in d.relations:
+        if head not in seen_ids:
+            err(DANGLING_RELATION, f"relation head {head!r} is not a cluster id")
+        if tail not in seen_ids:
+            err(DANGLING_RELATION, f"relation tail {tail!r} is not a cluster id")
+        if head == tail:
+            err(SELF_RELATION, f"relation {rel_type!r} connects {head!r} to itself")
+        if rel_type not in relation_vocab:
+            warn(UNKNOWN_RELATION_TYPE, f"relation type {rel_type!r} not in vocabulary")
 
     return report
 
@@ -261,7 +265,7 @@ def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
     """The corpus-level DUPLICATE_DOC_ID errors, one per repeated id in order
     of first appearance, then every document's findings in corpus order."""
     report = ValidationReport()
-    deque(_validated(zip(docs, repeat(False)), report), 0)
+    deque(_validated(docs, report), 0)
     return report
 
 
@@ -269,23 +273,21 @@ def validate_path(path: str | Path) -> tuple[int, ValidationReport]:
     """The number of documents of `iter_corpus(path)` and their
     `validate_corpus` report, each document checked as it is read."""
     report = ValidationReport()
-    return sum(1 for _ in _validated(_read(path, _read_document), report)), report
+    return sum(1 for _ in _validated(iter_corpus(path), report)), report
 
 
-def _validated(checked: Iterable[tuple[Document, bool]], report: ValidationReport
+def _validated(docs: Iterable[Document], report: ValidationReport
                ) -> Iterator[tuple[Document, bool]]:
-    """(document, no error) for each (document, known to have no finding) of
-    `checked`; any other is walked by `validate_document`, into `report`.
-    At the end, the DUPLICATE_DOC_ID errors are put before all others."""
+    """(document, no error) for each document of `docs`, whose findings
+    `validate_document` puts into `report`. At the end, the DUPLICATE_DOC_ID
+    errors are put before all others."""
     counts: Counter = Counter()
-    for d, clean in checked:
+    for d in docs:
         counts[d.id] += 1
-        if not clean:
-            found = validate_document(d)
-            report.errors += found.errors
-            report.warnings += found.warnings
-            clean = found.ok
-        yield d, clean
+        found = validate_document(d)
+        report.errors += found.errors
+        report.warnings += found.warnings
+        yield d, found.ok
     report.errors[:0] = [
         Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
         for doc_id, n in counts.items() if n > 1]
@@ -498,11 +500,6 @@ def document_from_json(obj: dict) -> Document:
     a document that fails that check is walked item by item
     (`_raise_entity_error`), to name its first bad item.
     """
-    return _read_document(obj, False)[0]
-
-
-def _read_document(obj: dict, check: bool = True) -> tuple[Document, bool]:
-    """`document_from_json(obj)`, and with `check` whether it is `_clean`."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     _require(isinstance(obj.get("id"), str), "field 'id' must be a string")
     doc_id = obj["id"]
@@ -527,38 +524,13 @@ def _read_document(obj: dict, check: bool = True) -> tuple[Document, bool]:
     deque(map(increasing.__setitem__, stops, repeat(True)), 0)  # not across clusters
     if not all(increasing):
         members = [tuple(sorted(set(m))) for m in members]
-        spans = tuple(chain.from_iterable(members))
     # set field by field in the constructor's order, as its vars() has them
     clusters = list(map(object.__new__, repeat(EntityCluster, len(ids))))
     for name, column in zip(("id", "mentions", "tags", "link"),
                             (ids, members, map(frozenset, tags), links)):
         deque(map(object.__setattr__, clusters, repeat(name), column), 0)
-    d = Document(doc_id, tuple(tokens), sents, tuple(clusters),
-                 tuple(_relations(zip(*ends))), split)
-    return d, check and _clean(d, ids, members, spans, tags, *ends)
-
-
-def _clean(d: Document, ids: list, members: list, spans: tuple, tags: list,
-           heads: list, types: list, tails: list) -> bool:
-    """Whether `validate_document(d)` finds nothing, judged in bulk from the
-    columns `d` was built from (`spans`: its clusters' mentions, in order)."""
-    n = len(d.tokens)
-    starts, stops = zip(*d.sentences) if d.sentences else ((), ())
-    begins, ends = zip(*spans) if spans else ((), ())
-    known, tag_vocab = set(ids), builtin_tag_vocabulary()
-    return (d.split in SPLITS
-            # each sentence is non-empty and begins where the last ended
-            and (0, *stops) == (*starts, n) and all(map(lt, starts, stops))
-            and len(known) == len(ids) and all(members)
-            and len(set(spans)) == len(spans)  # no span in two clusters
-            and all(map(lt, begins, ends))
-            and min(begins, default=0) >= 0 and max(ends, default=0) <= n
-            and (tag_vocab.issuperset(chain.from_iterable(tags))
-                 or all(tag.rsplit("::", 1)[-1] in tag_vocab  # "type::person" is known
-                        for tag in set(chain.from_iterable(tags)) - tag_vocab))
-            and known.issuperset(heads) and known.issuperset(tails)
-            and not any(map(eq, heads, tails))
-            and builtin_relation_vocabulary().issuperset(types))
+    return Document(doc_id, tuple(tokens), sents, tuple(clusters),
+                    tuple(_relations(zip(*ends))), split)
 
 
 def _entity_fields(obj: dict) -> tuple | None:
@@ -691,18 +663,13 @@ def iter_corpus(path: str | Path) -> Iterator[Document]:
     """Read documents one at a time without invariant checking (syntax and
     schema only): a directory as one document per *.json file in sorted file
     order, any other path as JSON Lines."""
-    return _read(path, document_from_json)
-
-
-def _read(path: str | Path, build: Callable) -> Iterator:
-    """`build` of each record of `iter_corpus(path)`, in its order."""
     path = Path(path)
     if not path.is_dir():
-        return _iter_jsonl(path, build)
-    return (read_json(f, build) for f in sorted(path.glob("*.json")))
+        return _iter_jsonl(path)
+    return (read_json(f, document_from_json) for f in sorted(path.glob("*.json")))
 
 
-def _iter_jsonl(path: Path, build: Callable) -> Iterator:
+def _iter_jsonl(path: Path) -> Iterator[Document]:
     """One record per line, with only JSON whitespace (ASCII) around it; a
     failing line is re-decoded without it, to locate the error in the record."""
     offset = 0
@@ -717,7 +684,7 @@ def _iter_jsonl(path: Path, build: Callable) -> Iterator:
                     continue
                 obj = decode_json(record, path, start + line.find(record))
             try:
-                yield build(obj)
+                yield document_from_json(obj)
             except ValueError as e:
                 raise ParseError(str(e), path=path, byte_offset=start) from e
 
@@ -734,7 +701,7 @@ def iter_valid_corpus(path: str | Path) -> Iterator[Document]:
     raises CorpusValidationError, so a ParseError anywhere in the file comes
     first; warnings never raise."""
     report = ValidationReport()
-    yield from (d for d, ok in _validated(_read(path, _read_document), report) if ok)
+    yield from (d for d, ok in _validated(iter_corpus(path), report) if ok)
     if report.errors:
         raise CorpusValidationError(report.errors, path)
 

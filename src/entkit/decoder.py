@@ -9,11 +9,10 @@ no cluster claims get fresh singleton clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
-from .corpus import (Mention, MentionMultiClusterError, _are_spans, _every,
-                     _mentions, _require, spans_from_json)
+from .corpus import (Mention, MentionMultiClusterError, _every, _require,
+                     spans_from_json)
 
 
 @dataclass(frozen=True)
@@ -146,17 +145,13 @@ def decode_input_from_json(obj: dict) -> DecodeInput:
              "field 'p_cl' must map cluster ids to lists of spans")
     tag_spans, tags = _columns(obj, "p_men", 2, "[[begin, end], tag]")
     heads, types, tails = _columns(obj, "p_rel", 3, "[[begin, end], type, [begin, end]]")
-    # all spans at once; a failure walks the fields in order to name the first bad one
-    if not _are_spans([*chain.from_iterable(p_cl.values()), *tag_spans, *heads, *tails]):
-        for cid, spans in p_cl.items():
-            spans_from_json(spans, f"p_cl[{cid!r}]", "spans")
-        spans_from_json(tag_spans, "p_men", "spans")
-        spans_from_json(heads + tails, "p_rel", "spans")
-    clusters = {cid: tuple(_mentions(spans)) for cid, spans in p_cl.items()}
-    tagged, ends = tuple(_mentions(tag_spans)), tuple(_mentions(heads + tails))
-    n = len(heads)
+    # each field's spans checked at once, in field order, to name the first bad one
+    clusters = {cid: spans_from_json(spans, f"p_cl[{cid!r}]", "spans")
+                for cid, spans in p_cl.items()}
+    tagged = spans_from_json(tag_spans, "p_men", "spans")
+    heads, tails = (spans_from_json(ends, "p_rel", "spans") for ends in (heads, tails))
     # the constructor freezes the entries, so they are made tuples only there
-    return DecodeInput(clusters, zip(tagged, tags), zip(ends[:n], types, ends[n:]))
+    return DecodeInput(clusters, zip(tagged, tags), zip(heads, types, tails))
 
 
 def decode_output_to_json(out: DecodeOutput) -> dict:

@@ -19,8 +19,8 @@ Field mapping:
   top-level "tags"     -> split ("train" / "test" / "unsplit").
 
 Concepts that never appear as a mention cannot be represented (clusters must
-be non-empty) and are dropped together with their relations; the per-document
-drop counts are reported.
+be non-empty) and are dropped with their relations, and counted; a repeated
+concept index or a mention of no concept is a schema error.
 """
 
 from __future__ import annotations
@@ -103,9 +103,15 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
         report.notes.append(f"{doc_id}: no article content; run the release's "
                             "content-fetch step first")
     words, begins, ends = _tokenize(content)
+    mentions = _records(obj, "mentions", {"begin": int, "end": int, "concept": int})
+    concepts = _records(obj, "concepts", {"concept": int})
+    indices = {c["concept"] for c in concepts}
+    _require(len(indices) == len(concepts), "%s: two concepts share an index", doc_id)
+    _require(indices.issuperset(m["concept"] for m in mentions),
+             "%s: a mention names a concept index that no concept has", doc_id)
 
     mentions_by_concept: dict[int, list[Mention]] = {}
-    for m in _records(obj, "mentions", {"begin": int, "end": int, "concept": int}):
+    for m in mentions:
         span = _token_span(begins, ends, m["begin"], m["end"])
         if span is None:
             report.unaligned_mentions += 1
@@ -113,14 +119,12 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
         mentions_by_concept.setdefault(m["concept"], []).append(span)
 
     clusters = []
-    kept: set[int] = set()
-    for c in _records(obj, "concepts", {"concept": int}):
+    for c in concepts:
         idx = c["concept"]
         spans = mentions_by_concept.get(idx)
         if not spans:
             report.dropped_concepts += 1
             continue
-        kept.add(idx)
         tags = c.get("tags") or []
         if isinstance(tags, str):
             tags = [t for t in tags.split(";") if t]
@@ -135,7 +139,7 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
     relations = []
     for r in _records(obj, "relations", {"s": int, "p": str, "o": int}):
         s, o = r["s"], r["o"]
-        if s in kept and o in kept:
+        if s in mentions_by_concept and o in mentions_by_concept:  # the kept concepts
             relations.append(RelationTriple(f"c{s}", r["p"], f"c{o}"))
         else:
             report.dropped_relations += 1
@@ -165,7 +169,7 @@ def iter_release(src_dir: str | Path, report: ConversionReport) -> Iterator[Docu
 
 def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list[str]:
     """`iter_release`'s documents as canonical lines, converted by one worker
-    process per CPU this process may run on (at most one per file). The first
+    process per CPU this process may run on, at most one per task. The first
     file in filename order that fails raises its error; pending files are
     cancelled, and every worker has exited when this returns or raises."""
     from concurrent.futures import ProcessPoolExecutor
@@ -173,8 +177,8 @@ def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     lines = []
-    # a pool starts its workers at the first submitted task, so none for no files
-    with ProcessPoolExecutor(max(1, min(cpus, len(paths)))) as pool:
+    # a forked pool starts all workers at the first task (none for no files): one a task
+    with ProcessPoolExecutor(max(1, min(cpus, -(-len(paths) // _FILES_PER_TASK)))) as pool:
         for line, *fields in pool.map(convert_file, paths, chunksize=_FILES_PER_TASK):
             report.add(*fields)
             lines.append(line)

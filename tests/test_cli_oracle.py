@@ -15,12 +15,14 @@ distance records. The four
 print the brute-force agreement over explicit item lists, or exit 2 where
 that has no items. `validate`, on generated corpora with invalid documents,
 must print the findings of the one-check-at-a-time `oracles.validate_findings`.
-Outputs are parsed and compared by `==`. On the same documents, the loader's
-bulk "clean" verdict must hold exactly when `validate_document` finds
-nothing, and `iter_valid_corpus` must yield exactly the documents the oracle
-finds no error in, then raise the oracle's errors.
+Outputs are parsed and compared by `==`. On the same documents, the loader
+must build the per-item reference's document, the validating readers must
+call `validate_document` once per document, and `iter_valid_corpus` must
+yield exactly the documents the oracle finds no error in, then raise the
+oracle's errors.
 """
 
+import contextlib
 import json
 import tempfile
 from pathlib import Path
@@ -31,8 +33,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entkit.corpus import (UNANNOTATED, CorpusValidationError, _read_document,
-                           iter_valid_corpus, validate_document)
+import entkit.corpus
+from entkit.corpus import (UNANNOTATED, CorpusValidationError, document_from_json,
+                           iter_valid_corpus, parse_corpus, validate_corpus,
+                           validate_path)
 from entkit.metrics import LEVELS
 from conftest import make_doc
 from test_cli_contract import _run
@@ -221,6 +225,9 @@ def invalid_documents(draw):
     ("c0", [(0, 1), (2, 1)], ["nonsense"]), ("c1", [(0, 1), (1, 5)], ["person"])],
     relations=[("c0", "bogus", "cx"), ("c1", "in0", "c1")]),
     make_doc("d1", n_tokens=2), make_doc("d0", n_tokens=2)])
+@example([make_doc("d0", n_tokens=4, clusters=[
+    ("c0", [(0, 1)], []), ("c1", [(0, 1), (2, 3)], []), ("c0", [(0, 1)], []),
+    ("c1", [(2, 3)], [])])])
 def test_validate_equals_oracle_findings(docs):
     errors, warnings = oracles.validate_findings(docs)
     want = {"schema_version": 1, "documents": len(docs),
@@ -277,11 +284,25 @@ def _record(clusters=(), relations=(), n_tokens=4, sentences=None):
 @example(_record(sentences=[[0, 0], [0, 4]]))
 @example(_record([("c0", [[-1, 1]], [])]))
 @example(_record([("c0", [[3, 5]], [])]))
-def test_bulk_verdict_is_clean_exactly_when_validation_finds_nothing(obj):
-    doc, clean = _read_document(obj)
-    assert doc == oracles.per_item_document_from_json(obj)
-    report = validate_document(doc)
-    assert clean == (not report.errors and not report.warnings)
+def test_loader_builds_the_per_item_document_of_invalid_records(obj):
+    assert document_from_json(obj) == oracles.per_item_document_from_json(obj)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda path: validate_path(path)[1], lambda path: list(iter_valid_corpus(path)),
+    parse_corpus, lambda path: validate_corpus(entkit.corpus.iter_corpus(path))],
+    ids=["validate_path", "iter_valid_corpus", "parse_corpus", "validate_corpus"])
+def test_validating_readers_walk_every_document_once(tmp_path, monkeypatch, reader):
+    # valid documents as well as invalid ones: none skips the walk
+    docs = [make_doc("d0", n_tokens=4, clusters=[("c0", [(0, 1)], ["person"])]),
+            make_doc("d1", n_tokens=2), make_doc("d2", n_tokens=2, split="dev")]
+    walked = []
+    validate = entkit.corpus.validate_document
+    monkeypatch.setattr(entkit.corpus, "validate_document",
+                        lambda d: walked.append(d.id) or validate(d))
+    with contextlib.suppress(CorpusValidationError):
+        reader(_write(tmp_path / "corpus.jsonl", docs))
+    assert walked == ["d0", "d1", "d2"]
 
 
 @settings(max_examples=200, deadline=None,

@@ -167,10 +167,11 @@ sys.exit(run(sys.argv[1:]))
 """
 
 
-def _convert_on_one_cpu(argv) -> tuple[int, str, str]:
+def _run_probe(probe: str, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `probe` run on `argv` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", ONE_CPU_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -184,7 +185,7 @@ def test_pooled_convert_equals_the_serial_reader(tmp_path, release, cpus):
         else _generated_release(tmp_path / "release")
     want_out = _serial_convert(src, tmp_path / "want.jsonl")
     argv = ["convert", str(src), "--out-corpus", str(tmp_path / "got.jsonl")]
-    got = _run(argv) if cpus == "all" else _convert_on_one_cpu(argv)
+    got = _run(argv) if cpus == "all" else _run_probe(ONE_CPU_PROBE, argv)
     assert got == (0, want_out, "")
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
     if release == "generated":
@@ -211,3 +212,45 @@ def test_pooled_convert_names_the_first_broken_file_in_filename_order(tmp_path):
     assert f"[{first} @ byte 7]" in err and str(second) not in err
     assert out_corpus.read_bytes() == b"an earlier corpus\n"
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fault", ["repeated concept", "mention of no concept"])
+def test_convert_refuses_a_release_file_that_breaks_the_concept_index(tmp_path, fault):
+    concepts, mentions = RELEASE_DOC["concepts"], RELEASE_DOC["mentions"]
+    broken = dict(RELEASE_DOC, concepts=concepts + concepts[:1]) \
+        if fault == "repeated concept" \
+        else dict(RELEASE_DOC, mentions=mentions + [dict(mentions[0], concept=9)])
+    src = tmp_path / "release"
+    src.mkdir()
+    (src / "DW_001.json").write_text(json.dumps(broken))
+    with pytest.raises(ParseError) as serial:
+        convert_release(src)
+    code, out, err = _run(["convert", str(src), "--out-corpus", str(tmp_path / "c.jsonl")])
+    assert (code, out, err) == (2, "", f"error: {serial.value}\n")
+    assert err.endswith(f"[{src / 'DW_001.json'}]\n") and err.count("\n") == 1
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+FORK_PROBE = """
+import os, sys
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+from entkit.cli import run
+code = run(sys.argv[1:])
+print(len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("files", [3, dwie._FILES_PER_TASK + 1])
+def test_convert_forks_no_more_workers_than_tasks(tmp_path, files):
+    if not hasattr(os, "register_at_fork") or \
+            multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers are not forked on this platform")
+    src = _generated_release(tmp_path / "release", files)
+    code, _out, forks = _run_probe(
+        FORK_PROBE, ["convert", str(src), "--out-corpus", str(tmp_path / "c.jsonl")])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    tasks = -(-files // dwie._FILES_PER_TASK)
+    assert (code, forks) == (0, f"{min(cpus, tasks)}\n")
