@@ -14,8 +14,8 @@ expanding entity-level relations to mention pairs, coreference by shared
 mention pairs, and links by shared mentions. Items seen by only one annotator
 enter as disagreements against an explicit absent marker, except in the
 "conditioned" mode which restricts classification to jointly detected items.
-Each adapter counts its contingency table directly; no item list is built.
-Entity and relation agreement read the unit-overlap table of each document
+Each adapter folds one document pair at a time into its contingency counts
+(`agreement_fold`), and no item list is built. Entity and relation agreement read the unit-overlap table of each document
 pair (`corpus.unit_overlaps`, which the NER and RE scores read too), coref
 and linking agreement the cluster-overlap table under it. All four take
 any two iterables of documents and pair them lazily (`corpus.iter_pairs`),
@@ -132,7 +132,7 @@ def entity_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     no tags; conditioned=True restricts classification to spans both
     annotators detected.
     """
-    return _labelled_agreement(docs_a, docs_b, "ner", conditioned)
+    return _agreement(LabelledAgreement("ner", conditioned), docs_a, docs_b)
 
 
 def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
@@ -142,11 +142,52 @@ def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     Entity-level relations are expanded to all cross mention pairs so the two
     annotators' (possibly different) clusterings line up on shared spans.
     """
-    return _labelled_agreement(docs_a, docs_b, "re", conditioned)
+    return _agreement(LabelledAgreement("re", conditioned), docs_a, docs_b)
 
 
-def _labelled_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
-                        task: str, conditioned: bool) -> dict:
+def coref_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]) -> dict:
+    """Binary same-cluster agreement over pairs of jointly detected spans."""
+    return _agreement(CorefAgreement(), docs_a, docs_b)
+
+
+def linking_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]) -> dict:
+    """Link-id agreement over jointly detected mentions; NIL and unannotated
+    links are distinct labels."""
+    return _agreement(LinkingAgreement(), docs_a, docs_b)
+
+
+def agreement_fold(task: str, conditioned: bool = False) -> "_Contingency":
+    """The empty fold of `<task>_agreement`: `add` a document pair,
+    `merge` another fold, and `result`."""
+    if task in ("entity", "relation"):
+        return LabelledAgreement("ner" if task == "entity" else "re", conditioned)
+    return CorefAgreement() if task == "coref" else LinkingAgreement()
+
+
+def _agreement(fold: "_Contingency", docs_a: Iterable[Document],
+               docs_b: Iterable[Document]) -> dict:
+    for da, db in iter_pairs(docs_a, docs_b):
+        fold.add(da, db)
+    return fold.result()
+
+
+class _Contingency:
+    """Contingency counts of one kappa task. Each count is an int, so no
+    result depends on how the document pairs were split and merged."""
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+
+    def merge(self, other: "_Contingency") -> None:
+        self.counts.update(other.counts)
+
+    def _summary(self, empty: str) -> dict:
+        if not sum(self.counts.values()):
+            raise ValueError(empty)
+        return _kappa_summary(AnnotationPair(self.counts))
+
+
+class LabelledAgreement(_Contingency):
     """Detection kappa over the items either annotator gave labels to, and
     per-label binary kappas over the classification items.
 
@@ -157,34 +198,44 @@ def _labelled_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     annotator b assigned it; every other classification item is a joint
     negative.
     """
-    marker = "mention" if task == "ner" else "relation"
-    detect: Counter = Counter()
-    tables: defaultdict[str, Counter] = defaultdict(Counter)
-    n_class_items = 0
-    for da, db in iter_pairs(docs_a, docs_b):
-        units_a, units_b, blocks = unit_overlaps(da, db, task)
+
+    def __init__(self, task: str, conditioned: bool = False):
+        super().__init__()  # the detection counts
+        self.task, self.conditioned = task, conditioned
+        self.marker = "mention" if task == "ner" else "relation"
+        self.tables: defaultdict[str, Counter] = defaultdict(Counter)
+        self.n_class_items = 0
+
+    def add(self, da: Document, db: Document) -> None:
+        units_a, units_b, blocks = unit_overlaps(da, db, self.task)
         for (ua, ub), n in blocks.items():
             la, lb = units_a.get(ua), units_b.get(ub)
-            detect[(ABSENT if la is None else marker,
-                    ABSENT if lb is None else marker)] += n
+            self.counts[(ABSENT if la is None else self.marker,
+                         ABSENT if lb is None else self.marker)] += n
             if la is None or lb is None:
-                if conditioned:
+                if self.conditioned:
                     continue
                 la, lb = la or frozenset(), lb or frozenset()
-            n_class_items += n
+            self.n_class_items += n
             for label in la | lb:
-                tables[label][(label in la, label in lb)] += n
-    if not detect:
-        raise ValueError(f"neither annotator produced any {marker}")
-    label_pairs = {}
-    for label, table in tables.items():
-        table[(False, False)] = n_class_items - sum(table.values())
-        label_pairs[label] = AnnotationPair(table)
-    return {
-        "detection": _kappa_summary(AnnotationPair(detect)),
-        "classification": multilabel_kappa(label_pairs) if label_pairs else None,
-        "per_label": {l: cohen_kappa(p) for l, p in sorted(label_pairs.items())},
-    }
+                self.tables[label][(label in la, label in lb)] += n
+
+    def merge(self, other: "LabelledAgreement") -> None:
+        super().merge(other)
+        for label, table in other.tables.items():
+            self.tables[label].update(table)
+        self.n_class_items += other.n_class_items
+
+    def result(self) -> dict:
+        detection = self._summary(f"neither annotator produced any {self.marker}")
+        label_pairs = {label: AnnotationPair({
+            **table, (False, False): self.n_class_items - sum(table.values())})
+            for label, table in self.tables.items()}
+        return {
+            "detection": detection,
+            "classification": multilabel_kappa(label_pairs) if label_pairs else None,
+            "per_label": {l: cohen_kappa(p) for l, p in sorted(label_pairs.items())},
+        }
 
 
 def _shared_cells(da: Document, db: Document) -> dict[tuple[int, int], int]:
@@ -198,16 +249,12 @@ def _pairs_within(cluster_sizes: Iterable[int]) -> int:
     return sum(n * (n - 1) // 2 for n in cluster_sizes)
 
 
-def coref_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]
-                    ) -> dict:
-    """Binary same-cluster agreement over pairs of jointly detected spans.
+class CorefAgreement(_Contingency):
+    """The pair counts follow from the overlap cells of the shared spans:
+    pairs inside one cell are same-cluster for both annotators, pairs
+    inside one row (a cluster of a) for a, pairs inside one column for b."""
 
-    The pair counts follow from the overlap cells of the shared spans: pairs
-    inside one cell are same-cluster for both annotators, pairs inside one
-    row (a cluster of a) for a, pairs inside one column for b.
-    """
-    counts: Counter = Counter()
-    for da, db in iter_pairs(docs_a, docs_b):
+    def add(self, da: Document, db: Document) -> None:
         cells = _shared_cells(da, db)
         rows, cols = Counter(), Counter()
         for (i, j), n in cells.items():
@@ -216,34 +263,28 @@ def coref_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]
         both = _pairs_within(cells.values())
         same_a = _pairs_within(rows.values())
         same_b = _pairs_within(cols.values())
-        counts[(True, True)] += both
-        counts[(True, False)] += same_a - both
-        counts[(False, True)] += same_b - both
-        counts[(False, False)] += (_pairs_within([sum(cells.values())])
-                                   - same_a - same_b + both)
-    if not sum(counts.values()):
-        raise ValueError("no shared mention pairs to compare")
-    return _kappa_summary(AnnotationPair(counts))
+        self.counts[(True, True)] += both
+        self.counts[(True, False)] += same_a - both
+        self.counts[(False, True)] += same_b - both
+        self.counts[(False, False)] += (_pairs_within([sum(cells.values())])
+                                        - same_a - same_b + both)
+
+    def result(self) -> dict:
+        return self._summary("no shared mention pairs to compare")
 
 
-def linking_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]
-                      ) -> dict:
-    """Link-id agreement over jointly detected mentions; NIL and unannotated
-    links are distinct labels."""
+def _link_label(link) -> str:
+    return link if isinstance(link, str) else "<nil>" if link is None else ABSENT
 
-    def link_label(link) -> str:
-        if isinstance(link, str):
-            return link
-        return "<nil>" if link is None else ABSENT
 
-    counts: Counter = Counter()
-    for da, db in iter_pairs(docs_a, docs_b):
+class LinkingAgreement(_Contingency):
+    def add(self, da: Document, db: Document) -> None:
         for (i, j), n in _shared_cells(da, db).items():
-            counts[link_label(da.clusters[i].link),
-                   link_label(db.clusters[j].link)] += n
-    if not counts:
-        raise ValueError("no shared mentions to compare links on")
-    return _kappa_summary(AnnotationPair(counts))
+            self.counts[_link_label(da.clusters[i].link),
+                        _link_label(db.clusters[j].link)] += n
+
+    def result(self) -> dict:
+        return self._summary("no shared mentions to compare links on")
 
 
 def _kappa_summary(pair: AnnotationPair) -> dict:

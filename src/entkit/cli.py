@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, cluster_overlaps, iter_pairs, iter_valid_corpus,
+from .corpus import (CorpusError, cluster_overlaps, fold_pairs, iter_valid_corpus,
                      read_json, validate_path)
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
@@ -94,16 +94,28 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+class _Scores(dict):
+    """Task -> its fold, all fed one document pair at a time (`add`) and
+    merged task by task (`merge`); `corpus.fold_pairs` may fold copies of it
+    in worker processes."""
+
+    def add(self, g, p) -> None:
+        cells = cluster_overlaps(g, p)  # one table per pair, read by every fold
+        for task, fold in self.items():
+            fold.add(cells if task == "coref"
+                     else metrics.build_eval_view(g, p, task, cells))
+
+    def merge(self, other: "_Scores") -> None:
+        for task, fold in self.items():
+            fold.merge(other[task])
+
+
 def _cmd_score(args) -> int:
     levels = list(metrics.LEVELS) if args.level == "all" else [args.level]
     tasks = ("ner", "re", "coref") if args.task == "all" else (args.task,)
-    folds = {task: coref.CorefFold() if task == "coref" else metrics.ScoreFold(levels)
-             for task in tasks}
-    for g, p in iter_pairs(iter_valid_corpus(args.gold), iter_valid_corpus(args.pred)):
-        cells = cluster_overlaps(g, p)  # one table per pair, read by every fold
-        for task, fold in folds.items():
-            fold.add(cells if task == "coref"
-                     else metrics.build_eval_view(g, p, task, cells))
+    folds = fold_pairs(args.gold, args.pred, _Scores(
+        {task: coref.CorefFold() if task == "coref" else metrics.ScoreFold(levels)
+         for task in tasks}))
     payload = {task: fold.report() if task == "coref" else fold.report(args.per_label)
                for task, fold in folds.items()}
     _emit(payload if args.task == "all" else payload[args.task], args.out)
@@ -158,11 +170,8 @@ def _cmd_kappa(args) -> int:
     if args.conditioned and args.task not in ("entity", "relation"):
         raise ValueError(f"--conditioned applies to --task entity and relation "
                          f"only, not {args.task}")
-    docs_a, docs_b = iter_valid_corpus(args.a), iter_valid_corpus(args.b)
-    # looked up by name, so a tracer's wrapper of the adapter is called
-    adapter = getattr(agreement, f"{args.task}_agreement")
-    options = {"conditioned": True} if args.conditioned else {}
-    result = adapter(docs_a, docs_b, **options)
+    fold = agreement.agreement_fold(args.task, args.conditioned)
+    result = fold_pairs(args.a, args.b, fold).result()
     _emit({"task": args.task, "result": result}, args.out)
     return 0
 

@@ -210,6 +210,15 @@ class CorefFold:
                    for i in rows]
             self.matched.update(sim[r][c] for r, c in _max_weight_assignment(sim))
 
+    def merge(self, other: "CorefFold") -> None:
+        """Add the counts of `other`."""
+        self.links += other.links
+        for mine, theirs in ((self.mentions, other.mentions),
+                             (self.clusters, other.clusters)):
+            mine[:] = map(sum, zip(mine, theirs))
+        for terms in ("recall_terms", "precision_terms", "matched"):
+            getattr(self, terms).update(getattr(other, terms))
+
     def scores(self) -> dict[str, PRFReport]:
         (n_gold, n_pred), (k_gold, k_pred) = self.mentions, self.clusters
         total = _fsum(self.matched)

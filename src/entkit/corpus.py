@@ -20,12 +20,15 @@ was never considered for linking.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import functools
 import json
+import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import countOf, lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -718,3 +721,106 @@ def serialize_corpus(docs: Iterable[Document], path: str | Path) -> None:
     lines = list(map(canonical_line, docs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
+
+
+# --------------------------------------------------------------------------
+# Worker processes
+
+POOL_MIN_BYTES = 1 << 20  # about 40 ms of reading; starting a pool costs about 10
+ITEMS_PER_TASK = 16  # fewer items a task cost the parent more in messages
+
+
+def pool_cpus(nbytes: int) -> int:
+    """The CPUs this process may run on, if more than one and `nbytes`, the
+    size of the input, is at least POOL_MIN_BYTES; else 0, for no pool."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return cpus if cpus > 1 and nbytes >= POOL_MIN_BYTES else 0
+
+
+def map_tasks(fn: Callable, tasks: Iterable, cpus: int) -> Iterator:
+    """`fn(task)` for each task, in order: in this process if `cpus` is 0,
+    else in one worker process per CPU, at most one per task, with two tasks
+    per worker read ahead. A task's error is raised in task order, and
+    pending tasks are cancelled; every worker has exited when the iterator
+    ends, raises or is closed."""
+    if not cpus:
+        yield from map(fn, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    tasks = iter(tasks)
+    ahead = list(islice(tasks, 2 * cpus))
+    # a forked pool starts all its workers at the first task (none for no task)
+    with ProcessPoolExecutor(max(1, min(cpus, len(ahead)))) as pool:
+        pending = deque(pool.submit(fn, task) for task in ahead)
+        try:
+            while pending:
+                pending.extend(pool.submit(fn, task) for task in islice(tasks, 1))
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def fold_pairs(path_a: str | Path, path_b: str | Path, fold):
+    """`fold` after `fold.add(a, b)` for each pair of
+    `iter_pairs(iter_valid_corpus(path_a), iter_valid_corpus(path_b))`.
+
+    Two JSON Lines files that `pool_cpus` gives a pool are folded there
+    first, each worker a run of lines of both into a copy of the empty
+    `fold`, merged here (`fold.merge`). That stands if every record builds
+    and validates without error, ids and tokens agree line by line, no id
+    repeats and the files have as many lines; if not, the pairs are read
+    as above, which raises that reader's first error."""
+    paths = (path_a, path_b)
+    cpus = all(map(os.path.isfile, paths)) and pool_cpus(sum(map(os.path.getsize, paths)))
+    if cpus and (pooled := _fold_pooled(paths, fold, cpus)) is not None:
+        return pooled
+    for a, b in iter_pairs(iter_valid_corpus(path_a), iter_valid_corpus(path_b)):
+        fold.add(a, b)
+    return fold
+
+
+def _fold_pooled(paths: tuple, fold, cpus: int):
+    """`fold_pairs`'s pooled fold, or None where it does not stand."""
+    tasks = ((fold, *zip(paths, runs)) for runs in zip_longest(*map(_line_runs, paths)))
+    merged, ids = copy.deepcopy(fold), []
+    with contextlib.closing(map_tasks(fold_line_pairs, tasks, cpus)) as results:
+        for result in results:
+            if result is None:
+                return None
+            merged.merge(result[0])
+            ids += result[1]
+    return merged if len(set(ids)) == len(ids) else None
+
+
+def _line_runs(path: str | Path) -> Iterator[tuple[int, int]]:
+    """The byte range of each run of ITEMS_PER_TASK lines of a file."""
+    start = 0
+    with open(path, "rb") as fh:
+        while sizes := list(map(len, islice(fh, ITEMS_PER_TASK))):
+            yield start, start + sum(sizes)
+            start += sum(sizes)
+
+
+def fold_line_pairs(task: tuple) -> tuple | None:
+    """The worker of `fold_pairs`, sent by name: for (fold, (path, byte
+    range) of each file), the fold after each pair of lines and their ids;
+    None if a line has no partner, a record fails to decode, build or
+    validate, or the two of a line differ in id or tokens."""
+    fold, *runs = task
+    ids, lines = [], []
+    try:
+        for path, (start, stop) in runs:
+            with open(path, "rb") as fh:
+                fh.seek(start)
+                lines.append(fh.read(stop - start).removesuffix(b"\n").split(b"\n"))
+        for pair in zip_longest(*lines):  # a line with no partner meets None
+            a, b = (document_from_json(json.loads(line.decode("utf-8"))) for line in pair)
+            if a.id != b.id or a.tokens != b.tokens \
+                    or not (validate_document(a).ok and validate_document(b).ok):
+                return None
+            fold.add(a, b)
+            ids.append(a.id)
+    except Exception:  # the serial reader raises it, in its order
+        return None
+    return fold, ids

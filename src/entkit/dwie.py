@@ -25,19 +25,18 @@ concept index or a mention of no concept is a schema error.
 
 from __future__ import annotations
 
-import os
 import re
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
-from .corpus import (Document, EntityCluster, Mention, RelationTriple,
-                     UNANNOTATED, _every, _require, canonical_line, read_json)
+from .corpus import (ITEMS_PER_TASK, UNANNOTATED, Document, EntityCluster, Mention,
+                     RelationTriple, _every, _require, canonical_line, map_tasks,
+                     pool_cpus, read_json)
 
 _TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
 _BREAK_RE = re.compile(r"[.!?]|\n")
-_FILES_PER_TASK = 16  # one file a task costs the parent more in messages
 
 
 class ConversionReport:
@@ -119,12 +118,7 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
         mentions_by_concept.setdefault(m["concept"], []).append(span)
 
     clusters = []
-    for c in concepts:
-        idx = c["concept"]
-        spans = mentions_by_concept.get(idx)
-        if not spans:
-            report.dropped_concepts += 1
-            continue
+    for c in concepts:  # each checked, then dropped if no mention aligns
         tags = c.get("tags") or []
         if isinstance(tags, str):
             tags = [t for t in tags.split(";") if t]
@@ -133,8 +127,11 @@ def convert_annotation(obj: dict, report: ConversionReport | None = None
         link = c.get("link", UNANNOTATED)
         _require(link is None or link is UNANNOTATED or isinstance(link, str),
                  "%s: concept 'link' must be a string or null", doc_id)
-        clusters.append(EntityCluster(f"c{idx}", tuple(spans),
-                                      frozenset(tags), link))
+        if spans := mentions_by_concept.get(c["concept"]):
+            clusters.append(EntityCluster(f"c{c['concept']}", tuple(spans),
+                                          frozenset(tags), link))
+        else:
+            report.dropped_concepts += 1
 
     relations = []
     for r in _records(obj, "relations", {"s": int, "p": str, "o": int}):
@@ -168,29 +165,27 @@ def iter_release(src_dir: str | Path, report: ConversionReport) -> Iterator[Docu
 
 
 def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list[str]:
-    """`iter_release`'s documents as canonical lines, converted by one worker
-    process per CPU this process may run on, at most one per task. The first
-    file in filename order that fails raises its error; pending files are
-    cancelled, and every worker has exited when this returns or raises."""
-    from concurrent.futures import ProcessPoolExecutor
+    """`iter_release`'s documents as canonical lines, converted in worker
+    processes when `corpus.pool_cpus` gives the files' total size a pool.
+    The first file in filename order that fails raises its error; pending
+    files are cancelled, and every worker has exited when this returns or
+    raises."""
     paths = _release_files(src_dir)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    lines = []
-    # a forked pool starts all workers at the first task (none for no files): one a task
-    with ProcessPoolExecutor(max(1, min(cpus, -(-len(paths) // _FILES_PER_TASK)))) as pool:
-        for line, *fields in pool.map(convert_file, paths, chunksize=_FILES_PER_TASK):
-            report.add(*fields)
-            lines.append(line)
+    tasks = [paths[i:i + ITEMS_PER_TASK] for i in range(0, len(paths), ITEMS_PER_TASK)]
+    lines: list[str] = []
+    cpus = pool_cpus(sum(path.stat().st_size for path in paths))
+    for converted, *fields in map_tasks(convert_files, tasks, cpus):
+        report.add(*fields)
+        lines += converted
     return lines
 
 
-def convert_file(path: Path) -> tuple[str, int, int, int, int, list[str]]:
-    """The pool's worker, sent by name: one release file's canonical line,
-    then its report's fields (`ConversionReport.add`)."""
+def convert_files(paths: list[Path]) -> tuple:
+    """The pool's worker, sent by name: the files' canonical lines, then
+    the fields of their report (`ConversionReport.add`)."""
     report = ConversionReport()
-    doc = read_json(path, lambda obj: convert_annotation(obj, report))
-    return (canonical_line(doc), *vars(report).values())
+    return ([canonical_line(read_json(path, lambda obj: convert_annotation(obj, report)))
+             for path in paths], *vars(report).values())
 
 
 def _release_files(src_dir: str | Path) -> list[Path]:

@@ -201,13 +201,23 @@ class ScoreFold:
             self.add(view)
 
     def add(self, view: EvalView) -> None:
-        if self.task not in (None, view.task):
-            raise ValueError(f"cannot mix tasks {sorted((self.task, view.task))} "
-                             f"in one score")
-        self.task = view.task
+        self._join(view.task)
         for level, rows in self.rows.items():
             for label, counts in view.labels.items():
                 rows.setdefault(label, []).append(_label_counts(counts, level))
+
+    def merge(self, other: "ScoreFold") -> None:
+        """Add the rows of `other`, a fold at the same levels."""
+        self._join(other.task or self.task)
+        for level, rows in self.rows.items():
+            for label, more in other.rows[level].items():
+                rows.setdefault(label, []).extend(more)
+
+    def _join(self, task: str | None) -> None:
+        if self.task not in (None, task):
+            raise ValueError(f"cannot mix tasks {sorted((self.task, task))} "
+                             f"in one score")
+        self.task = task
 
     def score(self, level: str) -> PRFReport:
         return _reduce(row for rows in self.rows[level].values() for row in rows)

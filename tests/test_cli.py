@@ -556,13 +556,25 @@ def test_only_kernel_commands_import_numpy(tmp_path, command):
 @pytest.mark.parametrize("command", COMMANDS + [[]],
                          ids=lambda command: _command_id(command) or "import")
 def test_only_convert_imports_the_process_pool(tmp_path, command):
-    """The pool modules cost every command's start-up 20-28 ms, so only
-    `convert`, which runs its files in worker processes, imports them."""
-    modules = _modules_after("concurrent,multiprocessing", _argv(command, tmp_path))
-    if command[:1] == ["convert"]:
+    """The pool modules cost a command's start-up 20-28 ms, so a command
+    imports them only when it starts a pool: `convert`, `score` and `kappa`
+    do on more than one CPU and at least `corpus.POOL_MIN_BYTES` of input,
+    which no fixture reaches unless the threshold is lowered to 0."""
+    argv = _argv(command, tmp_path)
+    assert _modules_after("concurrent,multiprocessing", argv) == "[]"
+    code, modules = _fresh_interpreter(POOL_ANY_INPUT_PROBE, "concurrent,multiprocessing",
+                                       *argv).split(" ", 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    if cpus > 1 and command[:1] in (["convert"], ["score"], ["kappa"]):
         assert "'concurrent.futures.process'" in modules and "'multiprocessing'" in modules
     else:
-        assert modules == "[]"
+        assert modules.strip() == "[]"
+    assert code == "0"
+
+
+POOL_ANY_INPUT_PROBE = MODULES_PROBE.replace(
+    "import entkit.cli\n", "import entkit.cli\nentkit.corpus.POOL_MIN_BYTES = 0\n")
 
 
 DATACLASSES_PROBE = """

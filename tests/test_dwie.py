@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entkit import cli, dwie
+from entkit import cli, corpus, dwie
 from entkit.corpus import (Mention, ParseError, UNANNOTATED, serialize_corpus,
                            validate_document)
 from entkit.dwie import ConversionReport, convert_annotation, convert_release
@@ -176,9 +176,16 @@ def _run_probe(probe: str, argv) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.fixture
+def pool_any_input(monkeypatch):
+    """Every input is large enough for a pool, so one starts wherever there
+    is more than one CPU."""
+    monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 0)
+
+
 @pytest.mark.parametrize("cpus", ["all", "one"])
 @pytest.mark.parametrize("release", ["golden", "generated"])
-def test_pooled_convert_equals_the_serial_reader(tmp_path, release, cpus):
+def test_pooled_convert_equals_the_serial_reader(tmp_path, release, cpus, pool_any_input):
     if cpus == "one" and not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform")
     src = Path(__file__).parent / "fixtures" / "release" if release == "golden" \
@@ -196,11 +203,12 @@ def test_pooled_convert_equals_the_serial_reader(tmp_path, release, cpus):
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_convert_names_the_first_broken_file_in_filename_order(tmp_path):
+def test_pooled_convert_names_the_first_broken_file_in_filename_order(tmp_path,
+                                                                      pool_any_input):
     # the first broken file ends one pool task and the second starts the
     # next, so the second worker fails first
-    src = _generated_release(tmp_path / "release", 3 * dwie._FILES_PER_TASK)
-    first, second = sorted(src.glob("*.json"))[dwie._FILES_PER_TASK - 1:][:2]
+    src = _generated_release(tmp_path / "release", 3 * corpus.ITEMS_PER_TASK)
+    first, second = sorted(src.glob("*.json"))[corpus.ITEMS_PER_TASK - 1:][:2]
     first.write_text('{"id": ')
     second.write_text(json.dumps(dict(RELEASE_DOC, mentions=5)))
     with pytest.raises(ParseError) as serial:
@@ -231,26 +239,59 @@ def test_convert_refuses_a_release_file_that_breaks_the_concept_index(tmp_path, 
     assert not (tmp_path / "c.jsonl").exists()
 
 
+@pytest.mark.parametrize("reader", ["serial", "pool"])
+def test_convert_checks_a_concept_that_no_mention_names(tmp_path, monkeypatch, reader):
+    """A concept with no mention is dropped, but its tags and link are
+    checked first: a malformed one is a schema error, not a count."""
+    if reader == "pool":
+        monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 0)
+    broken = dict(RELEASE_DOC, concepts=RELEASE_DOC["concepts"]
+                  + [{"concept": 9, "tags": 7, "link": 5}])
+    src = tmp_path / "release"
+    src.mkdir()
+    (src / "DW_001.json").write_text(json.dumps(broken))
+    with pytest.raises(ParseError) as serial:
+        convert_release(src)
+    assert "concept 'tags' must be a list of strings" in str(serial.value)
+    code, out, err = _run(["convert", str(src), "--out-corpus", str(tmp_path / "c.jsonl")])
+    assert (code, out, err) == (2, "", f"error: {serial.value}\n")
+    assert err.endswith(f"[{src / 'DW_001.json'}]\n") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+    broken["concepts"][-1]["tags"] = []
+    (src / "DW_001.json").write_text(json.dumps(broken))
+    code, out, err = _run(["convert", str(src), "--out-corpus", str(tmp_path / "c.jsonl")])
+    assert code == 2 and "concept 'link' must be a string or null" in err
+
+
 FORK_PROBE = """
 import os, sys
+import entkit.corpus
+entkit.corpus.POOL_MIN_BYTES = int(sys.argv[1])
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(1))
 from entkit.cli import run
-code = run(sys.argv[1:])
+code = run(sys.argv[2:])
 print(len(forks), file=sys.stderr)
 sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("files", [3, dwie._FILES_PER_TASK + 1])
+@pytest.mark.parametrize("files", [3, corpus.ITEMS_PER_TASK + 1])
 def test_convert_forks_no_more_workers_than_tasks(tmp_path, files):
+    """A pool starts only on more than one CPU and at least POOL_MIN_BYTES
+    of input, with one worker per CPU and at most one per task."""
     if not hasattr(os, "register_at_fork") or \
             multiprocessing.get_start_method() != "fork":
         pytest.skip("workers are not forked on this platform")
     src = _generated_release(tmp_path / "release", files)
-    code, _out, forks = _run_probe(
-        FORK_PROBE, ["convert", str(src), "--out-corpus", str(tmp_path / "c.jsonl")])
+    size = sum(path.stat().st_size for path in src.glob("*.json"))
+    assert size < corpus.POOL_MIN_BYTES
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    tasks = -(-files // dwie._FILES_PER_TASK)
-    assert (code, forks) == (0, f"{min(cpus, tasks)}\n")
+    tasks = -(-files // corpus.ITEMS_PER_TASK)
+    for threshold, workers in ((size, min(cpus, tasks) if cpus > 1 else 0),
+                               (size + 1, 0)):
+        code, _out, forks = _run_probe(
+            FORK_PROBE, [str(threshold), "convert", str(src),
+                         "--out-corpus", str(tmp_path / "c.jsonl")])
+        assert (code, forks) == (0, f"{workers}\n")
