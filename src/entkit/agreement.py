@@ -15,9 +15,10 @@ mention pairs, and links by shared mentions. Items seen by only one annotator
 enter as disagreements against an explicit absent marker, except in the
 "conditioned" mode which restricts classification to jointly detected items.
 Each adapter folds one document pair at a time into its contingency counts
-(`agreement_fold`), and no item list is built. Entity and relation agreement read the unit-overlap table of each document
-pair (`corpus.unit_overlaps`, which the NER and RE scores read too), coref
-and linking agreement the cluster-overlap table under it. All four take
+(`agreement_fold`), and no item list is built. Entity and relation
+agreement read the unit-overlap table of each document pair
+(`corpus.unit_overlaps`, which the NER and RE scores read too), coref and
+linking agreement the cluster-overlap table under it. All four take
 any two iterables of documents and pair them lazily (`corpus.iter_pairs`),
 holding one pair when both list their documents in one order. They refuse
 what it refuses (a repeated or unmatched document id, a document the two
@@ -175,15 +176,17 @@ class _Contingency:
     """Contingency counts of one kappa task. Each count is an int, so no
     result depends on how the document pairs were split and merged."""
 
+    empty = ""  # the error of a result with no items
+
     def __init__(self):
         self.counts: Counter = Counter()
 
     def merge(self, other: "_Contingency") -> None:
         self.counts.update(other.counts)
 
-    def _summary(self, empty: str) -> dict:
+    def result(self) -> dict:
         if not sum(self.counts.values()):
-            raise ValueError(empty)
+            raise ValueError(self.empty)
         return _kappa_summary(AnnotationPair(self.counts))
 
 
@@ -203,6 +206,7 @@ class LabelledAgreement(_Contingency):
         super().__init__()  # the detection counts
         self.task, self.conditioned = task, conditioned
         self.marker = "mention" if task == "ner" else "relation"
+        self.empty = f"neither annotator produced any {self.marker}"
         self.tables: defaultdict[str, Counter] = defaultdict(Counter)
         self.n_class_items = 0
 
@@ -227,7 +231,7 @@ class LabelledAgreement(_Contingency):
         self.n_class_items += other.n_class_items
 
     def result(self) -> dict:
-        detection = self._summary(f"neither annotator produced any {self.marker}")
+        detection = super().result()
         label_pairs = {label: AnnotationPair({
             **table, (False, False): self.n_class_items - sum(table.values())})
             for label, table in self.tables.items()}
@@ -254,6 +258,8 @@ class CorefAgreement(_Contingency):
     pairs inside one cell are same-cluster for both annotators, pairs
     inside one row (a cluster of a) for a, pairs inside one column for b."""
 
+    empty = "no shared mention pairs to compare"
+
     def add(self, da: Document, db: Document) -> None:
         cells = _shared_cells(da, db)
         rows, cols = Counter(), Counter()
@@ -269,22 +275,18 @@ class CorefAgreement(_Contingency):
         self.counts[(False, False)] += (_pairs_within([sum(cells.values())])
                                         - same_a - same_b + both)
 
-    def result(self) -> dict:
-        return self._summary("no shared mention pairs to compare")
-
 
 def _link_label(link) -> str:
     return link if isinstance(link, str) else "<nil>" if link is None else ABSENT
 
 
 class LinkingAgreement(_Contingency):
+    empty = "no shared mentions to compare links on"
+
     def add(self, da: Document, db: Document) -> None:
         for (i, j), n in _shared_cells(da, db).items():
             self.counts[_link_label(da.clusters[i].link),
                         _link_label(db.clusters[j].link)] += n
-
-    def result(self) -> dict:
-        return self._summary("no shared mentions to compare links on")
 
 
 def _kappa_summary(pair: AnnotationPair) -> dict:

@@ -216,8 +216,9 @@ class CorefFold:
         for mine, theirs in ((self.mentions, other.mentions),
                              (self.clusters, other.clusters)):
             mine[:] = map(sum, zip(mine, theirs))
-        for terms in ("recall_terms", "precision_terms", "matched"):
-            getattr(self, terms).update(getattr(other, terms))
+        self.recall_terms.update(other.recall_terms)
+        self.precision_terms.update(other.precision_terms)
+        self.matched.update(other.matched)
 
     def scores(self) -> dict[str, PRFReport]:
         (n_gold, n_pred), (k_gold, k_pred) = self.mentions, self.clusters

@@ -21,7 +21,6 @@ was never considered for linking.
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import json
 import os
@@ -726,7 +725,7 @@ def serialize_corpus(docs: Iterable[Document], path: str | Path) -> None:
 # --------------------------------------------------------------------------
 # Worker processes
 
-POOL_MIN_BYTES = 1 << 20  # about 40 ms of reading; starting a pool costs about 10
+POOL_MIN_BYTES = 1 << 20  # break-even on 2 CPUs: 0.8 MB of line pairs, 1.1 MiB of release
 ITEMS_PER_TASK = 16  # fewer items a task cost the parent more in messages
 
 
@@ -768,8 +767,8 @@ def fold_pairs(path_a: str | Path, path_b: str | Path, fold):
     Two JSON Lines files that `pool_cpus` gives a pool are folded there
     first, each worker a run of lines of both into a copy of the empty
     `fold`, merged here (`fold.merge`). That stands if every record builds
-    and validates without error, ids and tokens agree line by line, no id
-    repeats and the files have as many lines; if not, the pairs are read
+    and validates without error, ids and tokens agree record by record, no id
+    repeats and the files have as many records; if not, the pairs are read
     as above, which raises that reader's first error."""
     paths = (path_a, path_b)
     cpus = all(map(os.path.isfile, paths)) and pool_cpus(sum(map(os.path.getsize, paths)))
@@ -782,13 +781,18 @@ def fold_pairs(path_a: str | Path, path_b: str | Path, fold):
 
 def _fold_pooled(paths: tuple, fold, cpus: int):
     """`fold_pairs`'s pooled fold, or None where it does not stand."""
-    tasks = ((fold, *zip(paths, runs)) for runs in zip_longest(*map(_line_runs, paths)))
-    merged, ids = copy.deepcopy(fold), []
+    # a file with fewer runs reads no lines for the rest
+    runs = zip_longest(*map(_line_runs, paths), fillvalue=(0, 0))
+    tasks = ((fold, *zip(paths, run)) for run in runs)
+    merged, ids = None, []
     with contextlib.closing(map_tasks(fold_line_pairs, tasks, cpus)) as results:
         for result in results:
             if result is None:
                 return None
-            merged.merge(result[0])
+            if merged is None:
+                merged = result[0]
+            else:
+                merged.merge(result[0])
             ids += result[1]
     return merged if len(set(ids)) == len(ids) else None
 
@@ -797,23 +801,25 @@ def _line_runs(path: str | Path) -> Iterator[tuple[int, int]]:
     """The byte range of each run of ITEMS_PER_TASK lines of a file."""
     start = 0
     with open(path, "rb") as fh:
-        while sizes := list(map(len, islice(fh, ITEMS_PER_TASK))):
-            yield start, start + sum(sizes)
-            start += sum(sizes)
+        while size := sum(map(len, islice(fh, ITEMS_PER_TASK))):
+            yield start, start + size
+            start += size
 
 
 def fold_line_pairs(task: tuple) -> tuple | None:
     """The worker of `fold_pairs`, sent by name: for (fold, (path, byte
-    range) of each file), the fold after each pair of lines and their ids;
-    None if a line has no partner, a record fails to decode, build or
-    validate, or the two of a line differ in id or tokens."""
+    range) of each file), the fold after each pair of records and their ids;
+    None if a record has no partner, fails to decode, build or validate, or
+    the two of a pair differ in id or tokens. Blank lines are skipped, as
+    the serial reader skips them."""
     fold, *runs = task
     ids, lines = [], []
     try:
         for path, (start, stop) in runs:
             with open(path, "rb") as fh:
                 fh.seek(start)
-                lines.append(fh.read(stop - start).removesuffix(b"\n").split(b"\n"))
+                lines.append([line for line in fh.read(stop - start).split(b"\n")
+                              if line.strip(b" \t\r")])
         for pair in zip_longest(*lines):  # a line with no partner meets None
             a, b = (document_from_json(json.loads(line.decode("utf-8"))) for line in pair)
             if a.id != b.id or a.tokens != b.tokens \

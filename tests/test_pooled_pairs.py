@@ -6,8 +6,10 @@ input's size they read the pairs serially, the reference. Each command must
 print the same stdout and stderr and exit with the same code both ways, on
 the golden fixtures and on inputs the pooled fold must hand back to the
 serial reader: an error in either file, ids that do not pair up line by
-line, a blank line, files of unequal length and a directory corpus. No
-worker is left alive, after an error either.
+line, a blank line inside a run, files of unequal length and a directory
+corpus. Blank lines that leave the records paired run by run (trailing
+ones, say) are skipped by the workers, as by the serial reader, and the
+pooled fold stands. No worker is left alive, after an error either.
 """
 
 import contextlib
@@ -83,6 +85,8 @@ def _inputs(case):
         return _lines(a), _lines(_edit(b, 1, lambda obj: obj["tokens"].__setitem__(0, "x")))
     if case == "blank line":
         return [*_lines(a)[:2], "\n", *_lines(a)[2:]], _lines(b)
+    if case == "trailing blank lines":  # a has one run more than b
+        return [*_lines(a), "\n", "  \r\n", "\t\n"], _lines(b)
     if case == "unequal length":  # b ends a run early
         return _lines(a), _lines(b)[:-1]
     if case == "extra line":  # b's last run is one line longer than a's
@@ -93,7 +97,9 @@ def _inputs(case):
 
 CASES = ["golden", "parse error in a", "parse error in b", "finding in a",
          "finding in b", "warning only", "repeated id", "reordered ids",
-         "token mismatch", "blank line", "unequal length", "extra line", "directory"]
+         "token mismatch", "blank line", "trailing blank lines", "unequal length",
+         "extra line", "directory"]
+STANDS = {"golden", "warning only", "trailing blank lines"}  # no serial rerun
 
 
 def _files(tmp_path, case):
@@ -109,6 +115,13 @@ def _files(tmp_path, case):
     return {"a": a, "b": b}
 
 
+def _counting(calls, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -119,13 +132,15 @@ def _run(argv):
 @pytest.mark.parametrize("case", CASES)
 def test_pooled_commands_equal_the_serial_reader(tmp_path, monkeypatch, case):
     paths = _files(tmp_path, case)
-    pooled_runs = 0
+    pooled_runs, reruns = 0, []
     for command in COMMANDS:
         argv = [arg.format(**paths) for arg in command]
         monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 1 << 60)
         serial = _run(argv)
         monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 0)
         monkeypatch.setattr(corpus, "ITEMS_PER_TASK", 3)  # runs of 3 and 1 lines
+        monkeypatch.setattr(corpus, "iter_valid_corpus",
+                            _counting(reruns, corpus.iter_valid_corpus))
         forks = len(FORKS)
         pooled = _run(argv)
         pooled_runs += len(FORKS) > forks
@@ -139,3 +154,5 @@ def test_pooled_commands_equal_the_serial_reader(tmp_path, monkeypatch, case):
             assert serial[0] == 2 and serial[1] == "" and serial[2].count("\n") == 1
     pools = CPUS > 1 and hasattr(os, "register_at_fork") and case != "directory"
     assert pooled_runs == (len(COMMANDS) if pools else 0)
+    if pools and case in STANDS:
+        assert reruns == []
