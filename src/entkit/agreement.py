@@ -34,7 +34,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .corpus import Document, cluster_overlaps, iter_pairs, unit_overlaps
+from .corpus import Document, cluster_overlaps, fold_documents, unit_overlaps
 
 ABSENT = "<absent>"
 
@@ -133,7 +133,7 @@ def entity_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     no tags; conditioned=True restricts classification to spans both
     annotators detected.
     """
-    return _agreement(LabelledAgreement("ner", conditioned), docs_a, docs_b)
+    return fold_documents(docs_a, docs_b, LabelledAgreement("ner", conditioned)).result()
 
 
 def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
@@ -143,18 +143,18 @@ def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     Entity-level relations are expanded to all cross mention pairs so the two
     annotators' (possibly different) clusterings line up on shared spans.
     """
-    return _agreement(LabelledAgreement("re", conditioned), docs_a, docs_b)
+    return fold_documents(docs_a, docs_b, LabelledAgreement("re", conditioned)).result()
 
 
 def coref_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]) -> dict:
     """Binary same-cluster agreement over pairs of jointly detected spans."""
-    return _agreement(CorefAgreement(), docs_a, docs_b)
+    return fold_documents(docs_a, docs_b, CorefAgreement()).result()
 
 
 def linking_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]) -> dict:
     """Link-id agreement over jointly detected mentions; NIL and unannotated
     links are distinct labels."""
-    return _agreement(LinkingAgreement(), docs_a, docs_b)
+    return fold_documents(docs_a, docs_b, LinkingAgreement()).result()
 
 
 def agreement_fold(task: str, conditioned: bool = False) -> "_Contingency":
@@ -163,13 +163,6 @@ def agreement_fold(task: str, conditioned: bool = False) -> "_Contingency":
     if task in ("entity", "relation"):
         return LabelledAgreement("ner" if task == "entity" else "re", conditioned)
     return CorefAgreement() if task == "coref" else LinkingAgreement()
-
-
-def _agreement(fold: "_Contingency", docs_a: Iterable[Document],
-               docs_b: Iterable[Document]) -> dict:
-    for da, db in iter_pairs(docs_a, docs_b):
-        fold.add(da, db)
-    return fold.result()
 
 
 class _Contingency:

@@ -123,8 +123,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    inp = read_json(args.pred, decode_input_from_json)
-    result = decode_entity_centric(inp)
+    result = read_json(args.pred, lambda obj: decode_entity_centric(decode_input_from_json(obj)))
     _emit(decode_output_to_json(result), args.out)
     return 0
 

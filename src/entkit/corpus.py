@@ -648,11 +648,12 @@ def decode_json(text: str, path: str | Path, byte_offset: int = 0):
 def read_json(path: str | Path, build: Callable):
     """`build` applied to the decoded JSON file at `path`. Invalid UTF-8 and
     syntax errors raise ParseError naming the file and the byte offset; a
-    ValueError from `build` (a schema error) raises one naming the file."""
+    ValueError (a schema error) or MentionMultiClusterError from `build`
+    raises one naming the file."""
     obj = decode_json(_utf8(Path(path).read_bytes(), path), path)
     try:
         return build(obj)
-    except ValueError as e:
+    except (ValueError, MentionMultiClusterError) as e:
         raise ParseError(str(e), path=path) from e
 
 
@@ -671,12 +672,18 @@ def iter_corpus(path: str | Path) -> Iterator[Document]:
     return (read_json(f, document_from_json) for f in sorted(path.glob("*.json")))
 
 
-def _iter_jsonl(path: Path) -> Iterator[Document]:
-    """One record per line, with only JSON whitespace (ASCII) around it; a
-    failing line is re-decoded without it, to locate the error in the record."""
-    offset = 0
+def _iter_jsonl(path: Path, start: int = 0, stop: int | None = None
+                ) -> Iterator[Document]:
+    """One record per line of the byte range [start, stop) (to the end if
+    `stop` is None), with only JSON whitespace (ASCII) around it; a failing
+    line is re-decoded without it, to locate the error in the record. Error
+    offsets count from the first byte of the file."""
+    offset = start
     with open(path, "rb", buffering=1 << 16) as fh:  # a record is often over 8 KiB
+        fh.seek(start)
         for raw in fh:
+            if offset == stop:
+                break
             start, offset = offset, offset + len(raw)
             line = _utf8(raw, path, start)
             try:
@@ -702,8 +709,13 @@ def iter_valid_corpus(path: str | Path) -> Iterator[Document]:
     any hard-invariant breach, `validate_corpus`'s errors in its order,
     raises CorpusValidationError, so a ParseError anywhere in the file comes
     first; warnings never raise."""
+    yield from _valid(iter_corpus(path), path)
+
+
+def _valid(docs: Iterable[Document], path: str | Path) -> Iterator[Document]:
+    """`iter_valid_corpus` of the documents `docs` read from `path`."""
     report = ValidationReport()
-    yield from (d for d, ok in _validated(iter_corpus(path), report) if ok)
+    yield from (d for d, ok in _validated(docs, report) if ok)
     if report.errors:
         raise CorpusValidationError(report.errors, path)
 
@@ -738,26 +750,21 @@ def pool_cpus(nbytes: int) -> int:
 
 
 def map_tasks(fn: Callable, tasks: Iterable, cpus: int) -> Iterator:
-    """`fn(task)` for each task, in order: in this process if `cpus` is 0,
-    else in one worker process per CPU, at most one per task, with two tasks
-    per worker read ahead. A task's error is raised in task order, and
-    pending tasks are cancelled; every worker has exited when the iterator
-    ends, raises or is closed."""
+    """`fn(task)` for each task, in order: `map` if `cpus` is 0, else
+    `ProcessPoolExecutor.map` in one worker process per CPU, at most one per
+    task. A task's error is raised in task order, and pending tasks are
+    cancelled; every worker has exited when the iterator ends, raises or is
+    closed."""
     if not cpus:
         yield from map(fn, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor
     tasks = iter(tasks)
-    ahead = list(islice(tasks, 2 * cpus))
-    # a forked pool starts all its workers at the first task (none for no task)
-    with ProcessPoolExecutor(max(1, min(cpus, len(ahead)))) as pool:
-        pending = deque(pool.submit(fn, task) for task in ahead)
-        try:
-            while pending:
-                pending.extend(pool.submit(fn, task) for task in islice(tasks, 1))
-                yield pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    first = list(islice(tasks, cpus))
+    # a forked pool starts all its workers at the first task (none for no
+    # task), so the later tasks are read while they start
+    with ProcessPoolExecutor(max(1, len(first))) as pool:
+        yield from pool.map(fn, chain(first, tasks))
 
 
 def fold_pairs(path_a: str | Path, path_b: str | Path, fold):
@@ -765,16 +772,21 @@ def fold_pairs(path_a: str | Path, path_b: str | Path, fold):
     `iter_pairs(iter_valid_corpus(path_a), iter_valid_corpus(path_b))`.
 
     Two JSON Lines files that `pool_cpus` gives a pool are folded there
-    first, each worker a run of lines of both into a copy of the empty
-    `fold`, merged here (`fold.merge`). That stands if every record builds
-    and validates without error, ids and tokens agree record by record, no id
-    repeats and the files have as many records; if not, the pairs are read
-    as above, which raises that reader's first error."""
+    first: each worker runs that reader on one run of lines of each file,
+    into a copy of the empty `fold`, and the folds are merged here
+    (`fold.merge`). That stands if the reader accepts every run and no id
+    repeats across runs; if not, the pairs are read as above, which raises
+    that reader's first error."""
     paths = (path_a, path_b)
     cpus = all(map(os.path.isfile, paths)) and pool_cpus(sum(map(os.path.getsize, paths)))
     if cpus and (pooled := _fold_pooled(paths, fold, cpus)) is not None:
         return pooled
-    for a, b in iter_pairs(iter_valid_corpus(path_a), iter_valid_corpus(path_b)):
+    return fold_documents(iter_valid_corpus(path_a), iter_valid_corpus(path_b), fold)
+
+
+def fold_documents(docs_a: Iterable[Document], docs_b: Iterable[Document], fold):
+    """`fold` after `fold.add(a, b)` for each pair of `iter_pairs(docs_a, docs_b)`."""
+    for a, b in iter_pairs(docs_a, docs_b):
         fold.add(a, b)
     return fold
 
@@ -808,25 +820,12 @@ def _line_runs(path: str | Path) -> Iterator[tuple[int, int]]:
 
 def fold_line_pairs(task: tuple) -> tuple | None:
     """The worker of `fold_pairs`, sent by name: for (fold, (path, byte
-    range) of each file), the fold after each pair of records and their ids;
-    None if a record has no partner, fails to decode, build or validate, or
-    the two of a pair differ in id or tokens. Blank lines are skipped, as
-    the serial reader skips them."""
-    fold, *runs = task
-    ids, lines = [], []
+    range) of each file), the serial reader's fold of those lines and the
+    ids it paired; None if that reader raises."""
+    fold, (path_a, run_a), (path_b, run_b) = task
     try:
-        for path, (start, stop) in runs:
-            with open(path, "rb") as fh:
-                fh.seek(start)
-                lines.append([line for line in fh.read(stop - start).split(b"\n")
-                              if line.strip(b" \t\r")])
-        for pair in zip_longest(*lines):  # a line with no partner meets None
-            a, b = (document_from_json(json.loads(line.decode("utf-8"))) for line in pair)
-            if a.id != b.id or a.tokens != b.tokens \
-                    or not (validate_document(a).ok and validate_document(b).ok):
-                return None
-            fold.add(a, b)
-            ids.append(a.id)
+        docs_a = list(_valid(_iter_jsonl(path_a, *run_a), path_a))
+        fold_documents(docs_a, _valid(_iter_jsonl(path_b, *run_b), path_b), fold)
     except Exception:  # the serial reader raises it, in its order
         return None
-    return fold, ids
+    return fold, [d.id for d in docs_a]

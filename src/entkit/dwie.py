@@ -45,9 +45,9 @@ class ConversionReport:
         self.unaligned_mentions = 0
         self.notes: list[str] = []
 
-    def add(self, *fields) -> None:
-        """Count in a worker's report, given as its fields in `vars` order."""
-        for name, value in zip(vars(self), fields):
+    def merge(self, other: "ConversionReport") -> None:
+        """Add the counts and notes of another report, a worker's say."""
+        for name, value in vars(other).items():
             setattr(self, name, getattr(self, name) + value)
 
 
@@ -160,7 +160,12 @@ def convert_release(src_dir: str | Path) -> tuple[list[Document], ConversionRepo
 def iter_release(src_dir: str | Path, report: ConversionReport) -> Iterator[Document]:
     """`convert_release`'s documents one at a time, each file read as it is
     reached; `report` counts what the files read so far dropped."""
-    for path in _release_files(src_dir):
+    yield from _converted(_release_files(src_dir), report)
+
+
+def _converted(paths: list[Path], report: ConversionReport) -> Iterator[Document]:
+    """The documents of the release files `paths`, each read as it is reached."""
+    for path in paths:
         yield read_json(path, lambda obj: convert_annotation(obj, report))
 
 
@@ -174,18 +179,17 @@ def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list
     tasks = [paths[i:i + ITEMS_PER_TASK] for i in range(0, len(paths), ITEMS_PER_TASK)]
     lines: list[str] = []
     cpus = pool_cpus(sum(path.stat().st_size for path in paths))
-    for converted, *fields in map_tasks(convert_files, tasks, cpus):
-        report.add(*fields)
+    for converted, part in map_tasks(convert_files, tasks, cpus):
+        report.merge(part)
         lines += converted
     return lines
 
 
-def convert_files(paths: list[Path]) -> tuple:
-    """The pool's worker, sent by name: the files' canonical lines, then
-    the fields of their report (`ConversionReport.add`)."""
+def convert_files(paths: list[Path]) -> tuple[list[str], ConversionReport]:
+    """The pool's worker, sent by name: the files' canonical lines and their
+    report."""
     report = ConversionReport()
-    return ([canonical_line(read_json(path, lambda obj: convert_annotation(obj, report)))
-             for path in paths], *vars(report).values())
+    return list(map(canonical_line, _converted(paths, report))), report
 
 
 def _release_files(src_dir: str | Path) -> list[Path]:

@@ -295,6 +295,8 @@ def test_decode_rejects_malformed_predictions(tmp_path, capsys, predictions,
      "tagged span [2,2) is empty or reversed"),
     ({"p_rel": [[[0, 1], "in0", [4, 3]]]},
      "relation span [4,3) is empty or reversed"),
+    ({"p_cl": {"a": [[0, 1]], "b": [[0, 1]]}},
+     "span [0,1) predicted in clusters 'a' and 'b'"),
 ])
 def test_decode_refuses_empty_clusters_and_spans_naming_the_file(
         tmp_path, capsys, predictions, message):

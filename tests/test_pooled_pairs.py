@@ -5,11 +5,16 @@ in worker processes wherever there is more than one CPU; with it above the
 input's size they read the pairs serially, the reference. Each command must
 print the same stdout and stderr and exit with the same code both ways, on
 the golden fixtures and on inputs the pooled fold must hand back to the
-serial reader: an error in either file, ids that do not pair up line by
-line, a blank line inside a run, files of unequal length and a directory
-corpus. Blank lines that leave the records paired run by run (trailing
-ones, say) are skipped by the workers, as by the serial reader, and the
-pooled fold stands. No worker is left alive, after an error either.
+serial reader: an error in either file, ids that do not pair up run by
+run, a blank line inside a run, files of unequal length and a directory
+corpus. Each worker runs the serial reader on its runs of lines, so where
+that reader accepts every run and no id repeats (blank lines that leave the
+records paired run by run, ids swapped within a run) the pooled fold
+stands. No worker is left alive, after an error either.
+
+Reading a file's runs one after another (`corpus._line_runs`) gives the
+documents and the first error, at its absolute byte offset, of reading the
+whole file.
 """
 
 import contextlib
@@ -17,11 +22,16 @@ import io
 import json
 import multiprocessing
 import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entkit import cli, corpus
+from entkit.corpus import ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -81,6 +91,9 @@ def _inputs(case):
                 _lines(_edit(b, 2, lambda obj: _rename(obj, "g1"))))
     if case == "reordered ids":
         return _lines(a), _lines(b)[::-1]
+    if case == "ids swapped within a run":  # both in the first run of 3
+        lines = _lines(b)
+        return _lines(a), [lines[0], lines[2], lines[1], *lines[3:]]
     if case == "token mismatch":
         return _lines(a), _lines(_edit(b, 1, lambda obj: obj["tokens"].__setitem__(0, "x")))
     if case == "blank line":
@@ -97,9 +110,10 @@ def _inputs(case):
 
 CASES = ["golden", "parse error in a", "parse error in b", "finding in a",
          "finding in b", "warning only", "repeated id", "reordered ids",
-         "token mismatch", "blank line", "trailing blank lines", "unequal length",
-         "extra line", "directory"]
-STANDS = {"golden", "warning only", "trailing blank lines"}  # no serial rerun
+         "ids swapped within a run", "token mismatch", "blank line",
+         "trailing blank lines", "unequal length", "extra line", "directory"]
+STANDS = {"golden", "warning only", "ids swapped within a run",
+          "trailing blank lines"}  # no serial rerun
 
 
 def _files(tmp_path, case):
@@ -156,3 +170,39 @@ def test_pooled_commands_equal_the_serial_reader(tmp_path, monkeypatch, case):
     assert pooled_runs == (len(COMMANDS) if pools else 0)
     if pools and case in STANDS:
         assert reruns == []
+
+
+DOCUMENT = {"id": "d", "tokens": ["a", "b"], "sentences": [[0, 2]],
+            "clusters": [{"id": "c", "mentions": [[0, 1]], "tags": ["person"]}]}
+LINES = st.one_of(
+    st.builds(lambda n, pad: (pad + json.dumps(dict(DOCUMENT, id=f"d{n}")) + pad).encode(),
+              st.integers(0, 99), st.sampled_from(["", " ", "\t ", "\r"])),
+    st.sampled_from([b"", b" ", b"\t", b"  \r"]),  # blank and whitespace-only
+    st.sampled_from([b'{"id": ', b'{"id": 5}', b'{"id": "\xff"}', b"[1, 2"]),  # bad
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(LINES, max_size=12), last_newline=st.booleans(),
+       items_per_task=st.integers(1, 5))
+def test_reading_the_runs_in_turn_reads_the_file(lines, last_newline, items_per_task):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n" * (bool(lines) and last_newline))
+        try:
+            want, want_error = list(corpus._iter_jsonl(path)), None
+        except ParseError as e:
+            want, want_error = None, (str(e), e.byte_offset)
+        with mock.patch.object(corpus, "ITEMS_PER_TASK", items_per_task):
+            runs = list(corpus._line_runs(path))
+        # the runs cut the file into consecutive byte ranges
+        assert [0, *(stop for _, stop in runs)] == [
+            *(start for start, _ in runs), path.stat().st_size]
+        got = []
+        try:
+            for run in runs:
+                got += corpus._iter_jsonl(path, *run)
+        except ParseError as e:
+            assert (str(e), e.byte_offset) == want_error
+        else:
+            assert (got, want_error) == (want, None)
