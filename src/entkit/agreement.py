@@ -133,7 +133,7 @@ def entity_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     no tags; conditioned=True restricts classification to spans both
     annotators detected.
     """
-    return fold_documents(docs_a, docs_b, LabelledAgreement("ner", conditioned)).result()
+    return fold_documents(LabelledAgreement("ner", conditioned), docs_a, docs_b).result()
 
 
 def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
@@ -143,18 +143,18 @@ def relation_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document],
     Entity-level relations are expanded to all cross mention pairs so the two
     annotators' (possibly different) clusterings line up on shared spans.
     """
-    return fold_documents(docs_a, docs_b, LabelledAgreement("re", conditioned)).result()
+    return fold_documents(LabelledAgreement("re", conditioned), docs_a, docs_b).result()
 
 
 def coref_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]) -> dict:
     """Binary same-cluster agreement over pairs of jointly detected spans."""
-    return fold_documents(docs_a, docs_b, CorefAgreement()).result()
+    return fold_documents(CorefAgreement(), docs_a, docs_b).result()
 
 
 def linking_agreement(docs_a: Iterable[Document], docs_b: Iterable[Document]) -> dict:
     """Link-id agreement over jointly detected mentions; NIL and unannotated
     links are distinct labels."""
-    return fold_documents(docs_a, docs_b, LinkingAgreement()).result()
+    return fold_documents(LinkingAgreement(), docs_a, docs_b).result()
 
 
 def agreement_fold(task: str, conditioned: bool = False) -> "_Contingency":

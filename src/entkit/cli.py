@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from . import agreement, coref, dwie, metrics, rules, stats
-from .corpus import (CorpusError, cluster_overlaps, fold_pairs, iter_valid_corpus,
-                     read_json, validate_path)
+from .corpus import CorpusError, cluster_overlaps, fold_files, read_json, validate_path
 # Not called here: the benchmark's tracer (perfbench/spans.py) looks them up
 # on this module by name.
 from .corpus import load_corpus, serialize_corpus, validate_document  # noqa: F401
@@ -64,11 +63,7 @@ def _named(counts: dict, names: tuple[str, str]) -> dict:
 
 
 def _cmd_stats(args) -> int:
-    fold = stats.CorpusFold()
-    for d in iter_valid_corpus(args.corpus):
-        units = fold.add(d)
-        if args.plot_data:
-            fold.add_distances(d, units)
+    fold = fold_files(stats.CorpusFold(distances=bool(args.plot_data)), args.corpus)
     summary = fold.summary()
     type_hist = fold.type_histogram()
     rel_hist, multilabel = fold.relation_histograms()
@@ -96,7 +91,7 @@ def _cmd_stats(args) -> int:
 
 class _Scores(dict):
     """Task -> its fold, all fed one document pair at a time (`add`) and
-    merged task by task (`merge`); `corpus.fold_pairs` may fold copies of it
+    merged task by task (`merge`); `corpus.fold_files` may fold copies of it
     in worker processes."""
 
     def add(self, g, p) -> None:
@@ -113,9 +108,9 @@ class _Scores(dict):
 def _cmd_score(args) -> int:
     levels = list(metrics.LEVELS) if args.level == "all" else [args.level]
     tasks = ("ner", "re", "coref") if args.task == "all" else (args.task,)
-    folds = fold_pairs(args.gold, args.pred, _Scores(
+    folds = fold_files(_Scores(
         {task: coref.CorefFold() if task == "coref" else metrics.ScoreFold(levels)
-         for task in tasks}))
+         for task in tasks}), args.gold, args.pred)
     payload = {task: fold.report() if task == "coref" else fold.report(args.per_label)
                for task, fold in folds.items()}
     _emit(payload if args.task == "all" else payload[args.task], args.out)
@@ -129,40 +124,15 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_rules_check(args) -> int:
-    docs = iter_valid_corpus(args.corpus)
     try:
         ruleset = rules.load_ruleset(args.rules) if args.rules \
             else rules.builtin_ruleset()
     except (ValueError, OSError):
-        for _ in docs:  # the corpus's own errors come first
-            pass
+        fold_files(rules.RulesFold([]), args.corpus)  # the corpus's own errors come first
         raise
-    violations = []
-    firings = 0
-    closed = []
-    for d in docs:
-        facts = rules.facts_from_document(d)
-        n, found = rules.ground(facts, ruleset)
-        firings += n
-        violations += [{"doc": d.id, **v.to_json()} for v in found]
-        if args.closure:
-            delta = {v.head for v in found}
-            derived = rules.closure(facts, ruleset, delta).binary - facts.binary
-            closed.append({
-                "doc": d.id,
-                "derived": [{"head": h, "type": p, "tail": t}
-                            for h, p, t in sorted(derived)],
-            })
-    payload = {
-        "rules": len(ruleset),
-        "firings": firings,
-        "violations": violations,
-        "violation_rate": len(violations) / firings if firings else 0.0,
-    }
-    if args.closure:
-        payload["closure"] = closed
-    _emit(payload, args.out)
-    return 1 if violations and args.strict else 0
+    result = fold_files(rules.RulesFold(ruleset, args.closure), args.corpus).result()
+    _emit(result, args.out)
+    return 1 if result["violations"] and args.strict else 0
 
 
 def _cmd_kappa(args) -> int:
@@ -170,7 +140,7 @@ def _cmd_kappa(args) -> int:
         raise ValueError(f"--conditioned applies to --task entity and relation "
                          f"only, not {args.task}")
     fold = agreement.agreement_fold(args.task, args.conditioned)
-    result = fold_pairs(args.a, args.b, fold).result()
+    result = fold_files(fold, args.a, args.b).result()
     _emit({"task": args.task, "result": result}, args.out)
     return 0
 

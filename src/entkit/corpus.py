@@ -154,13 +154,38 @@ class Finding(NamedTuple):
 
 
 class ValidationReport:
+    """Findings, in corpus order. As a fold over documents, `add` checks one
+    (`validate_document`), `merge` adds the report on the documents after
+    this one's, and `close` puts the DUPLICATE_DOC_ID errors first."""
+
     def __init__(self):
         self.errors: list[Finding] = []
         self.warnings: list[Finding] = []
+        self.ids: Counter = Counter()  # of the documents added, by first appearance
 
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    def add(self, d: Document) -> bool:
+        """Put in the findings of `validate_document(d)`; whether it has no error."""
+        self.ids[d.id] += 1
+        found = validate_document(d)
+        self.errors += found.errors
+        self.warnings += found.warnings
+        return found.ok
+
+    def merge(self, other: "ValidationReport") -> None:
+        self.ids.update(other.ids)
+        self.errors += other.errors
+        self.warnings += other.warnings
+
+    def close(self) -> "ValidationReport":
+        """Put one DUPLICATE_DOC_ID error per repeated id first; this report."""
+        self.errors[:0] = [
+            Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
+            for doc_id, n in self.ids.items() if n > 1]
+        return self
 
 
 # --------------------------------------------------------------------------
@@ -266,33 +291,14 @@ def validate_document(d: Document) -> ValidationReport:
 def validate_corpus(docs: Iterable[Document]) -> ValidationReport:
     """The corpus-level DUPLICATE_DOC_ID errors, one per repeated id in order
     of first appearance, then every document's findings in corpus order."""
-    report = ValidationReport()
-    deque(_validated(docs, report), 0)
-    return report
+    return fold_documents(ValidationReport(), docs).close()
 
 
 def validate_path(path: str | Path) -> tuple[int, ValidationReport]:
     """The number of documents of `iter_corpus(path)` and their
-    `validate_corpus` report, each document checked as it is read."""
-    report = ValidationReport()
-    return sum(1 for _ in _validated(iter_corpus(path), report)), report
-
-
-def _validated(docs: Iterable[Document], report: ValidationReport
-               ) -> Iterator[tuple[Document, bool]]:
-    """(document, no error) for each document of `docs`, whose findings
-    `validate_document` puts into `report`. At the end, the DUPLICATE_DOC_ID
-    errors are put before all others."""
-    counts: Counter = Counter()
-    for d in docs:
-        counts[d.id] += 1
-        found = validate_document(d)
-        report.errors += found.errors
-        report.warnings += found.warnings
-        yield d, found.ok
-    report.errors[:0] = [
-        Finding(doc_id, DUPLICATE_DOC_ID, f"document id {doc_id!r} appears {n} times")
-        for doc_id, n in counts.items() if n > 1]
+    `validate_corpus` report, folded as `fold_files` folds."""
+    report = fold_files(ValidationReport(), path, valid=False).close()
+    return sum(report.ids.values()), report
 
 
 def iter_pairs(docs_a: Iterable[Document], docs_b: Iterable[Document]
@@ -662,13 +668,14 @@ def load_corpus(path: str | Path) -> list[Document]:
     return list(iter_corpus(path))
 
 
-def iter_corpus(path: str | Path) -> Iterator[Document]:
+def iter_corpus(path: str | Path, start: int = 0, stop: int | None = None
+                ) -> Iterator[Document]:
     """Read documents one at a time without invariant checking (syntax and
     schema only): a directory as one document per *.json file in sorted file
-    order, any other path as JSON Lines."""
+    order, any other path as JSON Lines, the lines of bytes [start, stop)."""
     path = Path(path)
     if not path.is_dir():
-        return _iter_jsonl(path)
+        return _iter_jsonl(path, start, stop)
     return (read_json(f, document_from_json) for f in sorted(path.glob("*.json")))
 
 
@@ -703,20 +710,16 @@ def parse_corpus(path: str | Path) -> list[Document]:
     return list(iter_valid_corpus(path))
 
 
-def iter_valid_corpus(path: str | Path) -> Iterator[Document]:
-    """The documents of `iter_corpus(path)`, in file order, each validated as
-    it is read; only those without errors are yielded. After the last record
-    any hard-invariant breach, `validate_corpus`'s errors in its order,
-    raises CorpusValidationError, so a ParseError anywhere in the file comes
-    first; warnings never raise."""
-    yield from _valid(iter_corpus(path), path)
-
-
-def _valid(docs: Iterable[Document], path: str | Path) -> Iterator[Document]:
-    """`iter_valid_corpus` of the documents `docs` read from `path`."""
+def iter_valid_corpus(path: str | Path, start: int = 0, stop: int | None = None
+                      ) -> Iterator[Document]:
+    """The documents of `iter_corpus(path, start, stop)`, in file order, each
+    validated as it is read; only those without errors are yielded. After the
+    last record any hard-invariant breach, `validate_corpus`'s errors in its
+    order, raises CorpusValidationError, so a ParseError anywhere in the file
+    comes first; warnings never raise."""
     report = ValidationReport()
-    yield from (d for d, ok in _validated(docs, report) if ok)
-    if report.errors:
+    yield from filter(report.add, iter_corpus(path, start, stop))
+    if report.close().errors:
         raise CorpusValidationError(report.errors, path)
 
 
@@ -750,82 +753,107 @@ def pool_cpus(nbytes: int) -> int:
 
 
 def map_tasks(fn: Callable, tasks: Iterable, cpus: int) -> Iterator:
-    """`fn(task)` for each task, in order: `map` if `cpus` is 0, else
-    `ProcessPoolExecutor.map` in one worker process per CPU, at most one per
-    task. A task's error is raised in task order, and pending tasks are
-    cancelled; every worker has exited when the iterator ends, raises or is
-    closed."""
+    """`fn(task)` for each task, in order: `map` if `cpus` is 0, else in a
+    `ProcessPoolExecutor` of one worker per CPU, at most one per task. A
+    task whose worker died (say, by the out-of-memory killer), and each task
+    after it, runs here on a pickled copy, as a worker gets it. A task's
+    error is raised in task order, and pending tasks are cancelled; every
+    worker has exited when the iterator ends, raises or is closed."""
     if not cpus:
         yield from map(fn, tasks)
         return
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     tasks = iter(tasks)
     first = list(islice(tasks, cpus))
+    dead = Future()  # of a task the pool refused, a worker having died
+    dead.set_exception(BrokenProcessPool())
     # a forked pool starts all its workers at the first task (none for no
     # task), so the later tasks are read while they start
-    with ProcessPoolExecutor(max(1, len(first))) as pool:
-        yield from pool.map(fn, chain(first, tasks))
+    pool = ProcessPoolExecutor(max(1, len(first)))
+    try:
+        pending = deque()
+        for task in chain(first, tasks):
+            try:
+                pending.append((task, pool.submit(fn, task)))
+            except BrokenProcessPool:
+                pending.append((task, dead))
+        while pending:
+            task, future = pending.popleft()
+            try:
+                yield future.result()
+            except BrokenProcessPool:
+                yield fn(pickle.loads(pickle.dumps(task)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def fold_pairs(path_a: str | Path, path_b: str | Path, fold):
-    """`fold` after `fold.add(a, b)` for each pair of
-    `iter_pairs(iter_valid_corpus(path_a), iter_valid_corpus(path_b))`.
-
-    Two JSON Lines files that `pool_cpus` gives a pool are folded there
-    first: each worker runs that reader on one run of lines of each file,
-    into a copy of the empty `fold`, and the folds are merged here
-    (`fold.merge`). That stands if the reader accepts every run and no id
-    repeats across runs; if not, the pairs are read as above, which raises
-    that reader's first error."""
-    paths = (path_a, path_b)
+def fold_files(fold, *paths: str | Path, valid: bool = True):
+    """`fold_documents(fold, ...)` of the corpus at each path, read by
+    `iter_valid_corpus` (`iter_corpus` if not `valid`). JSON Lines files that
+    `pool_cpus` gives a pool are folded there first: each worker runs that
+    reader on a run of lines of each file into a copy of the empty `fold`,
+    merged here in run order (`fold.merge`). That stands if the reader
+    accepts every run and no id repeats across runs; if not, the files are
+    read as above, which raises that reader's first error."""
     cpus = all(map(os.path.isfile, paths)) and pool_cpus(sum(map(os.path.getsize, paths)))
-    if cpus and (pooled := _fold_pooled(paths, fold, cpus)) is not None:
+    if cpus and (pooled := _fold_pooled(fold, paths, valid, cpus)) is not None:
         return pooled
-    return fold_documents(iter_valid_corpus(path_a), iter_valid_corpus(path_b), fold)
+    return fold_documents(fold, *map(iter_valid_corpus if valid else iter_corpus, paths))
 
 
-def fold_documents(docs_a: Iterable[Document], docs_b: Iterable[Document], fold):
-    """`fold` after `fold.add(a, b)` for each pair of `iter_pairs(docs_a, docs_b)`."""
-    for a, b in iter_pairs(docs_a, docs_b):
-        fold.add(a, b)
-    return fold
-
-
-def _fold_pooled(paths: tuple, fold, cpus: int):
-    """`fold_pairs`'s pooled fold, or None where it does not stand."""
+def _fold_pooled(fold, paths: tuple, valid: bool, cpus: int):
+    """`fold_files`'s pooled fold, or None where it does not stand."""
+    import pickle  # with the pool modules, only where a pool starts
     # a file with fewer runs reads no lines for the rest
     runs = zip_longest(*map(_line_runs, paths), fillvalue=(0, 0))
-    tasks = ((fold, *zip(paths, run)) for run in runs)
-    merged, ids = None, []
-    with contextlib.closing(map_tasks(fold_line_pairs, tasks, cpus)) as results:
-        for result in results:
-            if result is None:
+    tasks = ((fold, valid, *zip(paths, run)) for run in runs)
+    # merged into a copy, so that a serial rerun starts from the empty `fold`
+    merged, ids = pickle.loads(pickle.dumps(fold)), []
+    with contextlib.closing(map_tasks(fold_runs, tasks, cpus)) as results:
+        for part, part_ids in results:
+            if part is None:  # the reader raised
                 return None
-            if merged is None:
-                merged = result[0]
-            else:
-                merged.merge(result[0])
-            ids += result[1]
+            merged.merge(part)
+            ids += part_ids
     return merged if len(set(ids)) == len(ids) else None
 
 
+def fold_documents(fold, *corpora: Iterable[Document]):
+    """`fold` after `fold.add(d)` for each document of one corpus, or
+    `fold.add(a, b)` for each pair of `iter_pairs` over two."""
+    for item in iter_pairs(*corpora) if len(corpora) == 2 else zip(*corpora):
+        fold.add(*item)
+    return fold
+
+
 def _line_runs(path: str | Path) -> Iterator[tuple[int, int]]:
-    """The byte range of each run of ITEMS_PER_TASK lines of a file."""
-    start = 0
+    """The byte range of each run of ITEMS_PER_TASK records (lines that are
+    not blank) of a file, blank lines going with the record before them."""
+    start = stop = records = 0
     with open(path, "rb") as fh:
-        while size := sum(map(len, islice(fh, ITEMS_PER_TASK))):
-            yield start, start + size
-            start += size
+        for line in fh:
+            if not line.isspace():
+                if records == ITEMS_PER_TASK:
+                    yield start, stop
+                    start, records = stop, 0
+                records += 1
+            stop += len(line)
+    if stop > start:
+        yield start, stop
 
 
-def fold_line_pairs(task: tuple) -> tuple | None:
-    """The worker of `fold_pairs`, sent by name: for (fold, (path, byte
-    range) of each file), the serial reader's fold of those lines and the
-    ids it paired; None if that reader raises."""
-    fold, (path_a, run_a), (path_b, run_b) = task
+def fold_runs(task: tuple) -> tuple:
+    """The worker of `fold_files`, sent by name: for (fold, valid, (path,
+    byte range) of each file), the serial reader's fold of those lines and
+    the ids of the first file's documents; (None, None) if that reader raises."""
+    fold, valid, *files = task
+    read = iter_valid_corpus if valid else iter_corpus
     try:
-        docs_a = list(_valid(_iter_jsonl(path_a, *run_a), path_a))
-        fold_documents(docs_a, _valid(_iter_jsonl(path_b, *run_b), path_b), fold)
+        first, *rest = [read(path, *run) for path, run in files]
+        first = list(first)
+        fold_documents(fold, first, *rest)
     except Exception:  # the serial reader raises it, in its order
-        return None
-    return fold, [d.id for d in docs_a]
+        return None, None
+    return fold, [d.id for d in first]

@@ -229,6 +229,37 @@ def closure(facts: FactBase, rules: Iterable[Rule] | None = None,
     return result
 
 
+class RulesFold:
+    """`entkit rules check` under `rules` as a fold (`add`, `merge` in corpus
+    order, `result`); with `closure`, each document's derivable missing relations."""
+
+    def __init__(self, rules: list[Rule], closure: bool = False):
+        self.rules, self.firings, self.violations = rules, 0, []
+        self.derived: list[dict] | None = [] if closure else None
+
+    def add(self, d: Document) -> None:
+        facts = facts_from_document(d)
+        n, found = ground(facts, self.rules)
+        self.firings += n
+        self.violations += [{"doc": d.id, **v.to_json()} for v in found]
+        if self.derived is not None:
+            derived = closure(facts, self.rules, {v.head for v in found}).binary - facts.binary
+            self.derived.append({"doc": d.id, "derived": [
+                {"head": h, "type": p, "tail": t} for h, p, t in sorted(derived)]})
+
+    def merge(self, other: "RulesFold") -> None:
+        self.firings += other.firings
+        self.violations += other.violations
+        if self.derived is not None:
+            self.derived += other.derived
+
+    def result(self) -> dict:
+        n, violations = self.firings, self.violations
+        result = {"rules": len(self.rules), "firings": n, "violations": violations,
+                  "violation_rate": len(violations) / n if n else 0.0}
+        return result if self.derived is None else {**result, "closure": self.derived}
+
+
 def check_violations(d: Document, rules: Iterable[Rule] | None = None
                      ) -> list[Violation]:
     """The rule violations of the document's annotations, as `ground` lists them."""

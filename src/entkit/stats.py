@@ -94,8 +94,8 @@ def _distance_records(d: Document, units: _RelationUnits) -> list[DistanceRecord
 
 def relation_distance_profile(docs: Iterable[Document]) -> DistanceProfile:
     """The records of every document (`_distance_records`), in corpus order."""
-    return _fold(docs, lambda fold, d: fold.add_distances(
-        d, _labelled_units(d, "re"))).profile
+    return _fold(docs, lambda fold, d: fold.profile.records.extend(
+        _distance_records(d, _labelled_units(d, "re")))).profile
 
 
 # --------------------------------------------------------------------------
@@ -166,19 +166,11 @@ class RelationTypeHistogram(NamedTuple):
     total_mention_pairs: int
 
 
-def relation_histograms(docs: Iterable[Document]
-                        ) -> tuple[RelationTypeHistogram, dict[int, tuple[int, int]]]:
-    """`relation_type_histogram` and `multilabel_relation_histogram` from one
-    fold of each document's unit table `corpus._labelled_units`: relation
-    type set -> [related (head, tail) cluster pairs, mention pairs]."""
-    return _fold(docs, CorpusFold.add_relations).relation_histograms()
-
-
 def relation_type_histogram(docs: Iterable[Document]) -> RelationTypeHistogram:
     """Per type: distinct related cluster pairs and their summed mention-pair
     cross products. Totals count each distinct (head, tail) pair once,
     regardless of how many types connect it."""
-    return relation_histograms(docs)[0]
+    return _fold(docs, CorpusFold.add_relations).relation_histograms()[0]
 
 
 def multilabel_relation_histogram(docs: Iterable[Document]
@@ -186,7 +178,7 @@ def multilabel_relation_histogram(docs: Iterable[Document]
     """Bucket related (head, tail) pairs by how many relation types connect
     them: bucket -> (entity pairs, mention pairs). Buckets 1..3 are exact,
     bucket 4 holds four or more."""
-    return relation_histograms(docs)[1]
+    return _fold(docs, CorpusFold.add_relations).relation_histograms()[1]
 
 
 # --------------------------------------------------------------------------
@@ -214,12 +206,13 @@ def corpus_summary(docs: Iterable[Document]) -> CorpusSummary:
 
 
 class CorpusFold:
-    """What `entkit stats` reports, folded in one document at a time and read
-    out after the last: `add` feeds the summary and the entity and relation
-    type histograms and returns the document's relation unit table, from
-    which `add_distances` feeds the distance profile."""
+    """What `entkit stats` reports, folded in one document at a time (`add`)
+    and read out after the last; folds of consecutive parts of a corpus
+    merge in corpus order (`merge`). `add` feeds the summary, the entity and
+    relation type histograms and, if `distances`, the distance profile."""
 
-    def __init__(self):
+    def __init__(self, distances: bool = False):
+        self.distances = distances
         self.tokens = self.relation_triples = self.singletons = 0
         self.linked_clusters = self.linked_mentions = 0
         self.relation_types: set[str] = set()
@@ -228,9 +221,25 @@ class CorpusFold:
         self.type_sets: dict[frozenset[str], list[int]] = {}
         self.profile = DistanceProfile()
 
-    def add(self, d: Document) -> _RelationUnits:
+    def add(self, d: Document) -> None:
         self.add_clusters(d)
-        return self.add_relations(d)
+        units = self.add_relations(d)
+        if self.distances:
+            self.profile.records += _distance_records(d, units)
+
+    def merge(self, other: "CorpusFold") -> None:
+        """Add the counts of a fold of the documents after this one's."""
+        for name, value in vars(other).items():
+            if type(value) is int:  # the summary's counts
+                setattr(self, name, getattr(self, name) + value)
+        self.relation_types |= other.relation_types
+        for mine, theirs in ((self.tag_sets, other.tag_sets),
+                             (self.type_sets, other.type_sets)):
+            for labels, (n, weight) in theirs.items():
+                t = mine.setdefault(labels, [0, 0])
+                t[0] += n
+                t[1] += weight
+        self.profile.records += other.profile.records
 
     def add_clusters(self, d: Document) -> None:
         # `summary` reads the cluster, mention and tag counts from tag_sets
@@ -253,9 +262,6 @@ class CorpusFold:
             t[0] += 1
             t[1] += len(d.clusters[head].mentions) * len(d.clusters[tail].mentions)
         return units
-
-    def add_distances(self, d: Document, units: _RelationUnits) -> None:
-        self.profile.records.extend(_distance_records(d, units))
 
     def summary(self) -> CorpusSummary:
         tag_sets = self.tag_sets

@@ -559,16 +559,17 @@ def test_only_kernel_commands_import_numpy(tmp_path, command):
                          ids=lambda command: _command_id(command) or "import")
 def test_only_convert_imports_the_process_pool(tmp_path, command):
     """The pool modules cost a command's start-up 20-28 ms, so a command
-    imports them only when it starts a pool: `convert`, `score` and `kappa`
-    do on more than one CPU and at least `corpus.POOL_MIN_BYTES` of input,
-    which no fixture reaches unless the threshold is lowered to 0."""
+    imports them only when it starts a pool: every corpus command does on
+    more than one CPU and at least `corpus.POOL_MIN_BYTES` of input, which
+    no fixture reaches unless the threshold is lowered to 0."""
     argv = _argv(command, tmp_path)
     assert _modules_after("concurrent,multiprocessing", argv) == "[]"
     code, modules = _fresh_interpreter(POOL_ANY_INPUT_PROBE, "concurrent,multiprocessing",
                                        *argv).split(" ", 1)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    if cpus > 1 and command[:1] in (["convert"], ["score"], ["kappa"]):
+    if cpus > 1 and command[:1] in (["convert"], ["score"], ["kappa"], ["validate"],
+                                    ["stats"], ["rules"]):
         assert "'concurrent.futures.process'" in modules and "'multiprocessing'" in modules
     else:
         assert modules.strip() == "[]"

@@ -2,7 +2,8 @@
 
 For any number of CPUs and tasks it yields `fn(task)` in task order, raises
 a task's error in task order, forks one worker per CPU and at most one per
-task, and leaves no worker alive when it ends, raises or is closed.
+task, and leaves no worker alive when it ends, raises or is closed. Tasks
+whose workers died, sent before or after the death, run in this process.
 """
 
 import multiprocessing
@@ -16,6 +17,7 @@ from entkit.corpus import map_tasks
 FORKS = []
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_parent=lambda: FORKS.append(1))
+PARENT = os.getpid()
 
 
 def _square(n):
@@ -57,4 +59,28 @@ def test_closing_the_results_leaves_no_worker(cpus, after):
     results = map_tasks(_square, range(6), cpus)
     assert [next(results) for _ in range(after)] == [n * n for n in range(after)]
     results.close()
+    assert multiprocessing.active_children() == []
+
+
+def _dies_in_a_worker(n):
+    if os.getpid() != PARENT:
+        os._exit(1)
+    return n * n
+
+
+def _slowly(n, cpus):
+    """range(n), pausing after the first `cpus` tasks, by when their workers died."""
+    for i in range(n):
+        if i == cpus:
+            time.sleep(0.5)
+        yield i
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the worker tells itself from the parent by a forked pid")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("slow", [False, True], ids=["sent-before", "sent-after"])
+def test_the_tasks_of_dead_workers_run_here(cpus, slow):
+    tasks = _slowly(6, cpus) if slow else range(6)
+    assert list(map_tasks(_dies_in_a_worker, tasks, cpus)) == [n * n for n in range(6)]
     assert multiprocessing.active_children() == []

@@ -6,11 +6,11 @@ input's size they read the pairs serially, the reference. Each command must
 print the same stdout and stderr and exit with the same code both ways, on
 the golden fixtures and on inputs the pooled fold must hand back to the
 serial reader: an error in either file, ids that do not pair up run by
-run, a blank line inside a run, files of unequal length and a directory
-corpus. Each worker runs the serial reader on its runs of lines, so where
-that reader accepts every run and no id repeats (blank lines that leave the
-records paired run by run, ids swapped within a run) the pooled fold
-stands. No worker is left alive, after an error either.
+run, files of unequal length and a directory corpus. Each worker runs the
+serial reader on its runs of lines, so where that reader accepts every run
+and no id repeats (blank lines, which runs do not count, and ids swapped
+within a run) the pooled fold stands. No worker is left alive, after an
+error either.
 
 Reading a file's runs one after another (`corpus._line_runs`) gives the
 documents and the first error, at its absolute byte offset, of reading the
@@ -112,7 +112,7 @@ CASES = ["golden", "parse error in a", "parse error in b", "finding in a",
          "finding in b", "warning only", "repeated id", "reordered ids",
          "ids swapped within a run", "token mismatch", "blank line",
          "trailing blank lines", "unequal length", "extra line", "directory"]
-STANDS = {"golden", "warning only", "ids swapped within a run",
+STANDS = {"golden", "warning only", "ids swapped within a run", "blank line",
           "trailing blank lines"}  # no serial rerun
 
 
