@@ -763,27 +763,24 @@ def map_tasks(fn: Callable, tasks: Iterable, cpus: int) -> Iterator:
         yield from map(fn, tasks)
         return
     import pickle
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     tasks = iter(tasks)
     first = list(islice(tasks, cpus))
-    dead = Future()  # of a task the pool refused, a worker having died
-    dead.set_exception(BrokenProcessPool())
     # a forked pool starts all its workers at the first task (none for no
     # task), so the later tasks are read while they start
     pool = ProcessPoolExecutor(max(1, len(first)))
+    sent, futures = deque(), deque()  # the tasks not yet yielded, and their futures
     try:
-        pending = deque()
-        for task in chain(first, tasks):
-            try:
-                pending.append((task, pool.submit(fn, task)))
-            except BrokenProcessPool:
-                pending.append((task, dead))
-        while pending:
-            task, future = pending.popleft()
-            try:
-                yield future.result()
-            except BrokenProcessPool:
+        try:
+            for task in chain(first, tasks):
+                sent.append(task)
+                futures.append(pool.submit(fn, task))
+            while futures:
+                yield futures.popleft().result()
+                sent.popleft()
+        except BrokenProcessPool:  # raised by the result or by the submission
+            for task in chain(sent, tasks):
                 yield fn(pickle.loads(pickle.dumps(task)))
     finally:
         pool.shutdown(cancel_futures=True)
