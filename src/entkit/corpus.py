@@ -753,37 +753,29 @@ def pool_cpus(nbytes: int) -> int:
 
 
 def map_tasks(fn: Callable, tasks: Iterable, cpus: int) -> Iterator:
-    """`fn(task)` for each task, in order: `map` if `cpus` is 0, else in a
-    `ProcessPoolExecutor` of one worker per CPU, at most one per task. A
-    task whose worker died (say, by the out-of-memory killer), and each task
-    after it, runs here on a pickled copy, as a worker gets it. A task's
-    error is raised in task order, and pending tasks are cancelled; every
+    """`fn(task)` for each task, in order: `map` if `cpus` is 0, else
+    `ProcessPoolExecutor.map` in one worker process per CPU, at most one per
+    task. A task's error, and a pool's (a worker that died, a fork that
+    failed), is raised in task order, and pending tasks are cancelled; every
     worker has exited when the iterator ends, raises or is closed."""
     if not cpus:
         yield from map(fn, tasks)
         return
-    import pickle
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
     tasks = iter(tasks)
     first = list(islice(tasks, cpus))
     # a forked pool starts all its workers at the first task (none for no
     # task), so the later tasks are read while they start
     pool = ProcessPoolExecutor(max(1, len(first)))
-    sent, futures = deque(), deque()  # the tasks not yet yielded, and their futures
+    workers = pool._processes  # pid -> worker, which shutdown forgets
     try:
-        try:
-            for task in chain(first, tasks):
-                sent.append(task)
-                futures.append(pool.submit(fn, task))
-            while futures:
-                yield futures.popleft().result()
-                sent.popleft()
-        except BrokenProcessPool:  # raised by the result or by the submission
-            for task in chain(sent, tasks):
-                yield fn(pickle.loads(pickle.dumps(task)))
+        yield from pool.map(fn, chain(first, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
+        # no manager thread stops the workers forked before a fork that failed
+        for worker in workers.values():
+            worker.terminate()
+            worker.join()
 
 
 def fold_files(fold, *paths: str | Path, valid: bool = True):
@@ -792,8 +784,8 @@ def fold_files(fold, *paths: str | Path, valid: bool = True):
     `pool_cpus` gives a pool are folded there first: each worker runs that
     reader on a run of lines of each file into a copy of the empty `fold`,
     merged here in run order (`fold.merge`). That stands if the reader
-    accepts every run and no id repeats across runs; if not, the files are
-    read as above, which raises that reader's first error."""
+    accepts every run, no id repeats across runs and the pool does not fail;
+    if not, the files are read as above, which raises that reader's first error."""
     cpus = all(map(os.path.isfile, paths)) and pool_cpus(sum(map(os.path.getsize, paths)))
     if cpus and (pooled := _fold_pooled(fold, paths, valid, cpus)) is not None:
         return pooled
@@ -802,18 +794,20 @@ def fold_files(fold, *paths: str | Path, valid: bool = True):
 
 def _fold_pooled(fold, paths: tuple, valid: bool, cpus: int):
     """`fold_files`'s pooled fold, or None where it does not stand."""
-    import pickle  # with the pool modules, only where a pool starts
     # a file with fewer runs reads no lines for the rest
     runs = zip_longest(*map(_line_runs, paths), fillvalue=(0, 0))
     tasks = ((fold, valid, *zip(paths, run)) for run in runs)
-    # merged into a copy, so that a serial rerun starts from the empty `fold`
-    merged, ids = pickle.loads(pickle.dumps(fold)), []
-    with contextlib.closing(map_tasks(fold_runs, tasks, cpus)) as results:
-        for part, part_ids in results:
-            if part is None:  # the reader raised
-                return None
-            merged.merge(part)
-            ids += part_ids
+    merged, ids = None, []
+    try:
+        with contextlib.closing(map_tasks(fold_runs, tasks, cpus)) as results:
+            for part, part_ids in results:
+                if merged is None:
+                    merged = part
+                else:
+                    merged.merge(part)
+                ids += part_ids
+    except Exception:  # the reader raised, a worker died or a fork failed
+        return None
     return merged if len(set(ids)) == len(ids) else None
 
 
@@ -844,13 +838,9 @@ def _line_runs(path: str | Path) -> Iterator[tuple[int, int]]:
 def fold_runs(task: tuple) -> tuple:
     """The worker of `fold_files`, sent by name: for (fold, valid, (path,
     byte range) of each file), the serial reader's fold of those lines and
-    the ids of the first file's documents; (None, None) if that reader raises."""
+    the ids of the first file's documents; that reader's error is raised."""
     fold, valid, *files = task
     read = iter_valid_corpus if valid else iter_corpus
-    try:
-        first, *rest = [read(path, *run) for path, run in files]
-        first = list(first)
-        fold_documents(fold, first, *rest)
-    except Exception:  # the serial reader raises it, in its order
-        return None, None
-    return fold, [d.id for d in first]
+    first, *rest = [read(path, *run) for path, run in files]
+    first = list(first)
+    return fold_documents(fold, first, *rest), [d.id for d in first]

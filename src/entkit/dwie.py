@@ -172,17 +172,21 @@ def _converted(paths: list[Path], report: ConversionReport) -> Iterator[Document
 def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list[str]:
     """`iter_release`'s documents as canonical lines, converted in worker
     processes when `corpus.pool_cpus` gives the files' total size a pool.
-    The first file in filename order that fails raises its error; pending
-    files are cancelled, and every worker has exited when this returns or
-    raises."""
+    If the pool fails (a file, a worker or a fork), the files are converted
+    here, so the first file in filename order that fails raises its error;
+    every worker has exited when this returns or raises."""
     paths = _release_files(src_dir)
     tasks = [paths[i:i + ITEMS_PER_TASK] for i in range(0, len(paths), ITEMS_PER_TASK)]
-    lines: list[str] = []
     cpus = pool_cpus(sum(path.stat().st_size for path in paths))
-    for converted, part in map_tasks(convert_files, tasks, cpus):
+    try:
+        parts = list(map_tasks(convert_files, tasks, cpus))
+    except Exception:
+        if not cpus:
+            raise
+        parts = [convert_files(paths)]
+    for _, part in parts:
         report.merge(part)
-        lines += converted
-    return lines
+    return [line for converted, _ in parts for line in converted]
 
 
 def convert_files(paths: list[Path]) -> tuple[list[str], ConversionReport]:

@@ -176,6 +176,18 @@ def _run_probe(probe: str, argv) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+CONVERT_FILES, CONVERTED_HERE = dwie.convert_files, []
+
+
+def _converted_here(paths):
+    """`dwie.convert_files`, recording each call in `CONVERTED_HERE`; a worker
+    records in its own copy of that list."""
+    CONVERTED_HERE.append(paths)
+    return CONVERT_FILES(paths)
+
+
 @pytest.fixture
 def pool_any_input(monkeypatch):
     """Every input is large enough for a pool, so one starts wherever there
@@ -185,14 +197,22 @@ def pool_any_input(monkeypatch):
 
 @pytest.mark.parametrize("cpus", ["all", "one"])
 @pytest.mark.parametrize("release", ["golden", "generated"])
-def test_pooled_convert_equals_the_serial_reader(tmp_path, release, cpus, pool_any_input):
+def test_pooled_convert_equals_the_serial_reader(tmp_path, monkeypatch, release, cpus,
+                                                pool_any_input):
     if cpus == "one" and not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this platform")
     src = Path(__file__).parent / "fixtures" / "release" if release == "golden" \
         else _generated_release(tmp_path / "release")
     want_out = _serial_convert(src, tmp_path / "want.jsonl")
     argv = ["convert", str(src), "--out-corpus", str(tmp_path / "got.jsonl")]
-    got = _run(argv) if cpus == "all" else _run_probe(ONE_CPU_PROBE, argv)
+    if cpus == "all":
+        CONVERTED_HERE.clear()
+        monkeypatch.setattr(dwie, "convert_files", _converted_here)
+        got = _run(argv)
+        # a pool that stands converts nothing here: no serial rerun
+        assert (CONVERTED_HERE == []) == (CPUS > 1)
+    else:
+        got = _run_probe(ONE_CPU_PROBE, argv)
     assert got == (0, want_out, "")
     assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
     if release == "generated":
@@ -286,10 +306,8 @@ def test_convert_forks_no_more_workers_than_tasks(tmp_path, files):
     src = _generated_release(tmp_path / "release", files)
     size = sum(path.stat().st_size for path in src.glob("*.json"))
     assert size < corpus.POOL_MIN_BYTES
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
     tasks = -(-files // corpus.ITEMS_PER_TASK)
-    for threshold, workers in ((size, min(cpus, tasks) if cpus > 1 else 0),
+    for threshold, workers in ((size, min(CPUS, tasks) if CPUS > 1 else 0),
                                (size + 1, 0)):
         code, _out, forks = _run_probe(
             FORK_PROBE, [str(threshold), "convert", str(src),

@@ -2,13 +2,18 @@
 
 For any number of CPUs and tasks it yields `fn(task)` in task order, raises
 a task's error in task order, forks one worker per CPU and at most one per
-task, and leaves no worker alive when it ends, raises or is closed. Tasks
-whose workers died, sent before or after the death, run in this process.
+task, and leaves no worker alive when it ends, raises or is closed. A pool
+that fails raises in task order too, and leaves no worker alive: a worker
+that dies raises `BrokenProcessPool`, and a fork that fails its `OSError`,
+also after other workers were forked. The callers answer both by reading
+serially.
 """
 
+import errno
 import multiprocessing
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -62,25 +67,50 @@ def test_closing_the_results_leaves_no_worker(cpus, after):
     assert multiprocessing.active_children() == []
 
 
-def _dies_in_a_worker(n):
-    if os.getpid() != PARENT:
+def _dies_at_two(n):
+    """Task 2 kills its worker, once tasks 0 and 1 are done."""
+    if n == 2 and os.getpid() != PARENT:
+        time.sleep(0.3)
         os._exit(1)
     return n * n
 
 
-def _slowly(n, cpus):
-    """range(n), pausing after the first `cpus` tasks, by when their workers died."""
-    for i in range(n):
-        if i == cpus:
-            time.sleep(0.5)
-        yield i
+def _no_worker_left():
+    """Whether no worker is alive; one that is gets terminated, so that a
+    failure here cannot hang the suite at exit."""
+    alive = multiprocessing.active_children()
+    for worker in alive:
+        worker.terminate()
+        worker.join()
+    return alive == []
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the worker tells itself from the parent by a forked pid")
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("slow", [False, True], ids=["sent-before", "sent-after"])
-def test_the_tasks_of_dead_workers_run_here(cpus, slow):
-    tasks = _slowly(6, cpus) if slow else range(6)
-    assert list(map_tasks(_dies_in_a_worker, tasks, cpus)) == [n * n for n in range(6)]
-    assert multiprocessing.active_children() == []
+def test_a_dead_worker_raises_in_task_order(cpus):
+    results = map_tasks(_dies_at_two, range(6), cpus)
+    assert [next(results), next(results)] == [0, 1]
+    with pytest.raises(BrokenProcessPool):
+        next(results)
+    assert _no_worker_left()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the failure is planted in os.fork")
+@pytest.mark.parametrize("cpus, failing", [(1, 1), (2, 1), (2, 2), (3, 3)])
+def test_a_failed_fork_raises_and_leaves_no_worker(monkeypatch, cpus, failing):
+    """The `failing`-th fork raises, after `failing - 1` workers were forked."""
+    fork, calls = os.fork, []
+
+    def fork_until_failing():
+        calls.append(1)
+        if len(calls) == failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_until_failing)
+    with pytest.raises(BlockingIOError):
+        list(map_tasks(_square, range(6), cpus))
+    assert len(calls) == failing
+    assert _no_worker_left()

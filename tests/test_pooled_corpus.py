@@ -11,8 +11,12 @@ warning only and a directory corpus. Where the serial reader accepts every
 run and no id repeats, the pooled fold stands without a serial rerun. No
 worker is left alive.
 
-A worker that dies, as one the out-of-memory killer stops, costs no output:
-every pooled command, `convert` included, prints what it prints serially.
+A pool that fails costs no output: after a worker dies, as one the
+out-of-memory killer stops, or a fork fails, as one at the process limit
+does, every pooled command, `convert` included, prints and writes what it
+does serially and exits with the same code, and no worker is left alive.
+The failed fork runs in a child process that must exit in time, so a
+worker left waiting fails the test instead of hanging the suite.
 
 Each fold the single-corpus commands merge gives, for any split of a
 document list, the result of one fold over the whole list.
@@ -24,6 +28,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +41,7 @@ from entkit import cli, corpus, dwie, rules, stats
 from test_oracle_properties import documents
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 FORKS = []
@@ -222,6 +230,87 @@ def test_a_dead_worker_costs_no_output(tmp_path, monkeypatch, command):
     assert serial[0] == int(command[0] == "rules" and "--strict" in command)
     assert serial[2] == ""
     assert multiprocessing.active_children() == []
+
+
+# --------------------------------------------------------------------------
+# A fork that fails
+
+
+FAILING_FORK_PROBE = """
+import errno, multiprocessing, os, sys
+import entkit.corpus, entkit.dwie
+entkit.corpus.POOL_MIN_BYTES = 0
+entkit.corpus.ITEMS_PER_TASK = entkit.dwie.ITEMS_PER_TASK = 1
+fork, calls = os.fork, []
+def fork_once():  # the second fork fails, as at the process limit
+    calls.append(1)
+    if len(calls) == 2:
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    return fork()
+os.fork = fork_once
+from entkit.cli import run
+code = run(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"forks tried {len(calls)}, workers alive {len(multiprocessing.active_children())}")
+sys.exit(code)
+"""
+FAILING_FORK = [
+    ["validate", "{c}"],
+    ["stats", "{c}", "--plot-data", "{tsv}"],
+    ["rules", "check", "{c}", "--closure"],
+    DYING[0],
+    *(["kappa", "--task", task, *PAIR] for task in ("entity", "relation", "coref", "linking")),
+    DYING[-1],
+]
+
+
+def _killed_group(pgid):
+    """Whether a process of group `pgid` was alive; each is killed."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _run_child(probe, argv, written, timeout=60):
+    """`_run` of `probe` on `argv` in a child process of its own process
+    group, which fails the test if the child does not exit in `timeout`
+    seconds or leaves a process of its group behind."""
+    if written.exists():
+        written.unlink()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, "-c", probe, *argv], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            _killed_group(child.pid)
+            child.communicate()
+            pytest.fail(f"{argv} did not exit in {timeout} s")
+    assert not _killed_group(child.pid), f"{argv} left a process behind"
+    return child.returncode, out, err, written.read_bytes() if written.exists() else None
+
+
+@pytest.mark.skipif(not POOLS or multiprocessing.get_start_method() != "fork",
+                    reason="needs more than one CPU and forked workers")
+@pytest.mark.parametrize("command", FAILING_FORK, ids=[
+    "validate", "stats", "rules", "score-all", "kappa-entity", "kappa-relation",
+    "kappa-coref", "kappa-linking", "convert"])
+def test_a_failed_fork_costs_no_output(tmp_path, monkeypatch, command):
+    paths = {**_paths(tmp_path, "golden"), "tmp": tmp_path}
+    argv = [arg.format(**paths) for arg in command]
+    written = tmp_path / "convert.jsonl" if command[0] == "convert" else paths["tsv"]
+    monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 1 << 60)
+    serial = _run(argv, written)
+    monkeypatch.undo()
+    report = tmp_path / "probe.txt"
+    assert _run_child(FAILING_FORK_PROBE, [str(report), *argv], written) == serial
+    assert report.read_text() == "forks tried 2, workers alive 0"
+    assert serial[0] == 0 and serial[2] == ""
+    assert (serial[3] is not None) == (command[0] in ("stats", "convert"))
 
 
 # --------------------------------------------------------------------------
