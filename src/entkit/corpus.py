@@ -20,7 +20,6 @@ was never considered for linking.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
@@ -752,62 +751,61 @@ def pool_cpus(nbytes: int) -> int:
     return cpus if cpus > 1 and nbytes >= POOL_MIN_BYTES else 0
 
 
-def map_tasks(fn: Callable, tasks: Iterable, cpus: int) -> Iterator:
-    """`fn(task)` for each task, in order: `map` if `cpus` is 0, else
-    `ProcessPoolExecutor.map` in one worker process per CPU, at most one per
-    task. A task's error, and a pool's (a worker that died, a fork that
-    failed), is raised in task order, and pending tasks are cancelled; every
-    worker has exited when the iterator ends, raises or is closed."""
-    if not cpus:
-        yield from map(fn, tasks)
-        return
-    from concurrent.futures import ProcessPoolExecutor
+def pooled(fn: Callable, tasks: Iterable, nbytes: int) -> tuple | None:
+    """The `(fold, list)` pairs `fn(task)` of the tasks, computed in one
+    worker process per CPU that `pool_cpus(nbytes)` gives, at most one per
+    task, and merged in task order as they arrive: each fold into the first
+    (`fold.merge`), the lists concatenated. None if no pool starts (no CPU
+    or no task) or the pool fails in any way (a task's error, a worker that
+    died, a fork that failed); every worker has exited when this returns."""
     tasks = iter(tasks)
-    first = list(islice(tasks, cpus))
-    # a forked pool starts all its workers at the first task (none for no
-    # task), so the later tasks are read while they start
-    pool = ProcessPoolExecutor(max(1, len(first)))
-    workers = pool._processes  # pid -> worker, which shutdown forgets
+    first = list(islice(tasks, pool_cpus(nbytes)))
+    if not first:
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+    merged, items = None, []
     try:
-        yield from pool.map(fn, chain(first, tasks))
-    finally:
-        pool.shutdown(cancel_futures=True)
-        # no manager thread stops the workers forked before a fork that failed
-        for worker in workers.values():
-            worker.terminate()
-            worker.join()
+        # a forked pool starts all its workers at the first task, so the
+        # later tasks are read while they start
+        pool = ProcessPoolExecutor(len(first))
+        workers = pool._processes  # pid -> worker, which shutdown forgets
+        try:
+            for fold, part in pool.map(fn, chain(first, tasks)):
+                if merged is None:
+                    merged = fold
+                else:
+                    merged.merge(fold)
+                items += part
+        finally:
+            pool.shutdown(cancel_futures=True)
+            # no manager thread stops the workers forked before a fork that failed
+            for worker in workers.values():
+                worker.terminate()
+                worker.join()
+    except Exception:
+        return None
+    return merged, items
 
 
 def fold_files(fold, *paths: str | Path, valid: bool = True):
     """`fold_documents(fold, ...)` of the corpus at each path, read by
-    `iter_valid_corpus` (`iter_corpus` if not `valid`). JSON Lines files that
-    `pool_cpus` gives a pool are folded there first: each worker runs that
-    reader on a run of lines of each file into a copy of the empty `fold`,
-    merged here in run order (`fold.merge`). That stands if the reader
-    accepts every run, no id repeats across runs and the pool does not fail;
-    if not, the files are read as above, which raises that reader's first error."""
-    cpus = all(map(os.path.isfile, paths)) and pool_cpus(sum(map(os.path.getsize, paths)))
-    if cpus and (pooled := _fold_pooled(fold, paths, valid, cpus)) is not None:
-        return pooled
+    `iter_valid_corpus` (`iter_corpus` if not `valid`). JSON Lines files are
+    folded first by `pooled` workers, each running that reader on a run of
+    lines of each file into a copy of the empty `fold`; that stands unless
+    no pool starts, it fails or an id repeats across runs, when the files
+    are read as above, which raises that reader's first error."""
+    if all(map(os.path.isfile, paths)) and \
+            (merged := _fold_pooled(fold, paths, valid)) is not None:
+        return merged
     return fold_documents(fold, *map(iter_valid_corpus if valid else iter_corpus, paths))
 
 
-def _fold_pooled(fold, paths: tuple, valid: bool, cpus: int):
+def _fold_pooled(fold, paths: tuple, valid: bool):
     """`fold_files`'s pooled fold, or None where it does not stand."""
     # a file with fewer runs reads no lines for the rest
     runs = zip_longest(*map(_line_runs, paths), fillvalue=(0, 0))
     tasks = ((fold, valid, *zip(paths, run)) for run in runs)
-    merged, ids = None, []
-    try:
-        with contextlib.closing(map_tasks(fold_runs, tasks, cpus)) as results:
-            for part, part_ids in results:
-                if merged is None:
-                    merged = part
-                else:
-                    merged.merge(part)
-                ids += part_ids
-    except Exception:  # the reader raised, a worker died or a fork failed
-        return None
+    merged, ids = pooled(fold_runs, tasks, sum(map(os.path.getsize, paths))) or (None, [])
     return merged if len(set(ids)) == len(ids) else None
 
 

@@ -31,9 +31,9 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
-from .corpus import (ITEMS_PER_TASK, UNANNOTATED, Document, EntityCluster, Mention,
-                     RelationTriple, _every, _require, canonical_line, map_tasks,
-                     pool_cpus, read_json)
+from . import corpus
+from .corpus import (UNANNOTATED, Document, EntityCluster, Mention, RelationTriple,
+                     _every, _require, canonical_line, pooled, read_json)
 
 _TOKEN_SPLIT = re.compile(r"(\w+|[^\w\s])")
 _BREAK_RE = re.compile(r"[.!?]|\n")
@@ -171,29 +171,22 @@ def _converted(paths: list[Path], report: ConversionReport) -> Iterator[Document
 
 def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list[str]:
     """`iter_release`'s documents as canonical lines, converted in worker
-    processes when `corpus.pool_cpus` gives the files' total size a pool.
-    If the pool fails (a file, a worker or a fork), the files are converted
-    here, so the first file in filename order that fails raises its error;
-    every worker has exited when this returns or raises."""
-    paths = _release_files(src_dir)
-    tasks = [paths[i:i + ITEMS_PER_TASK] for i in range(0, len(paths), ITEMS_PER_TASK)]
-    cpus = pool_cpus(sum(path.stat().st_size for path in paths))
-    try:
-        parts = list(map_tasks(convert_files, tasks, cpus))
-    except Exception:
-        if not cpus:
-            raise
-        parts = [convert_files(paths)]
-    for _, part in parts:
-        report.merge(part)
-    return [line for converted, _ in parts for line in converted]
+    processes (`corpus.pooled`, on tasks of `corpus.ITEMS_PER_TASK` files),
+    else here, so the first file in filename order that fails raises its
+    error; every worker has exited when this returns or raises."""
+    paths, n = _release_files(src_dir), corpus.ITEMS_PER_TASK
+    tasks = [paths[i:i + n] for i in range(0, len(paths), n)]
+    converted, lines = pooled(convert_files, tasks, sum(p.stat().st_size for p in paths)) \
+        or convert_files(paths)
+    report.merge(converted)
+    return lines
 
 
-def convert_files(paths: list[Path]) -> tuple[list[str], ConversionReport]:
-    """The pool's worker, sent by name: the files' canonical lines and their
-    report."""
+def convert_files(paths: list[Path]) -> tuple[ConversionReport, list[str]]:
+    """The pool's worker, sent by name: the files' report and their
+    canonical lines."""
     report = ConversionReport()
-    return list(map(canonical_line, _converted(paths, report))), report
+    return report, list(map(canonical_line, _converted(paths, report)))
 
 
 def _release_files(src_dir: str | Path) -> list[Path]:

@@ -557,7 +557,7 @@ def test_only_kernel_commands_import_numpy(tmp_path, command):
 
 @pytest.mark.parametrize("command", COMMANDS + [[]],
                          ids=lambda command: _command_id(command) or "import")
-def test_only_convert_imports_the_process_pool(tmp_path, command):
+def test_only_corpus_commands_import_the_process_pool(tmp_path, command):
     """The pool modules cost a command's start-up 20-28 ms, so a command
     imports them only when it starts a pool: every corpus command does on
     more than one CPU and at least `corpus.POOL_MIN_BYTES` of input, which

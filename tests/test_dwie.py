@@ -296,6 +296,59 @@ sys.exit(code)
 """
 
 
+ONE_CPU_CALLS_PROBE = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import entkit.corpus, entkit.dwie
+entkit.corpus.POOL_MIN_BYTES = 0
+calls, convert_files = [], entkit.dwie.convert_files
+entkit.dwie.convert_files = lambda paths: calls.append(paths) or convert_files(paths)
+from entkit.cli import run
+code = run(sys.argv[1:])
+print(json.dumps([[path.name for path in paths] for paths in calls]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("no_pool", ["small release", "one CPU"])
+def test_convert_without_a_pool_converts_every_file_in_one_call(tmp_path, monkeypatch,
+                                                                no_pool):
+    """With no pool, below `POOL_MIN_BYTES` or on one CPU, `convert` has one
+    serial path: a release of more files than a task holds is converted by
+    one `convert_files` call with every path."""
+    src = _generated_release(tmp_path / "release", corpus.ITEMS_PER_TASK + 1)
+    names = sorted(path.name for path in src.glob("*.json"))
+    want_out = _serial_convert(src, tmp_path / "want.jsonl")
+    argv = ["convert", str(src), "--out-corpus", str(tmp_path / "got.jsonl")]
+    if no_pool == "small release":
+        assert sum(path.stat().st_size for path in src.glob("*.json")) < corpus.POOL_MIN_BYTES
+        CONVERTED_HERE.clear()
+        monkeypatch.setattr(dwie, "convert_files", _converted_here)
+        got = _run(argv)
+        calls = [[path.name for path in paths] for paths in CONVERTED_HERE]
+    elif not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    else:
+        code, out, err = _run_probe(ONE_CPU_CALLS_PROBE, argv)
+        got, calls = (code, out, ""), json.loads(err)
+    assert got == (0, want_out, "")
+    assert calls == [names]
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def test_convert_cuts_its_tasks_by_the_corpus_items_per_task(tmp_path, monkeypatch):
+    """`dwie` reads `corpus.ITEMS_PER_TASK` when it runs, so setting it
+    there alone changes the tasks `convert` hands the pool."""
+    src = _generated_release(tmp_path / "release", 17)
+    paths = sorted(src.glob("*.json"))
+    tasks = []
+    monkeypatch.setattr(dwie, "pooled", lambda fn, ts, nbytes: tasks.append(list(ts)))
+    for items in (corpus.ITEMS_PER_TASK, 5, 1):  # 2, 4 and 17 tasks
+        monkeypatch.setattr(corpus, "ITEMS_PER_TASK", items)
+        assert _run(["convert", str(src), "--out-corpus", str(tmp_path / "c.jsonl")])[0] == 0
+        assert tasks[-1] == [paths[i:i + items] for i in range(0, len(paths), items)]
+
+
 @pytest.mark.parametrize("files", [3, corpus.ITEMS_PER_TASK + 1])
 def test_convert_forks_no_more_workers_than_tasks(tmp_path, files):
     """A pool starts only on more than one CPU and at least POOL_MIN_BYTES

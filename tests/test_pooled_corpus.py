@@ -218,8 +218,7 @@ def test_a_dead_worker_costs_no_output(tmp_path, monkeypatch, command):
     monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 1 << 60)
     serial = _run(argv, written)
     monkeypatch.setattr(corpus, "POOL_MIN_BYTES", 0)
-    for module in (corpus, dwie):
-        monkeypatch.setattr(module, "ITEMS_PER_TASK", 1)
+    monkeypatch.setattr(corpus, "ITEMS_PER_TASK", 1)
     monkeypatch.setattr(corpus, "fold_runs", _dies_after_the_first_run)
     monkeypatch.setattr(dwie, "convert_files", _dies_after_the_first_files)
     forks = len(FORKS)
@@ -240,7 +239,7 @@ FAILING_FORK_PROBE = """
 import errno, multiprocessing, os, sys
 import entkit.corpus, entkit.dwie
 entkit.corpus.POOL_MIN_BYTES = 0
-entkit.corpus.ITEMS_PER_TASK = entkit.dwie.ITEMS_PER_TASK = 1
+entkit.corpus.ITEMS_PER_TASK = 1
 fork, calls = os.fork, []
 def fork_once():  # the second fork fails, as at the process limit
     calls.append(1)
