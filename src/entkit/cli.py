@@ -161,8 +161,7 @@ def _cmd_kernels_selftest(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    report = dwie.ConversionReport()
-    lines = dwie.convert_release_lines(args.src, report)
+    report, lines = dwie.convert_release_lines(args.src)
     with open(args.out_corpus, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     _emit(vars(report), args.out)

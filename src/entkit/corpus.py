@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from importlib import resources as importlib_resources
 from itertools import accumulate, chain, islice, repeat, zip_longest
 from operator import countOf, lt
@@ -104,18 +103,22 @@ class Mention(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class EntityCluster:
-    """All coreferent mentions of one entity, with its tags and optional link."""
+class EntityCluster(namedtuple("EntityCluster", "id mentions tags link",
+                                defaults=(UNANNOTATED,))):
+    """All coreferent mentions of one entity, with its tags and optional link:
+    the ``(id, mentions, tags, link)`` tuple, its link a str, None (= NIL) or
+    UNANNOTATED. Every way to make one but ``tuple.__new__`` gives it sorted,
+    distinct mentions and a frozenset of tags."""
 
-    id: str
-    mentions: tuple[Mention, ...]
-    tags: frozenset[str]
-    link: object = UNANNOTATED  # str, None (= NIL) or UNANNOTATED
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mentions", tuple(sorted(set(self.mentions))))
-        object.__setattr__(self, "tags", frozenset(self.tags))
+    def __new__(cls, id: str, mentions: Iterable[Mention], tags: Iterable[str],
+                link: object = UNANNOTATED):
+        return tuple.__new__(cls, (id, tuple(sorted(set(mentions))), frozenset(tags), link))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "EntityCluster":  # for _replace too
+        return cls(*fields)
 
     @property
     def is_linked(self) -> bool:
@@ -531,11 +534,9 @@ def document_from_json(obj: dict) -> Document:
     deque(map(increasing.__setitem__, stops, repeat(True)), 0)  # not across clusters
     if not all(increasing):
         members = [tuple(sorted(set(m))) for m in members]
-    # set field by field in the constructor's order, as its vars() has them
-    clusters = list(map(object.__new__, repeat(EntityCluster, len(ids))))
-    for name, column in zip(("id", "mentions", "tags", "link"),
-                            (ids, members, map(frozenset, tags), links)):
-        deque(map(object.__setattr__, clusters, repeat(name), column), 0)
+    # the members are canonical already, so the clusters skip the constructor
+    clusters = map(tuple.__new__, repeat(EntityCluster),
+                   zip(ids, members, map(frozenset, tags), links))
     return Document(doc_id, tuple(tokens), sents, tuple(clusters),
                     tuple(_relations(zip(*ends))), split)
 
@@ -792,8 +793,8 @@ def fold_files(fold, *paths: str | Path, valid: bool = True):
     `iter_valid_corpus` (`iter_corpus` if not `valid`). JSON Lines files are
     folded first by `pooled` workers, each running that reader on a run of
     lines of each file into a copy of the empty `fold`; that stands unless
-    no pool starts, it fails or an id repeats across runs, when the files
-    are read as above, which raises that reader's first error."""
+    no pool starts, it fails or, if `valid`, an id repeats across runs, when
+    the files are read as above, which raises that reader's first error."""
     if all(map(os.path.isfile, paths)) and \
             (merged := _fold_pooled(fold, paths, valid)) is not None:
         return merged
@@ -806,7 +807,8 @@ def _fold_pooled(fold, paths: tuple, valid: bool):
     runs = zip_longest(*map(_line_runs, paths), fillvalue=(0, 0))
     tasks = ((fold, valid, *zip(paths, run)) for run in runs)
     merged, ids = pooled(fold_runs, tasks, sum(map(os.path.getsize, paths))) or (None, [])
-    return merged if len(set(ids)) == len(ids) else None
+    # only the validating reader raises on an id that repeats across runs
+    return merged if not valid or len(set(ids)) == len(ids) else None
 
 
 def fold_documents(fold, *corpora: Iterable[Document]):

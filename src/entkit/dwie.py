@@ -169,17 +169,15 @@ def _converted(paths: list[Path], report: ConversionReport) -> Iterator[Document
         yield read_json(path, lambda obj: convert_annotation(obj, report))
 
 
-def convert_release_lines(src_dir: str | Path, report: ConversionReport) -> list[str]:
-    """`iter_release`'s documents as canonical lines, converted in worker
-    processes (`corpus.pooled`, on tasks of `corpus.ITEMS_PER_TASK` files),
-    else here, so the first file in filename order that fails raises its
-    error; every worker has exited when this returns or raises."""
+def convert_release_lines(src_dir: str | Path) -> tuple[ConversionReport, list[str]]:
+    """The report and canonical lines of `iter_release`'s documents, converted
+    in worker processes (`corpus.pooled`, on tasks of `corpus.ITEMS_PER_TASK`
+    files), else here, so the first file in filename order that fails raises
+    its error; every worker has exited when this returns or raises."""
     paths, n = _release_files(src_dir), corpus.ITEMS_PER_TASK
     tasks = [paths[i:i + n] for i in range(0, len(paths), n)]
-    converted, lines = pooled(convert_files, tasks, sum(p.stat().st_size for p in paths)) \
+    return pooled(convert_files, tasks, sum(p.stat().st_size for p in paths)) \
         or convert_files(paths)
-    report.merge(converted)
-    return lines
 
 
 def convert_files(paths: list[Path]) -> tuple[ConversionReport, list[str]]:

@@ -592,11 +592,15 @@ print(sorted(c.__qualname__ for name, m in list(sys.modules.items())
 
 def test_only_classes_whose_constructor_checks_its_input_are_dataclasses():
     """Result records are named tuples and accumulators plain classes: a
-    class stays a dataclass only when its constructor checks its input or
-    puts it into canonical form, as building a dataclass slows start-up.
-    Each accumulator builds its own containers."""
+    class stays a dataclass only when its constructor checks its input and
+    may raise, as building a dataclass slows start-up. EntityCluster, whose
+    constructor puts its input into canonical form, is a named tuple without
+    a `__dict__`. Each accumulator builds its own containers."""
     assert _fresh_interpreter(DATACLASSES_PROBE).strip() == str(
-        ["AnnotationPair", "Atom", "DecodeInput", "EntityCluster", "Rule"])
+        ["AnnotationPair", "Atom", "DecodeInput", "Rule"])
+    from entkit.corpus import EntityCluster
+    assert issubclass(EntityCluster, tuple) and EntityCluster.__slots__ == ()
+    assert not hasattr(EntityCluster("c", (), ()), "__dict__")
     from entkit.corpus import ValidationReport
     from entkit.dwie import ConversionReport
     from entkit.stats import DistanceProfile

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import json
 import pickle
 from pathlib import Path
@@ -309,7 +309,7 @@ CLUSTER_FIELDS = st.tuples(
           ("c", [[2, 3], [0, 1], [2, 3]], ["L1", "L1"], UNANNOTATED)])
 def test_loaded_clusters_equal_constructed_ones(fields):
     """Every cluster `document_from_json` builds is the one the EntityCluster
-    constructor builds from the same fields, by every view a dataclass has,
+    constructor builds from the same fields, by every view a named tuple has,
     whether its mentions came sorted and distinct or not."""
     entries = [{"id": cid, "mentions": pairs, "tags": tags}
                | ({} if link is UNANNOTATED else {"link": link})
@@ -322,16 +322,43 @@ def test_loaded_clusters_equal_constructed_ones(fields):
                              frozenset(tags), link)
         assert type(got) is EntityCluster
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-        assert list(vars(got).items()) == list(vars(want).items())
+        assert tuple(got) == tuple(want) and list(map(type, got)) == list(map(type, want))
+        assert list(got._asdict().items()) == list(want._asdict().items())
         assert got.mentions == tuple(sorted({*map(tuple, pairs)}))
         assert all(type(m) is Mention for m in got.mentions)
-        copy = pickle.loads(pickle.dumps(got))
-        assert copy == want and list(vars(copy).items()) == list(vars(want).items())
-        assert dataclasses.replace(got, id="z") == dataclasses.replace(want, id="z")
-        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        copied = pickle.loads(pickle.dumps(got))
+        assert type(copied) is EntityCluster
+        assert copied == want and list(map(type, copied)) == list(map(type, want))
+        assert got._replace(id="z") == want._replace(id="z")
         for name in ("id", "mentions", "tags", "link"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(got, name, None)
+
+
+def test_every_public_way_to_make_a_cluster_is_canonical():
+    """The constructor, by position or keyword, `_make`, `_replace`, pickle
+    and copy all give sorted, distinct mentions and a frozenset of tags. Only
+    `tuple.__new__`, which the loader calls on canonical fields, does not:
+    copies of such a raw cluster are made canonical."""
+    mentions, tags = [Mention(2, 3), Mention(0, 1), Mention(2, 3)], ["L2", "L1", "L1"]
+    raw = tuple.__new__(EntityCluster, ("c", mentions, tags, None))
+    made = [EntityCluster("c", mentions, tags, None),
+            EntityCluster(id="c", mentions=iter(mentions), tags=iter(tags), link=None),
+            EntityCluster._make(("c", mentions, tags, None)),
+            EntityCluster._make(iter(raw)),
+            EntityCluster("b", (), ())._replace(id="c", mentions=mentions, tags=tags,
+                                                link=None),
+            raw._replace(),
+            copy.copy(raw), copy.deepcopy(raw),
+            *(pickle.loads(pickle.dumps(raw, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1))]
+    for cluster in made:
+        assert type(cluster) is EntityCluster
+        assert tuple(cluster) == ("c", (Mention(0, 1), Mention(2, 3)),
+                                  frozenset({"L1", "L2"}), None)
+        assert list(map(type, cluster)) == [str, tuple, frozenset, type(None)]
+        assert all(type(m) is Mention for m in cluster.mentions)
+    assert EntityCluster("c", mentions, tags).link is UNANNOTATED
 
 
 def test_per_file_format(tmp_path):

@@ -1,7 +1,7 @@
 """Every fold a paired command merges gives one fold's report.
 
 `score` and `kappa` may fold runs of document pairs in worker processes and
-merge the folds in the parent (`corpus.fold_pairs`). Each fold keeps exact
+merge the folds in the parent (`corpus.fold_files`). Each fold keeps exact
 state: ints, and floats as a multiset of terms summed by `math.fsum`. So
 cutting the pairs anywhere, folding each part in its own (pickled) fold and
 merging the parts in any order must give the report of one fold over all

@@ -8,8 +8,8 @@ write the same `--plot-data` TSV and exit with the same code both ways, on
 the golden fixtures and on planted inputs: a bad JSON line or a validation
 error in a later run, a document id repeated across runs, blank lines, a
 warning only and a directory corpus. Where the serial reader accepts every
-run and no id repeats, the pooled fold stands without a serial rerun. No
-worker is left alive.
+run and no id repeats, the pooled fold stands without a serial rerun;
+`validate`'s stands on a repeated id too. No worker is left alive.
 
 A pool that fails costs no output: after a worker dies, as one the
 out-of-memory killer stops, or a fork fails, as one at the process limit
@@ -152,8 +152,8 @@ def test_pooled_single_corpus_commands_equal_the_serial_reader(tmp_path, monkeyp
         assert pooled == serial, argv
         assert multiprocessing.active_children() == []
         assert forked == (POOLS and case != "directory"), argv
-        stands = case in STANDS or (case == "finding in a later run" and
-                                    command[0] == "validate")
+        stands = case in STANDS or (command[0] == "validate" and case in (
+            "finding in a later run", "id repeated across runs"))
         if forked and stands:
             assert reruns == [], argv
         code, out, err, tsv = serial
